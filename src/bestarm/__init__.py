@@ -43,7 +43,7 @@ from .solvers import (
     entropy_elimination,
     known_complexity,
 )
-from .parallel import copy_seed, parallel_simulation, scheduled_copies
+from .parallel import copy_seed, parallel_simulation
 from .signxi import (
     LossProfile,
     SignResult,

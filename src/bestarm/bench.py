@@ -147,7 +147,11 @@ def run_trials(
     accepted: list[int] = []
     for outcome in outcomes:
         # Reconciliation: the reported total is exactly the oracle's ledger.
-        assert outcome.total_samples == sum(outcome.per_arm_samples)
+        if outcome.total_samples != sum(outcome.per_arm_samples):
+            raise RuntimeError(
+                f"{algo} run on {instance.label!r} reports {outcome.total_samples} draws "
+                f"but its per-arm ledger sums to {sum(outcome.per_arm_samples)}"
+            )
         if outcome.status == BUDGET_EXCEEDED:
             capped += 1
             continue

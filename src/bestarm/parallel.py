@@ -13,9 +13,17 @@ C earlier draws completes exactly at iteration (C + B) * 2^(k-1).  Jumping
 between those completion events reproduces the per-draw schedule precisely,
 because a copy blocked inside a batched request makes no decisions until
 the batch completes.
+
+Events are ordered by a binary heap of ``(finish_iteration, index)``
+entries, one per spawned copy, so selecting the next event and re-keying
+the copy just served cost O(log K) for K copies.  Equal finish iterations
+go to the lower copy index, which is the order in which the per-draw
+schedule serves copies within one iteration.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -32,18 +40,6 @@ from .solvers import (
 )
 
 
-def scheduled_copies(iteration: int) -> list[int]:
-    """Copy indices advanced at a 1-based iteration: all k with 2^(k-1) | iteration."""
-    if iteration < 1:
-        raise ValueError(f"iteration must be >= 1, got {iteration}")
-    advanced = []
-    k = 1
-    while iteration % 2 ** (k - 1) == 0:
-        advanced.append(k)
-        k += 1
-    return advanced
-
-
 def copy_seed(seed, k: int) -> np.random.SeedSequence:
     """Deterministic seed material of copy k (stateless spawn-key derivation)."""
     if k < 1:
@@ -52,10 +48,11 @@ def copy_seed(seed, k: int) -> np.random.SeedSequence:
 
 
 class _Copy:
-    __slots__ = ("index", "oracle", "plan", "pending", "consumed", "result", "budget_hit")
+    __slots__ = ("index", "step", "oracle", "plan", "pending", "consumed", "result", "budget_hit")
 
     def __init__(self, index, oracle, plan):
         self.index = index
+        self.step = 1 << (index - 1)  # iterations between two draw grants
         self.oracle = oracle
         self.plan = plan
         self.consumed = 0
@@ -69,10 +66,9 @@ class _Copy:
 
     def finish_iteration(self) -> int:
         """Iteration at which the pending request (or termination) completes."""
-        step = 2 ** (self.index - 1)
         if self.pending is None:
-            return max(self.consumed, 1) * step
-        return (self.consumed + self.pending.cost) * step
+            return max(self.consumed, 1) * self.step
+        return (self.consumed + self.pending.cost) * self.step
 
 
 def parallel_simulation(
@@ -110,37 +106,41 @@ def parallel_simulation(
     if inner is None:
         inner = complexity_guessing_plan
 
-    def spawn(k: int) -> _Copy:
-        oracle = SamplingOracle.for_instance(instance, seed=copy_seed(seed, k), family=family)
-        return _Copy(k, oracle, inner(oracle, instance, delta / 2.0**k))
+    copies: list[_Copy] = []
+    events: list[tuple[int, int]] = []  # heap of (finish_iteration, index)
 
-    copies: list[_Copy] = [spawn(1)]
-    winner = None
-    while winner is None:
-        live = min(copies, key=lambda c: (c.finish_iteration(), c.index))
+    def spawn() -> None:
+        k = len(copies) + 1
+        oracle = SamplingOracle.for_instance(instance, seed=copy_seed(seed, k), family=family)
+        copy = _Copy(k, oracle, inner(oracle, instance, delta / 2.0**k))
+        copies.append(copy)
+        heapq.heappush(events, (copy.finish_iteration(), k))
+
+    spawn()
+    while True:
         # Any not-yet-spawned copy whose first grant precedes the next event
         # could still beat it, so materialize those lazily.
-        while (max_copies is None or len(copies) < max_copies) and 2 ** len(
-            copies
-        ) <= live.finish_iteration():
-            copies.append(spawn(len(copies) + 1))
-            live = min(copies, key=lambda c: (c.finish_iteration(), c.index))
+        while (max_copies is None or len(copies) < max_copies) and (
+            1 << len(copies)
+        ) <= events[0][0]:
+            spawn()
+        live = copies[events[0][1] - 1]
         if live.result is not None:
-            winner = live
             break
-        if budget is not None and live.consumed + live.pending.cost > budget:
+        cost = live.pending.cost
+        if budget is not None and live.consumed + cost > budget:
             live.budget_hit = True
             live.plan.close()
-            winner = live
             break
         reply = live.pending.fulfill(live.oracle)
-        live.consumed += live.pending.cost
+        live.consumed += cost
         try:
             live.pending = live.plan.send(reply)
         except StopIteration as stop:
             live.result = stop.value
-            winner = live
-
+            break
+        heapq.heapreplace(events, (live.finish_iteration(), live.index))
+    winner = live
     stop_iter = winner.finish_iteration()
     per_arm = np.zeros(instance.n_arms, dtype=np.int64)
     for copy in copies:
@@ -151,9 +151,8 @@ def parallel_simulation(
         # multiple of the copy's stride up to the stop point (grants in the
         # stop iteration itself count only for copies served before the
         # winner, i.e. with a smaller index).
-        step = 2 ** (copy.index - 1)
-        grants = (stop_iter - 1) // step
-        if stop_iter % step == 0 and copy.index < winner.index:
+        grants = (stop_iter - 1) // copy.step
+        if stop_iter % copy.step == 0 and copy.index < winner.index:
             grants += 1
         partial = min(max(grants - copy.consumed, 0), copy.pending.cost)
         per_arm[copy.pending.arm] += partial

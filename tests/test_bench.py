@@ -4,7 +4,9 @@ import math
 import pytest
 
 from bestarm import (
+    OK,
     Instance,
+    RunOutcome,
     TrialReport,
     conjectured_bound,
     equal_h_pair,
@@ -14,6 +16,7 @@ from bestarm import (
     run_trials,
     write_reports,
 )
+from bestarm import bench
 from bestarm.bench import TRIAL_CSV_HEADER
 
 TWO_ARM = Instance.from_means((1.0, 0.5), label="two-arm")
@@ -66,6 +69,15 @@ class TestRunTrials:
         pooled = run_trials("guess", TWO_ARM, 0.05, trials=6, base_seed=5, budget=None,
                             workers=2)
         assert serial == pooled
+
+    def test_unreconciled_ledger_raises(self, monkeypatch):
+        def broken(*args):
+            return RunOutcome(status=OK, arm=0, total_samples=10, per_arm_samples=(4, 5),
+                              rounds_executed=1)
+
+        monkeypatch.setattr(bench, "run_one_trial", broken)
+        with pytest.raises(RuntimeError, match="ledger"):
+            run_trials("guess", TWO_ARM, 0.05, trials=1, base_seed=0, budget=None)
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
