@@ -6,7 +6,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -24,22 +24,6 @@ from .solvers import (
 )
 
 ALGORITHMS = ("known", "guess", "parallel", "baseline")
-
-TRIAL_CSV_HEADER = [
-    "algo",
-    "instance",
-    "delta",
-    "trials",
-    "errors",
-    "budget_exceeded",
-    "empirical_error",
-    "mean_samples",
-    "median_samples",
-    "p95_samples",
-    "mean_accepted_guess_t",
-    "conjectured_bound",
-    "sample_to_bound_ratio",
-]
 
 
 @dataclass(frozen=True)
@@ -66,21 +50,10 @@ class TrialReport:
     sample_to_bound_ratio: float
 
     def to_csv_row(self) -> list[str]:
-        return [
-            self.algo,
-            self.instance,
-            repr(self.delta),
-            str(self.trials),
-            str(self.errors),
-            str(self.budget_exceeded),
-            repr(self.empirical_error),
-            repr(self.mean_samples),
-            repr(self.median_samples),
-            repr(self.p95_samples),
-            repr(self.mean_accepted_guess_t),
-            repr(self.conjectured_bound),
-            repr(self.sample_to_bound_ratio),
-        ]
+        return [v if isinstance(v, str) else repr(v) for v in astuple(self)]
+
+
+TRIAL_CSV_HEADER = [f.name for f in fields(TrialReport)]
 
 
 def run_one_trial(
@@ -90,15 +63,18 @@ def run_one_trial(
     seed,
     budget: int | None = DEFAULT_BUDGET,
     family: str = GAUSSIAN,
+    trace=None,
 ) -> RunOutcome:
-    """Execute a single seeded run of one algorithm."""
+    """Execute a single seeded run; ``trace`` gets ``known``/``guess`` round events."""
     if algo == "parallel":
         return parallel_simulation(instance, delta, seed=seed, budget=budget, family=family)
     oracle = SamplingOracle.for_instance(instance, seed=seed, family=family)
     if algo == "known":
-        return known_complexity(oracle, instance, profile(instance).H, delta, budget=budget)
+        return known_complexity(
+            oracle, instance, profile(instance).H, delta, budget=budget, trace=trace
+        )
     if algo == "guess":
-        return complexity_guessing(oracle, instance, delta, budget=budget)
+        return complexity_guessing(oracle, instance, delta, budget=budget, trace=trace)
     if algo == "baseline":
         return baseline_successive_elimination(oracle, instance, delta, budget=budget)
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")

@@ -20,14 +20,8 @@ from pathlib import Path
 
 from .bench import ALGORITHMS, generate_instances, run_one_trial, run_trials, write_reports
 from .instances import conjectured_bound, format_instance, parse_instance, profile, profile_csv_row
-from .oracle import SamplingOracle
 from .signxi import loss_profile_rows, measure_loss_profile, run_sign_trial
-from .solvers import (
-    BUDGET_EXCEEDED,
-    DEFAULT_BUDGET,
-    complexity_guessing,
-    known_complexity,
-)
+from .solvers import BUDGET_EXCEEDED, DEFAULT_BUDGET
 
 
 def _budget(value: str):
@@ -86,19 +80,7 @@ def cmd_run(args) -> int:
                 print("\t".join(f"{k}={v}" for k, v in asdict(event).items()))
         else:
             print(f"note: --trace has no effect for algo {args.algo!r}", file=sys.stderr)
-    if args.algo in ("known", "guess") and trace is not None:
-        oracle = SamplingOracle.for_instance(instance, seed=args.seed)
-        if args.algo == "known":
-            outcome = known_complexity(
-                oracle, instance, profile(instance).H, args.delta,
-                budget=args.budget, trace=trace,
-            )
-        else:
-            outcome = complexity_guessing(
-                oracle, instance, args.delta, budget=args.budget, trace=trace
-            )
-    else:
-        outcome = run_one_trial(args.algo, instance, args.delta, args.seed, args.budget)
+    outcome = run_one_trial(args.algo, instance, args.delta, args.seed, args.budget, trace=trace)
     print(f"status            {outcome.status}")
     print(f"arm               {outcome.arm}")
     print(f"total_samples     {outcome.total_samples}")
@@ -213,7 +195,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
+        # OverflowError: a run's draw counts outgrew the int64 per-arm ledger.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

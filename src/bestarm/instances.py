@@ -129,10 +129,15 @@ def profile(instance: Instance) -> GapProfile:
     )
 
 
-def conjectured_bound(prof: GapProfile, delta: float) -> float:
-    """Instance complexity scale H * (ln(1/delta) + Ent), with unit constant."""
+def _check_delta(delta: float) -> None:
+    """Reject a confidence parameter outside (0, 1); shared by every layer."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
+def conjectured_bound(prof: GapProfile, delta: float) -> float:
+    """Instance complexity scale H * (ln(1/delta) + Ent), with unit constant."""
+    _check_delta(delta)
     return prof.H * (math.log(1.0 / delta) + prof.ent)
 
 

@@ -27,17 +27,9 @@ import heapq
 
 import numpy as np
 
-from .instances import Instance
+from .instances import Instance, _check_delta
 from .oracle import GAUSSIAN, SamplingOracle
-from .solvers import (
-    BUDGET_EXCEEDED,
-    DEFAULT_BUDGET,
-    OK,
-    REJECTED,
-    RunOutcome,
-    SolveResult,
-    complexity_guessing_plan,
-)
+from .solvers import DEFAULT_BUDGET, RunOutcome, complexity_guessing_plan, make_outcome
 
 
 def copy_seed(seed, k: int) -> np.random.SeedSequence:
@@ -101,8 +93,7 @@ def parallel_simulation(
         including grants toward requests still in flight when the winner
         finished.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if inner is None:
         inner = complexity_guessing_plan
 
@@ -156,17 +147,4 @@ def parallel_simulation(
             grants += 1
         partial = min(max(grants - copy.consumed, 0), copy.pending.cost)
         per_arm[copy.pending.arm] += partial
-
-    if winner.budget_hit:
-        status, result = BUDGET_EXCEEDED, SolveResult(arm=None, rounds=0)
-    else:
-        result = winner.result
-        status = REJECTED if result.rejected else OK
-    return RunOutcome(
-        status=status,
-        arm=result.arm,
-        total_samples=int(per_arm.sum()),
-        per_arm_samples=tuple(int(c) for c in per_arm),
-        rounds_executed=result.rounds,
-        accepted_guess_t=result.accepted_t,
-    )
+    return make_outcome(None if winner.budget_hit else winner.result, per_arm)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .instances import _check_delta
+
 # Estimates keyed by arm id, exactly the queried set.
 EstimateMap = dict[int, float]
 
@@ -91,8 +93,7 @@ def unif_sample_size(eps: float, delta: float) -> int:
     """Per-arm draw count of uniform sampling: ceil(2 eps^-2 ln(2/delta))."""
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     return _count(2.0 * eps**-2 * math.log(2.0 / delta))
 
 
@@ -127,8 +128,7 @@ def med_elim_plan(members, eps: float, delta: float):
     members = _check_members(members)
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     active = list(members)
     eps_l = eps / 4.0
     delta_l = delta / 2.0
@@ -163,8 +163,7 @@ def frac_test_probe_counts(c_lo, c_hi, theta_lo, theta_hi, delta) -> tuple[int, 
         raise ValueError(f"need c_lo < c_hi, got {c_lo} >= {c_hi}")
     if not theta_lo < theta_hi:
         raise ValueError(f"need theta_lo < theta_hi, got {theta_lo} >= {theta_hi}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     spread = theta_hi - theta_lo
     probes = _count((spread / 6.0) ** -2 * math.log(2.0 / delta))
     per_probe = unif_sample_size((c_hi - c_lo) / 2.0, spread / 6.0)
@@ -210,8 +209,7 @@ def elimination_plan(oracle, members, d_lo: float, d_hi: float, delta: float):
     members = _check_members(members)
     if not d_lo < d_hi:
         raise ValueError(f"need d_lo < d_hi, got {d_lo} >= {d_hi}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     d_mid = (d_lo + d_hi) / 2.0
     keep_above = (d_mid + d_hi) / 2.0
     active = list(members)

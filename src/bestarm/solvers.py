@@ -15,7 +15,11 @@ Three gap-entropy-driven elimination solvers plus a classical baseline:
 Each solver is written as a *plan* generator that suspends at every
 sampling request (see :mod:`bestarm.primitives`); the public functions are
 thin blocking drivers over the plans and package the result as a
-:class:`RunOutcome`.  Solvers shuffle the arm order once at start from the
+:class:`RunOutcome`.  ``known_complexity`` and each guess of
+``entropy_elimination`` share one round plan, :func:`_elimination_round`:
+median elimination picks an anchor arm, its mean is estimated, and when the
+fraction test reports a crowd of arms well below the anchor, elimination
+purges them, keeping the anchor should every arm go.  Solvers shuffle the arm order once at start from the
 oracle's RNG so behaviour does not depend on storage order.
 
 The statistical contracts hold for delta < 0.01; the implementation accepts
@@ -26,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import count
 
-from .instances import Instance
+from .instances import Instance, _check_delta
 from .oracle import SamplingOracle
 from .primitives import (
     BudgetExceededError,
@@ -98,19 +102,6 @@ class RoundEvent:
         return self.draws_med + self.draws_anchor + self.draws_frac + self.draws_elim
 
 
-@dataclass
-class GuessState:
-    """Loop state of one complexity guess."""
-
-    t: int
-    h_hat: float
-    active: list[int]
-    h_r: float = 0.0
-    t_r: float = 0.0
-    theta_prev: float = 0.3
-    r: int = 0
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Internal plan return value, before RunOutcome packaging."""
@@ -154,11 +145,6 @@ def elim_thresholds(mu_hat: float, eps: float) -> tuple[float, float]:
     return mu_hat - 0.75 * eps, mu_hat - 0.625 * eps
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-
-
 def _shuffled_arms(oracle: SamplingOracle, instance: Instance) -> list[int]:
     if oracle.n_arms != instance.n_arms:
         raise ValueError(
@@ -167,48 +153,56 @@ def _shuffled_arms(oracle: SamplingOracle, instance: Instance) -> list[int]:
     return [int(a) for a in oracle.rng.permutation(instance.n_arms)]
 
 
+# --- the shared elimination round -------------------------------------------
+
+
+_DRAW_FIELDS = ("draws_med", "draws_anchor", "draws_frac", "draws_elim")
+
+
+def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_prime):
+    """One round at accuracy ``eps``, shared by both elimination solvers.
+
+    Returns ``(survivors, crowded, draws)``; ``draws`` maps each
+    ``RoundEvent`` draw field to the draws of its phase.
+    """
+    marks = [oracle.total]
+    anchor = yield from med_elim_plan(members, 0.125 * eps, 0.01)
+    marks.append(oracle.total)
+    estimates = yield from unif_sampl_plan([anchor], 0.125 * eps, delta_r)
+    mu_hat = estimates[anchor]
+    marks.append(oracle.total)
+    c_lo, c_hi = frac_thresholds(mu_hat, eps)
+    crowded = yield from frac_test_plan(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta_r)
+    marks.append(oracle.total)
+    if crowded:
+        d_lo, d_hi = elim_thresholds(mu_hat, eps)
+        survivors = yield from elimination_plan(oracle, members, d_lo, d_hi, delta_prime)
+        members = survivors if survivors else [anchor]
+    marks.append(oracle.total)
+    draws = {field: b - a for field, a, b in zip(_DRAW_FIELDS, marks, marks[1:])}
+    return members, crowded, draws
+
+
 # --- known complexity ------------------------------------------------------
 
 
-def known_complexity_plan(oracle, instance, H, delta, emit=None, _members=None):
+def known_complexity_plan(oracle, instance, H, delta, emit=None):
     """Plan form of :func:`known_complexity`."""
     _check_delta(delta)
     if H <= 0.0:
         raise ValueError(f"H must be positive, got {H}")
-    members = list(_members) if _members is not None else _shuffled_arms(oracle, instance)
+    members = _shuffled_arms(oracle, instance)
     h_hat = 4096.0 * H
-    r = 0
-    while True:
-        r += 1
+    for r in count(1):
         if len(members) == 1:
             return SolveResult(arm=members[0], rounds=r)
         n_start = len(members)
         eps_r = round_eps(r)
         delta_r = kc_round_delta(delta, r)
-        mark = oracle.total
-
-        anchor = yield from med_elim_plan(members, 0.125 * eps_r, 0.01)
-        med_draws = oracle.total - mark
-        mark = oracle.total
-        estimates = yield from unif_sampl_plan([anchor], 0.125 * eps_r, delta_r)
-        mu_hat = estimates[anchor]
-        anchor_draws = oracle.total - mark
-
-        c_lo, c_hi = frac_thresholds(mu_hat, eps_r)
-        mark = oracle.total
-        crowded = yield from frac_test_plan(oracle, members, c_lo, c_hi, 0.3, 0.5, delta_r)
-        frac_draws = oracle.total - mark
-
-        delta_prime = None
-        elim_draws = 0
-        if crowded:
-            delta_prime = min(n_start * eps_r**-2 / h_hat * delta, delta)
-            d_lo, d_hi = elim_thresholds(mu_hat, eps_r)
-            mark = oracle.total
-            survivors = yield from elimination_plan(oracle, members, d_lo, d_hi, delta_prime)
-            elim_draws = oracle.total - mark
-            # The anchor arm is the fallback should everything get purged.
-            members = survivors if survivors else [anchor]
+        delta_prime = min(n_start * eps_r**-2 / h_hat * delta, delta)
+        members, crowded, draws = yield from _elimination_round(
+            oracle, members, eps_r, delta_r, 0.3, 0.5, delta_prime
+        )
         if emit is not None:
             emit(
                 RoundEvent(
@@ -224,11 +218,8 @@ def known_complexity_plan(oracle, instance, H, delta, emit=None, _members=None):
                     theta_lo=0.3,
                     theta_hi=0.5,
                     delta_round=delta_r,
-                    delta_prime=delta_prime,
-                    draws_med=med_draws,
-                    draws_anchor=anchor_draws,
-                    draws_frac=frac_draws,
-                    draws_elim=elim_draws,
+                    delta_prime=delta_prime if crowded else None,
+                    **draws,
                 )
             )
 
@@ -241,92 +232,55 @@ def entropy_elimination_plan(oracle, instance, delta, t, emit=None, _members=Non
     _check_delta(delta)
     if t < 1 or int(t) != t:
         raise ValueError(f"guess index t must be an integer >= 1, got {t}")
-    members = list(_members) if _members is not None else _shuffled_arms(oracle, instance)
-    state = GuessState(t=int(t), h_hat=float(GUESS_GROWTH) ** t, active=members)
-    while True:
-        state.r += 1
-        r = state.r
-        if len(state.active) == 1:
-            return SolveResult(arm=state.active[0], rounds=r)
-        n_start = len(state.active)
+    t = int(t)
+    active = list(_members) if _members is not None else _shuffled_arms(oracle, instance)
+    h_hat = float(GUESS_GROWTH) ** t
+    h_r = t_r = 0.0  # eliminated-complexity estimate and planned-sample ledger
+    theta_prev = 0.3
+    for r in count(1):
+        if len(active) == 1:
+            return SolveResult(arm=active[0], rounds=r)
+        n_start = len(active)
         eps_r = round_eps(r)
-        delta_r = ee_round_delta(delta, r, state.t)
+        delta_r = ee_round_delta(delta, r, t)
         weight = n_start * eps_r**-2  # |S_r| eps_r^-2
-        delta_prime = 4.0 * weight / state.h_hat * delta * delta
+        delta_prime = 4.0 * weight / h_hat * delta * delta
         # Planned-sample ledger; the log factor is clamped at 1 so the
         # running total stays monotone even for far-too-small guesses.
-        t_next = state.t_r + weight * max(math.log(state.h_hat / (weight * delta)), 1.0)
-        if state.h_r + 4.0 * weight >= state.h_hat or t_next >= 100.0 * state.h_hat:
-            if emit is not None:
-                emit(
-                    RoundEvent(
-                        solver="entropy_elimination",
-                        guess_t=state.t,
-                        round_index=r,
-                        eps=eps_r,
-                        n_active=n_start,
-                        rejected=True,
-                        frac_true=None,
-                        h_estimate=state.h_r,
-                        t_estimate=t_next,
-                        theta_lo=None,
-                        theta_hi=None,
-                        delta_round=delta_r,
-                        delta_prime=None,
-                    )
-                )
-            return SolveResult(arm=None, rounds=r, rejected=True)
-        state.t_r = t_next
-
-        mark = oracle.total
-        anchor = yield from med_elim_plan(state.active, 0.125 * eps_r, 0.01)
-        med_draws = oracle.total - mark
-        mark = oracle.total
-        estimates = yield from unif_sampl_plan([anchor], 0.125 * eps_r, delta_r)
-        mu_hat = estimates[anchor]
-        anchor_draws = oracle.total - mark
-
-        theta_r = state.theta_prev + theta_step(state.t, r)
-        c_lo, c_hi = frac_thresholds(mu_hat, eps_r)
-        mark = oracle.total
-        crowded = yield from frac_test_plan(
-            oracle, state.active, c_lo, c_hi, state.theta_prev, theta_r, delta_r
-        )
-        frac_draws = oracle.total - mark
-
-        elim_draws = 0
-        if crowded:
-            state.h_r += 4.0 * weight
-            d_lo, d_hi = elim_thresholds(mu_hat, eps_r)
-            mark = oracle.total
-            survivors = yield from elimination_plan(
-                oracle, state.active, d_lo, d_hi, delta_prime
+        t_next = t_r + weight * max(math.log(h_hat / (weight * delta)), 1.0)
+        rejected = h_r + 4.0 * weight >= h_hat or t_next >= 100.0 * h_hat
+        # A rejected guess stops before the round samples anything.
+        crowded, draws, theta_r = None, {}, None
+        if not rejected:
+            t_r = t_next
+            theta_r = theta_prev + theta_step(t, r)
+            active, crowded, draws = yield from _elimination_round(
+                oracle, active, eps_r, delta_r, theta_prev, theta_r, delta_prime
             )
-            elim_draws = oracle.total - mark
-            state.active = survivors if survivors else [anchor]
+            if crowded:
+                h_r += 4.0 * weight
         if emit is not None:
             emit(
                 RoundEvent(
                     solver="entropy_elimination",
-                    guess_t=state.t,
+                    guess_t=t,
                     round_index=r,
                     eps=eps_r,
                     n_active=n_start,
-                    rejected=False,
+                    rejected=rejected,
                     frac_true=crowded,
-                    h_estimate=state.h_r,
-                    t_estimate=state.t_r,
-                    theta_lo=state.theta_prev,
+                    h_estimate=h_r,
+                    t_estimate=t_next,
+                    theta_lo=None if rejected else theta_prev,
                     theta_hi=theta_r,
                     delta_round=delta_r,
                     delta_prime=delta_prime if crowded else None,
-                    draws_med=med_draws,
-                    draws_anchor=anchor_draws,
-                    draws_frac=frac_draws,
-                    draws_elim=elim_draws,
+                    **draws,
                 )
             )
-        state.theta_prev = theta_r
+        if rejected:
+            return SolveResult(arm=None, rounds=r, rejected=True)
+        theta_prev = theta_r
 
 
 # --- complexity guessing ----------------------------------------------------
@@ -337,9 +291,7 @@ def complexity_guessing_plan(oracle, instance, delta, emit=None):
     _check_delta(delta)
     members = _shuffled_arms(oracle, instance)
     rounds = 0
-    t = 0
-    while True:
-        t += 1
+    for t in count(1):
         result = yield from entropy_elimination_plan(
             oracle, instance, delta, t, emit=emit, _members=members
         )
@@ -378,40 +330,41 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
 # --- public drivers -----------------------------------------------------------
 
 
-def _execute(plan_factory: Callable[[list], object], oracle: SamplingOracle, budget) -> RunOutcome:
-    before = oracle.snapshot()
-    events: list[RoundEvent] = []
-    try:
-        result = run_plan(plan_factory(events), oracle, budget=budget)
-    except BudgetExceededError:
-        spent = oracle.snapshot() - before
-        return RunOutcome(
-            status=BUDGET_EXCEEDED,
-            arm=None,
-            total_samples=int(spent.sum()),
-            per_arm_samples=tuple(int(c) for c in spent),
-            rounds_executed=len(events),
-        )
-    spent = oracle.snapshot() - before
+def make_outcome(result: SolveResult | None, per_arm, budget_rounds: int = 0) -> RunOutcome:
+    """Package a plan's result and its per-arm draws as a :class:`RunOutcome`.
+
+    ``result`` is None for a run stopped by its budget, which then reports
+    ``budget_rounds`` completed rounds.
+    """
+    if result is None:
+        status, result = BUDGET_EXCEEDED, SolveResult(arm=None, rounds=budget_rounds)
+    else:
+        status = REJECTED if result.rejected else OK
     return RunOutcome(
-        status=REJECTED if result.rejected else OK,
+        status=status,
         arm=result.arm,
-        total_samples=int(spent.sum()),
-        per_arm_samples=tuple(int(c) for c in spent),
+        total_samples=int(per_arm.sum()),
+        per_arm_samples=tuple(int(c) for c in per_arm),
         rounds_executed=result.rounds,
         accepted_guess_t=result.accepted_t,
     )
 
 
-def _compose_emit(events: list, trace) -> Callable:
-    if trace is None:
-        return events.append
+def _execute(plan, oracle: SamplingOracle, instance, *args, budget, trace=None) -> RunOutcome:
+    """Drive ``plan(oracle, instance, *args, emit=...)``; round events also go to ``trace``."""
+    events: list[RoundEvent] = []
 
     def emit(event: RoundEvent) -> None:
         events.append(event)
-        trace(event)
+        if trace is not None:
+            trace(event)
 
-    return emit
+    before = oracle.snapshot()
+    try:
+        result = run_plan(plan(oracle, instance, *args, emit=emit), oracle, budget=budget)
+    except BudgetExceededError:
+        result = None
+    return make_outcome(result, oracle.snapshot() - before, budget_rounds=len(events))
 
 
 def known_complexity(
@@ -432,13 +385,7 @@ def known_complexity(
     the last survivor; correct with probability >= 1 - delta for
     delta < 0.01.
     """
-    return _execute(
-        lambda events: known_complexity_plan(
-            oracle, instance, H, delta, emit=_compose_emit(events, trace)
-        ),
-        oracle,
-        budget,
-    )
+    return _execute(known_complexity_plan, oracle, instance, H, delta, budget=budget, trace=trace)
 
 
 def entropy_elimination(
@@ -457,11 +404,7 @@ def entropy_elimination(
     outgrows the guess.
     """
     return _execute(
-        lambda events: entropy_elimination_plan(
-            oracle, instance, delta, t, emit=_compose_emit(events, trace)
-        ),
-        oracle,
-        budget,
+        entropy_elimination_plan, oracle, instance, delta, t, budget=budget, trace=trace
     )
 
 
@@ -479,13 +422,7 @@ def complexity_guessing(
     rejected guesses accumulate into the outcome.  Correct with probability
     >= 1 - delta for delta < 0.01.
     """
-    return _execute(
-        lambda events: complexity_guessing_plan(
-            oracle, instance, delta, emit=_compose_emit(events, trace)
-        ),
-        oracle,
-        budget,
-    )
+    return _execute(complexity_guessing_plan, oracle, instance, delta, budget=budget, trace=trace)
 
 
 def baseline_successive_elimination(
@@ -501,8 +438,4 @@ def baseline_successive_elimination(
     dropped when its mean estimate plus the radius sqrt(2 ln(4 n r^2 /
     delta) / r) falls below another arm's estimate minus that radius.
     """
-    return _execute(
-        lambda events: baseline_successive_elimination_plan(oracle, instance, delta),
-        oracle,
-        budget,
-    )
+    return _execute(baseline_successive_elimination_plan, oracle, instance, delta, budget=budget)

@@ -60,6 +60,41 @@ def test_run_trace_emits_round_events(tmp_path, capsys):
     assert "solver=entropy_elimination" in out
 
 
+def test_run_trace_known_emits_round_events(tmp_path, capsys):
+    path = write_instance(tmp_path)
+    code = main([
+        "run", "--instance", str(path), "--algo", "known",
+        "--delta", "0.05", "--seed", "3", "--budget", "none", "--trace",
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "round_index=1" in out
+    assert "solver=known_complexity" in out
+
+
+def test_run_trace_has_no_effect_for_baseline(tmp_path, capsys):
+    path = write_instance(tmp_path)
+    code = main([
+        "run", "--instance", str(path), "--algo", "baseline",
+        "--delta", "0.05", "--seed", "3", "--trace",
+    ])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "no effect" in captured.err
+    assert "round_index" not in captured.out
+    assert "status            ok" in captured.out
+
+
+def test_run_overflowing_ledger_is_a_config_error(tmp_path, capsys):
+    # gap 2^-16: the fraction tests' draw counts outgrow the int64 ledger
+    path = write_instance(tmp_path, text="1.0\n0.9999847412109375\n")
+    code = main([
+        "run", "--instance", str(path), "--algo", "guess", "--budget", "none",
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_gen_and_bench_roundtrip(tmp_path, capsys):
     gen_dir = tmp_path / "instances"
     assert main([

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -13,6 +16,7 @@ from bestarm import (
     complexity_guessing,
     entropy_elimination,
     known_complexity,
+    make_discrete_instance,
     profile,
 )
 from bestarm.solvers import (
@@ -164,11 +168,18 @@ class TestComplexityGuessing:
         assert hits >= 58
 
     def test_total_samples_reconcile_with_round_events(self):
-        events = []
-        out = complexity_guessing(gauss(TWO_ARM, 5), TWO_ARM, delta=0.01, budget=None,
-                                  trace=events.append)
-        assert out.total_samples == sum(ev.draws_round for ev in events)
-        assert out.total_samples == sum(out.per_arm_samples)
+        # both solvers built on the shared elimination round
+        for run in (
+            lambda tr: complexity_guessing(gauss(TWO_ARM, 5), TWO_ARM, delta=0.01,
+                                           budget=None, trace=tr),
+            lambda tr: known_complexity(gauss(TWO_ARM, 5), TWO_ARM, H=4.0, delta=0.01,
+                                        budget=None, trace=tr),
+        ):
+            events = []
+            out = run(events.append)
+            assert events
+            assert out.total_samples == sum(ev.draws_round for ev in events)
+            assert out.total_samples == sum(out.per_arm_samples)
 
     def test_replay_determinism(self):
         runs = [
@@ -227,3 +238,43 @@ def test_shuffle_makes_storage_order_irrelevant_on_average():
         for s in range(30)
     )
     assert fwd_hits >= 28 and rev_hits >= 28
+
+
+GOLDEN_INSTANCES = [
+    Instance.from_means((1.0, 0.875), "pair-g0.125"),
+    Instance.from_means((1.0, 0.5, 0.5, 0.5, 0.75, 0.75, 0.875), "disc-7"),
+    Instance.from_means((1.0,) + (0.75,) * 7, "flat-8"),
+    make_discrete_instance({1: 20, 2: 20, 3: 19}, 1.0, label="disc-60"),
+]
+GOLDEN_BUDGETS = (None, 0, 10**5, 10**9)
+GOLDEN_DIGEST = "d780083c81c0aae0ba30c24ce417fd688d1c77148d22deafe4fabd445ee555de"
+
+
+def test_golden_replay_of_solver_outcomes_and_round_events():
+    """Outcomes and every RoundEvent of the solvers replay bit for bit."""
+    digest = hashlib.sha256()
+
+    def record(name, inst, seed, budget, run):
+        events = []
+        out = run(gauss(inst, seed), events.append)
+        line = json.dumps([name, inst.label, seed, budget, asdict(out),
+                           [asdict(ev) for ev in events]])
+        digest.update(line.encode() + b"\n")
+
+    for inst in GOLDEN_INSTANCES:
+        H = profile(inst).H
+        for seed in range(2):
+            for budget in GOLDEN_BUDGETS:
+                record("known", inst, seed, budget, lambda o, tr: known_complexity(
+                    o, inst, H, 0.01, budget=budget, trace=tr))
+                record("guess", inst, seed, budget, lambda o, tr: complexity_guessing(
+                    o, inst, 0.01, budget=budget, trace=tr))
+                for t in (1, 2):
+                    record(f"ee{t}", inst, seed, budget, lambda o, tr: entropy_elimination(
+                        o, inst, 0.01, t, budget=budget, trace=tr))
+            if inst.n_arms <= 10:
+                for budget in (None, 0, 1000):
+                    record("baseline", inst, seed, budget,
+                           lambda o, tr: baseline_successive_elimination(
+                               o, inst, 0.01, budget=budget))
+    assert digest.hexdigest() == GOLDEN_DIGEST
