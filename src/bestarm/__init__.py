@@ -7,7 +7,6 @@ harness, and a seeded Monte-Carlo bench.
 """
 
 from .instances import (
-    ArmSpec,
     GapProfile,
     Instance,
     conjectured_bound,
@@ -18,7 +17,7 @@ from .instances import (
     profile,
     profile_csv_row,
 )
-from .oracle import DETERMINISTIC, GAUSSIAN, SamplingOracle
+from .oracle import SamplingOracle
 from .primitives import (
     BudgetExceededError,
     EstimateMap,

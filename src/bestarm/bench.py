@@ -7,11 +7,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
 from .instances import Instance, conjectured_bound, make_discrete_instance, profile
-from .oracle import GAUSSIAN, SamplingOracle
+from .oracle import SamplingOracle
 from .parallel import parallel_simulation
 from .solvers import (
     BUDGET_EXCEEDED,
@@ -62,13 +63,12 @@ def run_one_trial(
     delta: float,
     seed,
     budget: int | None = DEFAULT_BUDGET,
-    family: str = GAUSSIAN,
     trace=None,
 ) -> RunOutcome:
     """Execute a single seeded run; ``trace`` gets ``known``/``guess`` round events."""
     if algo == "parallel":
-        return parallel_simulation(instance, delta, seed=seed, budget=budget, family=family)
-    oracle = SamplingOracle.for_instance(instance, seed=seed, family=family)
+        return parallel_simulation(instance, delta, seed=seed, budget=budget)
+    oracle = SamplingOracle.for_instance(instance, seed=seed)
     if algo == "known":
         return known_complexity(
             oracle, instance, profile(instance).H, delta, budget=budget, trace=trace
@@ -80,12 +80,6 @@ def run_one_trial(
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
-def _trial_args(args) -> RunOutcome:
-    # Picklable worker entry: rebuilds the instance from plain fields.
-    algo, means, label, delta, seed, budget, family = args
-    return run_one_trial(algo, Instance.from_means(means, label), delta, seed, budget, family)
-
-
 def run_trials(
     algo: str,
     instance: Instance,
@@ -94,7 +88,6 @@ def run_trials(
     base_seed: int,
     *,
     budget: int | None = DEFAULT_BUDGET,
-    family: str = GAUSSIAN,
     workers: int = 1,
 ) -> TrialReport:
     """Run seeded trials of one algorithm on one instance and aggregate them.
@@ -110,11 +103,11 @@ def run_trials(
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     seeds = [base_seed + i for i in range(trials)]
     if workers > 1:
-        job = [(algo, instance.means, instance.label, delta, s, budget, family) for s in seeds]
+        args = (repeat(algo), repeat(instance), repeat(delta), seeds, repeat(budget))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_args, job))
+            outcomes = list(pool.map(run_one_trial, *args))
     else:
-        outcomes = [run_one_trial(algo, instance, delta, s, budget, family) for s in seeds]
+        outcomes = [run_one_trial(algo, instance, delta, s, budget) for s in seeds]
 
     best = instance.best_arm
     errors = 0
@@ -237,7 +230,6 @@ def generate_instances(kind: str, params: dict | None = None, seed: int = 0) -> 
         pair with identical complexity and entropies 0 versus maximal.
     """
     params = dict(params or {})
-    kind = kind.lower()
     if kind == "two-arm":
         gaps = params.get("gaps", [params.get("gap", 0.5)])
         if not isinstance(gaps, (list, tuple)):
@@ -268,7 +260,7 @@ def generate_instances(kind: str, params: dict | None = None, seed: int = 0) -> 
             sig = "-".join(f"{k}:{n}" for k, n in sorted(counts.items()))
             out.append(make_discrete_instance(counts, top_mean, label=f"disc{idx}-{sig}"))
         return out
-    if kind in ("equal-h-varying-ent", "equal-h"):
+    if kind == "equal-h-varying-ent":
         return list(
             equal_h_pair(
                 h_target=int(params.get("h", 32)),

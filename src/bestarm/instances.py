@@ -14,50 +14,39 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class ArmSpec:
-    """A single stochastic arm, identified by its (hidden) mean reward."""
-
-    mean: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mean <= 1.0:
-            raise ValueError(f"arm mean must lie in [0, 1], got {self.mean}")
-
-
-@dataclass(frozen=True)
 class Instance:
-    """An ordered collection of arms; the order is storage only.
+    """An ordered tuple of arm means; the order is storage only.
 
-    Invariants: at least two arms, and the largest mean is strictly larger
-    than the second largest, so there is a unique best arm.
+    Invariants: every mean lies in [0, 1], there are at least two arms, and
+    the largest mean is strictly larger than the second largest, so there
+    is a unique best arm.
     """
 
-    arms: tuple[ArmSpec, ...]
+    means: tuple[float, ...]
     label: str = "instance"
 
     def __post_init__(self) -> None:
-        if len(self.arms) < 2:
+        for m in self.means:
+            if not 0.0 <= m <= 1.0:
+                raise ValueError(f"arm mean must lie in [0, 1], got {m}")
+        if len(self.means) < 2:
             raise ValueError("an instance needs at least 2 arms")
-        ordered = sorted(a.mean for a in self.arms)
+        ordered = sorted(self.means)
         if ordered[-1] == ordered[-2]:
             raise ValueError("tied maximum mean: the best arm must be unique")
 
     @classmethod
     def from_means(cls, means: Iterable[float], label: str = "instance") -> "Instance":
-        return cls(tuple(ArmSpec(float(m)) for m in means), label)
-
-    @property
-    def means(self) -> tuple[float, ...]:
-        return tuple(a.mean for a in self.arms)
+        return cls(tuple(float(m) for m in means), label)
 
     @property
     def n_arms(self) -> int:
-        return len(self.arms)
+        return len(self.means)
 
     @property
     def best_arm(self) -> int:
         """Index of the unique arm with the largest mean."""
-        return max(range(len(self.arms)), key=lambda i: self.arms[i].mean)
+        return max(range(len(self.means)), key=self.means.__getitem__)
 
 
 @dataclass(frozen=True)

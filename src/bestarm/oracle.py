@@ -6,9 +6,6 @@ import math
 
 import numpy as np
 
-GAUSSIAN = "gaussian"
-DETERMINISTIC = "deterministic"
-
 
 def _phi(x: float) -> float:
     """Standard normal CDF."""
@@ -16,33 +13,27 @@ def _phi(x: float) -> float:
 
 
 class SamplingOracle:
-    """Draws rewards for one solver run and counts every draw per arm.
+    """Draws unit-variance Gaussian rewards for one solver run and counts every draw per arm.
 
     Both the reward draws and the algorithm-internal randomness (arm picks,
     shuffles) consume ``self.rng``, so a single seed replays an entire run
     bit for bit.  The batched channels return sufficient statistics of
-    groups of draws; for unit-variance Gaussian arms these have exactly the
-    joint law of drawing reward by reward (the mean of n draws is
-    N(mu, 1/n)), while the counters always advance by the true number of
-    underlying draws.
-
-    The ``deterministic`` family is a variance-0 test double: every reward
-    equals the arm mean.
+    groups of draws; these have exactly the joint law of drawing reward by
+    reward (the mean of n draws is N(mu, 1/n)), while the counters always
+    advance by the true number of underlying draws.  A counter that would
+    pass the int64 range raises ``OverflowError`` before it is written.
     """
 
-    def __init__(self, means, seed=0, family: str = GAUSSIAN):
-        if family not in (GAUSSIAN, DETERMINISTIC):
-            raise ValueError(f"unknown oracle family: {family!r}")
+    def __init__(self, means, seed=0):
         self._means = tuple(float(m) for m in means)
         if not self._means:
             raise ValueError("oracle needs at least one arm")
-        self.family = family
         self.rng = np.random.default_rng(seed)
         self.counts = np.zeros(len(self._means), dtype=np.int64)
 
     @classmethod
-    def for_instance(cls, instance, seed=0, family: str = GAUSSIAN) -> "SamplingOracle":
-        return cls(instance.means, seed=seed, family=family)
+    def for_instance(cls, instance, seed=0) -> "SamplingOracle":
+        return cls(instance.means, seed=seed)
 
     @property
     def n_arms(self) -> int:
@@ -60,20 +51,15 @@ class SamplingOracle:
     def draw(self, arm: int) -> float:
         """One reward from one arm; increments that arm's counter by one."""
         self.counts[arm] += 1
-        mean = self._means[arm]
-        if self.family == DETERMINISTIC:
-            return mean
-        return float(self.rng.normal(mean, 1.0))
+        return float(self.rng.normal(self._means[arm], 1.0))
 
     def sample_mean(self, arm: int, draws: int) -> float:
         """Empirical mean of ``draws`` fresh rewards from one arm."""
         if draws < 1:
             raise ValueError("draws must be >= 1")
-        self.counts[arm] += draws
-        mean = self._means[arm]
-        if self.family == DETERMINISTIC:
-            return mean
-        return float(self.rng.normal(mean, draws**-0.5))
+        # Python-int sum: storing it raises OverflowError where += would wrap.
+        self.counts[arm] = self.counts.item(arm) + draws
+        return float(self.rng.normal(self._means[arm], draws**-0.5))
 
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
         """How many of ``probes`` independent mean-of-``draws`` estimates fall below ``cutoff``.
@@ -82,9 +68,6 @@ class SamplingOracle:
         """
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")
-        self.counts[arm] += draws * probes
-        mean = self._means[arm]
-        if self.family == DETERMINISTIC:
-            return probes if mean < cutoff else 0
-        p = min(max(_phi((cutoff - mean) * math.sqrt(draws)), 0.0), 1.0)
+        self.counts[arm] = self.counts.item(arm) + draws * probes
+        p = min(max(_phi((cutoff - self._means[arm]) * math.sqrt(draws)), 0.0), 1.0)
         return int(self.rng.binomial(probes, p))

@@ -28,7 +28,7 @@ import heapq
 import numpy as np
 
 from .instances import Instance, _check_delta
-from .oracle import GAUSSIAN, SamplingOracle
+from .oracle import SamplingOracle
 from .solvers import DEFAULT_BUDGET, RunOutcome, complexity_guessing_plan, make_outcome
 
 
@@ -70,7 +70,6 @@ def parallel_simulation(
     *,
     seed=0,
     budget: int | None = DEFAULT_BUDGET,
-    family: str = GAUSSIAN,
     max_copies: int | None = None,
 ) -> RunOutcome:
     """Run laddered copies of a solver and return the first finisher's answer.
@@ -84,7 +83,6 @@ def parallel_simulation(
         budget: per-copy sample cap.  A copy whose next request would cross
             the cap terminates with a budget error, which propagates as the
             wrapper's answer if that copy finishes first.
-        family: oracle reward family.
         max_copies: optional cap on the ladder height (1 reproduces a plain
             run of the solver at delta / 2).
 
@@ -102,7 +100,7 @@ def parallel_simulation(
 
     def spawn() -> None:
         k = len(copies) + 1
-        oracle = SamplingOracle.for_instance(instance, seed=copy_seed(seed, k), family=family)
+        oracle = SamplingOracle.for_instance(instance, seed=copy_seed(seed, k))
         copy = _Copy(k, oracle, inner(oracle, instance, delta / 2.0**k))
         copies.append(copy)
         heapq.heappush(events, (copy.finish_iteration(), k))

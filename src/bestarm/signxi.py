@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from .instances import Instance
-from .oracle import GAUSSIAN, SamplingOracle
+from .oracle import SamplingOracle
 from .solvers import BUDGET_EXCEEDED, DEFAULT_BUDGET, OK, RunOutcome, complexity_guessing
 
 #: Embedding offset; the reference arm sits exactly here.
@@ -75,11 +75,10 @@ def run_sign_trial(
     delta: float,
     seed,
     *,
-    family: str = GAUSSIAN,
     budget: int | None = DEFAULT_BUDGET,
 ) -> SignResult:
     """Build the embedded oracle for one seeded trial and solve it."""
-    oracle = SamplingOracle.for_instance(sign_instance(hidden_mean), seed=seed, family=family)
+    oracle = SamplingOracle.for_instance(sign_instance(hidden_mean), seed=seed)
     return solve_sign_xi(oracle, hidden_mean, delta, budget=budget)
 
 
@@ -106,7 +105,7 @@ class LossProfile:
 
 def measure_loss_profile(
     solver,
-    pk: Mapping[int, float] | Sequence[float],
+    pk: Sequence[float],
     delta: float,
     trials: int,
     *,
@@ -118,23 +117,16 @@ def measure_loss_profile(
     Args:
         solver: trial runner ``(hidden_mean, delta, seed, *, budget) ->
             SignResult``; :func:`run_sign_trial` fits.
-        pk: probability of each gap 2^-k, either a sequence for k = 1..m or
-            a mapping {k: p}.  m <= 4 (the 4^k sample growth caps desk-scale
-            gaps), probabilities must sum to 1.
+        pk: probability of each gap 2^-k, for k = 1..m.  m <= 4 (the 4^k
+            sample growth caps desk-scale gaps), probabilities must sum to 1.
         delta: confidence handed to each trial.
         trials: seeded trials per gap, at least 30.
         base_seed: trial (k, i) uses seed base_seed + (k-1)*trials + i.
         budget: per-trial sample cap; one exhausted trial marks gap k as
             missing and the profile as partial.
     """
-    if isinstance(pk, Mapping):
-        ks = sorted(int(k) for k in pk)
-        if ks != list(range(1, len(ks) + 1)):
-            raise ValueError(f"gap distribution must cover k = 1..m contiguously, got {ks}")
-        probs = [float(pk[k]) for k in ks]
-    else:
-        probs = [float(p) for p in pk]
-        ks = list(range(1, len(probs) + 1))
+    probs = [float(p) for p in pk]
+    ks = list(range(1, len(probs) + 1))
     if not ks or len(ks) > 4:
         raise ValueError(f"need 1 <= m <= 4 gap groups, got {len(ks)}")
     if any(p < 0.0 for p in probs) or abs(math.fsum(probs) - 1.0) > 1e-9:

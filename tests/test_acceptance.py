@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from bestarm import (
-    DETERMINISTIC,
     OK,
     REJECTED,
     Instance,
@@ -34,6 +33,7 @@ from bestarm import (
 from bestarm.bench import equal_h_pair
 from bestarm.signxi import NEGATIVE, POSITIVE
 from bestarm.solvers import C_ROUNDS
+from doubles import DeterministicOracle
 from test_instances import brute_force_profile
 
 # Ten desk-scale instances: n <= 10, minimum gap >= 0.125.
@@ -111,9 +111,9 @@ def test_criterion_3_frac_test_and_elimination_contracts():
     floor_half = band_floor(trials, 1 - delta / 2)
 
     # Deterministic oracles: the two one-sided answers are exact.
-    crowd = SamplingOracle([0.1] * 12 + [0.9] * 8, seed=0, family=DETERMINISTIC)
+    crowd = DeterministicOracle([0.1] * 12 + [0.9] * 8, seed=0)
     assert frac_test(crowd, range(20), 0.4, 0.6, 0.3, 0.5, delta) is True
-    sparse = SamplingOracle([0.1] * 6 + [0.9] * 14, seed=0, family=DETERMINISTIC)
+    sparse = DeterministicOracle([0.1] * 6 + [0.9] * 14, seed=0)
     assert frac_test(sparse, range(20), 0.4, 0.6, 0.3, 0.5, delta) is False
 
     # Fraction test, True side: 12/20 arms below c_lo (>= theta_hi fraction).

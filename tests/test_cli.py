@@ -21,9 +21,10 @@ def test_stats_prints_profile(tmp_path, capsys):
 
 
 def test_stats_config_error_exit_code(tmp_path, capsys):
-    path = write_instance(tmp_path, text="1.0\n1.0\n")
-    assert main(["stats", "--instance", str(path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    for text in ("1.0\n1.0\n", "nan\n0.5\n", "1.0\ninf\n", "-inf\n0.5\n", "1.1\n0.5\n"):
+        path = write_instance(tmp_path, text=text)
+        assert main(["stats", "--instance", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_run_success(tmp_path, capsys):

@@ -55,10 +55,11 @@ class TestParseInstance:
             parse_instance("1.0\n1.0")
 
     def test_out_of_range_mean_rejected(self):
-        with pytest.raises(ValueError):
-            parse_instance("1.5\n0.5")
-        with pytest.raises(ValueError):
-            parse_instance("-0.1\n0.5")
+        for bad in ("1.5", "-0.1", "1.1", "nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                parse_instance(f"{bad}\n0.5")
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                Instance.from_means((float(bad), 0.5))
 
     def test_single_arm_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):

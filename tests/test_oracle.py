@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bestarm import DETERMINISTIC, Instance, SamplingOracle
+from bestarm import Instance, SamplingOracle, complexity_guessing
+from doubles import DeterministicOracle
 
 
 def test_every_draw_increments_one_counter():
@@ -36,12 +37,14 @@ def test_sample_mean_distribution_matches_per_draw_scale():
 
 
 def test_deterministic_family_returns_means_exactly():
-    oracle = SamplingOracle([0.7, 0.1], seed=5, family=DETERMINISTIC)
+    oracle = DeterministicOracle([0.7, 0.1], seed=5)
+    state = oracle.rng.bit_generator.state
     assert oracle.draw(0) == 0.7
     assert oracle.sample_mean(1, 123) == 0.1
     assert oracle.count_means_below(0, 10, 7, 0.9) == 7
     assert oracle.count_means_below(0, 10, 7, 0.7) == 0  # strict below
     assert oracle.total == 1 + 123 + 70 + 70
+    assert oracle.rng.bit_generator.state == state  # the double leaves the stream alone
 
 
 def test_count_means_below_extremes():
@@ -64,11 +67,15 @@ def test_count_means_below_matches_explicit_means():
 
 def test_for_instance_matches_means():
     inst = Instance.from_means((1.0, 0.25))
-    oracle = SamplingOracle.for_instance(inst, seed=0, family=DETERMINISTIC)
+    oracle = DeterministicOracle.for_instance(inst, seed=0)
     assert oracle.n_arms == 2
     assert oracle.draw(1) == 0.25
 
 
-def test_invalid_family_rejected():
-    with pytest.raises(ValueError):
-        SamplingOracle([0.5], family="bernoulli")
+def test_overflowing_counter_raises_before_it_wraps():
+    # gap 2^-16: the fraction tests' draw counts outgrow the int64 ledger
+    inst = Instance.from_means((1.0, 0.9999847412109375))
+    oracle = SamplingOracle.for_instance(inst, seed=0)
+    with pytest.raises(OverflowError):
+        complexity_guessing(oracle, inst, 0.01, budget=None)
+    assert (oracle.counts >= 0).all()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bestarm import (
-    DETERMINISTIC,
     SamplingOracle,
     elimination,
     frac_test,
@@ -13,6 +12,7 @@ from bestarm import (
     unif_sample_size,
 )
 from bestarm.primitives import frac_test_probe_counts
+from doubles import DeterministicOracle
 
 
 def gaussian(means, seed=0):
@@ -20,7 +20,7 @@ def gaussian(means, seed=0):
 
 
 def fixed(means):
-    return SamplingOracle(means, seed=0, family=DETERMINISTIC)
+    return DeterministicOracle(means, seed=0)
 
 
 def binomial_pass_floor(trials: int, p_claim: float) -> int:

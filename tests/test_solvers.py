@@ -7,7 +7,6 @@ import pytest
 
 from bestarm import (
     BUDGET_EXCEEDED,
-    DETERMINISTIC,
     OK,
     REJECTED,
     Instance,
@@ -29,6 +28,7 @@ from bestarm.solvers import (
     se_radius,
     theta_step,
 )
+from doubles import DeterministicOracle
 
 TWO_ARM = Instance.from_means((1.0, 0.5), label="two-arm")
 
@@ -203,7 +203,7 @@ class TestBaseline:
         expected_round = next(
             r for r in range(1, 100_000) if se_radius(r, 2, delta) < 0.25
         )
-        oracle = SamplingOracle.for_instance(inst, seed=0, family=DETERMINISTIC)
+        oracle = DeterministicOracle.for_instance(inst, seed=0)
         out = baseline_successive_elimination(oracle, inst, delta)
         assert out.status == OK and out.arm == 0
         assert out.per_arm_samples == (expected_round, expected_round)
