@@ -21,7 +21,8 @@ class SamplingOracle:
     groups of draws; these have exactly the joint law of drawing reward by
     reward (the mean of n draws is N(mu, 1/n)), while the counters always
     advance by the true number of underlying draws.  A counter that would
-    pass the int64 range raises ``OverflowError`` before it is written.
+    pass the int64 range raises ``OverflowError`` before it is written; the
+    running total is a Python int, exact at any scale.
     """
 
     def __init__(self, means, seed=0):
@@ -30,6 +31,7 @@ class SamplingOracle:
             raise ValueError("oracle needs at least one arm")
         self.rng = np.random.default_rng(seed)
         self.counts = np.zeros(len(self._means), dtype=np.int64)
+        self._total = 0
 
     @classmethod
     def for_instance(cls, instance, seed=0) -> "SamplingOracle":
@@ -42,7 +44,7 @@ class SamplingOracle:
     @property
     def total(self) -> int:
         """Total draws taken so far, over all arms."""
-        return int(self.counts.sum())
+        return self._total
 
     def snapshot(self) -> np.ndarray:
         """Copy of the per-arm draw counters."""
@@ -51,6 +53,7 @@ class SamplingOracle:
     def draw(self, arm: int) -> float:
         """One reward from one arm; increments that arm's counter by one."""
         self.counts[arm] += 1
+        self._total += 1
         return float(self.rng.normal(self._means[arm], 1.0))
 
     def sample_mean(self, arm: int, draws: int) -> float:
@@ -59,6 +62,7 @@ class SamplingOracle:
             raise ValueError("draws must be >= 1")
         # Python-int sum: storing it raises OverflowError where += would wrap.
         self.counts[arm] = self.counts.item(arm) + draws
+        self._total += draws
         return float(self.rng.normal(self._means[arm], draws**-0.5))
 
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
@@ -68,6 +72,8 @@ class SamplingOracle:
         """
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")
-        self.counts[arm] = self.counts.item(arm) + draws * probes
+        n = draws * probes
+        self.counts[arm] = self.counts.item(arm) + n
+        self._total += n
         p = min(max(_phi((cutoff - self._means[arm]) * math.sqrt(draws)), 0.0), 1.0)
         return int(self.rng.binomial(probes, p))

@@ -19,6 +19,11 @@ entries, one per spawned copy, so selecting the next event and re-keying
 the copy just served cost O(log K) for K copies.  Equal finish iterations
 go to the lower copy index, which is the order in which the per-draw
 schedule serves copies within one iteration.
+
+A request covers several arms, served in order, and the ledger stays per
+draw: under a budget a copy stops at the first arm that crosses its cap,
+and when the winner finishes, each other copy's draws toward its request
+in flight are attributed arm by arm, in request order.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 
 from .instances import Instance, _check_delta
 from .oracle import SamplingOracle
+from .primitives import split_at_cap
 from .solvers import DEFAULT_BUDGET, RunOutcome, complexity_guessing_plan, make_outcome
 
 
@@ -56,11 +62,27 @@ class _Copy:
             self.pending = None
             self.result = stop.value
 
-    def finish_iteration(self) -> int:
-        """Iteration at which the pending request (or termination) completes."""
+    def finish_iteration(self, budget) -> int:
+        """Iteration at which the pending request (or termination) falls due.
+
+        A request that would cross the budget falls due at the end of its
+        first arm that crosses.
+        """
         if self.pending is None:
             return max(self.consumed, 1) * self.step
-        return (self.consumed + self.pending.cost) * self.step
+        due = self.pending.cost
+        if budget is not None and self.consumed + due > budget:
+            due = split_at_cap(self.pending, budget - self.consumed)[1]
+        return (self.consumed + due) * self.step
+
+    def grants(self, stop: int, winner: int) -> int:
+        """Draws granted up to iteration ``stop``: one per multiple of the
+        stride, in the stop iteration itself only for copies served before
+        the winner (a smaller index)."""
+        granted = (stop - 1) // self.step
+        if stop % self.step == 0 and self.index < winner:
+            granted += 1
+        return granted
 
 
 def parallel_simulation(
@@ -80,7 +102,7 @@ def parallel_simulation(
         inner: plan factory ``(oracle, instance, delta_k) -> generator``;
             defaults to the complexity-guessing solver.
         seed: base seed; copy k's oracle is seeded from ``copy_seed(seed, k)``.
-        budget: per-copy sample cap.  A copy whose next request would cross
+        budget: per-copy sample cap.  A copy whose next arm would cross
             the cap terminates with a budget error, which propagates as the
             wrapper's answer if that copy finishes first.
         max_copies: optional cap on the ladder height (1 reproduces a plain
@@ -103,7 +125,7 @@ def parallel_simulation(
         oracle = SamplingOracle.for_instance(instance, seed=copy_seed(seed, k))
         copy = _Copy(k, oracle, inner(oracle, instance, delta / 2.0**k))
         copies.append(copy)
-        heapq.heappush(events, (copy.finish_iteration(), k))
+        heapq.heappush(events, (copy.finish_iteration(budget), k))
 
     spawn()
     while True:
@@ -113,36 +135,46 @@ def parallel_simulation(
             1 << len(copies)
         ) <= events[0][0]:
             spawn()
-        live = copies[events[0][1] - 1]
+        stop_iter, index = events[0]
+        stale = stop_iter  # where grants to the other copies end; see below
+        live = copies[index - 1]
         if live.result is not None:
             break
-        cost = live.pending.cost
-        if budget is not None and live.consumed + cost > budget:
+        request = live.pending
+        if budget is not None and live.consumed + request.cost > budget:
+            head, _ = split_at_cap(request, budget - live.consumed)
+            if head is not None:
+                head.fulfill(live.oracle)
             live.budget_hit = True
             live.plan.close()
             break
-        reply = live.pending.fulfill(live.oracle)
-        live.consumed += cost
+        reply = request.fulfill(live.oracle)
+        live.consumed += request.cost
         try:
             live.pending = live.plan.send(reply)
         except StopIteration as stop:
             live.result = stop.value
+            # Known over-count, kept so that ladder outcomes replay: the
+            # other copies are granted draws up to one more serving of the
+            # winner's last arm.
+            stale = (live.consumed + request.arm_costs()[-1]) * live.step
             break
-        heapq.heapreplace(events, (live.finish_iteration(), live.index))
+        heapq.heapreplace(events, (live.finish_iteration(budget), live.index))
     winner = live
-    stop_iter = winner.finish_iteration()
-    per_arm = np.zeros(instance.n_arms, dtype=np.int64)
+    # Python-int sums: the ledger is exact where an int64 sum would wrap.
+    per_arm = [sum(column) for column in zip(*(c.oracle.counts.tolist() for c in copies))]
     for copy in copies:
-        per_arm += copy.oracle.counts
         if copy is winner or copy.pending is None:
             continue
-        # Draws already granted toward the in-flight request: one per
-        # multiple of the copy's stride up to the stop point (grants in the
-        # stop iteration itself count only for copies served before the
-        # winner, i.e. with a smaller index).
-        grants = (stop_iter - 1) // copy.step
-        if stop_iter % copy.step == 0 and copy.index < winner.index:
-            grants += 1
-        partial = min(max(grants - copy.consumed, 0), copy.pending.cost)
-        per_arm[copy.pending.arm] += partial
+        # Arms of the in-flight request completed by the stop count in
+        # full; the first one still open gets its grants up to ``stale``.
+        done = copy.grants(stop_iter, winner.index) - copy.consumed
+        granted = copy.grants(stale, winner.index) - copy.consumed
+        for arm, cost in zip(copy.pending.arms, copy.pending.arm_costs()):
+            if done < cost:
+                per_arm[arm] += min(max(granted, 0), cost)
+                break
+            per_arm[arm] += cost
+            done -= cost
+            granted -= cost
     return make_outcome(None if winner.budget_hit else winner.result, per_arm)

@@ -8,6 +8,14 @@ receive the oracle only for its RNG stream and counters; all reward draws
 flow through the yielded requests, which is what lets an outer scheduler
 interleave several runs.
 
+A plan yields one request per round: per median-elimination round, per
+uniform-sampling call and per fraction test.  A request names an ordered
+tuple of arms, and fulfilling it samples them arm by arm, in that order,
+so the RNG stream and the draw counters advance exactly as one request per
+arm would.  Budget stops stay per arm: a request that would cross a
+sample cap is served only up to its last arm that fits (see
+:func:`split_at_cap`).
+
 Ties are broken toward the arm listed first, so callers control tie order
 through the member sequence.
 """
@@ -31,43 +39,83 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class MeanRequest:
-    """Ask for the empirical mean of ``draws`` fresh rewards from one arm."""
+    """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms``.
 
-    arm: int
+    Fulfilled arm by arm, in order; the reply lists the means in arm order.
+    """
+
+    arms: tuple[int, ...]
     draws: int
 
     @property
     def cost(self) -> int:
-        return self.draws
+        return self.draws * len(self.arms)
 
-    def fulfill(self, oracle) -> float:
-        return oracle.sample_mean(self.arm, self.draws)
+    def arm_costs(self) -> list[int]:
+        """Draws of each arm, in arm order."""
+        return [self.draws] * len(self.arms)
+
+    def prefix(self, k: int) -> "MeanRequest":
+        """The same request over the first ``k`` arms."""
+        return MeanRequest(self.arms[:k], self.draws)
+
+    def fulfill(self, oracle) -> list[float]:
+        sample_mean, draws = oracle.sample_mean, self.draws
+        return [sample_mean(arm, draws) for arm in self.arms]
 
 
 @dataclass(frozen=True)
 class TallyRequest:
-    """Ask how many of ``probes`` independent mean-of-``draws`` estimates
-    from one arm fall strictly below ``cutoff``."""
+    """Ask how many of ``probes[i]`` independent mean-of-``draws`` estimates
+    from ``arms[i]`` fall strictly below ``cutoff``, summed over the arms.
 
-    arm: int
+    Fulfilled arm by arm, in order.
+    """
+
+    arms: tuple[int, ...]
     draws: int
-    probes: int
+    probes: tuple[int, ...]
     cutoff: float
 
     @property
     def cost(self) -> int:
-        return self.draws * self.probes
+        return self.draws * sum(self.probes)
+
+    def arm_costs(self) -> list[int]:
+        """Draws of each arm, in arm order."""
+        return [self.draws * n for n in self.probes]
+
+    def prefix(self, k: int) -> "TallyRequest":
+        """The same request over the first ``k`` arms."""
+        return TallyRequest(self.arms[:k], self.draws, self.probes[:k], self.cutoff)
 
     def fulfill(self, oracle) -> int:
-        return oracle.count_means_below(self.arm, self.draws, self.probes, self.cutoff)
+        count, draws, cutoff = oracle.count_means_below, self.draws, self.cutoff
+        return sum(count(arm, draws, n, cutoff) for arm, n in zip(self.arms, self.probes))
+
+
+def split_at_cap(request, room: int):
+    """Split ``request`` where its arms, served in order, first pass ``room`` draws.
+
+    Returns ``(head, through)``: the same-class request over the leading
+    arms that fit (None when not even the first does) and the draws up to
+    and including the first arm that does not fit.  A request that fits
+    as a whole comes back unchanged, with its cost.
+    """
+    through = 0
+    for k, cost in enumerate(request.arm_costs()):
+        through += cost
+        if through > room:
+            return (request.prefix(k) if k else None), through
+    return request, through
 
 
 def run_plan(plan, oracle, budget: int | None = None):
     """Drive a sampling plan to completion against an oracle.
 
     If fulfilling the next request would push the oracle's total past
-    ``budget``, the plan is closed and BudgetExceededError raised; the
-    crossing request is never drawn.
+    ``budget``, its arms that still fit are served, the plan is closed and
+    BudgetExceededError raised; the arm that crosses is never drawn.
     """
     reply = None
     while True:
@@ -76,6 +124,9 @@ def run_plan(plan, oracle, budget: int | None = None):
         except StopIteration as stop:
             return stop.value
         if budget is not None and oracle.total + request.cost > budget:
+            head, _ = split_at_cap(request, budget - oracle.total)
+            if head is not None:
+                head.fulfill(oracle)
             plan.close()
             raise BudgetExceededError(
                 f"next request ({request.cost} draws) would exceed the cap of {budget}"
@@ -108,10 +159,8 @@ def unif_sampl_plan(members, eps: float, delta: float):
     """Plan form of :func:`unif_sampl`."""
     members = _check_members(members)
     draws = unif_sample_size(eps, delta)
-    estimates: EstimateMap = {}
-    for arm in members:
-        estimates[arm] = yield MeanRequest(arm, draws)
-    return estimates
+    means = yield MeanRequest(tuple(members), draws)
+    return dict(zip(members, means))
 
 
 def unif_sampl(oracle, members, eps: float, delta: float) -> EstimateMap:
@@ -134,9 +183,8 @@ def med_elim_plan(members, eps: float, delta: float):
     delta_l = delta / 2.0
     while len(active) > 1:
         draws = _count(2.0 * (eps_l / 2.0) ** -2 * math.log(3.0 / delta_l))
-        estimates: EstimateMap = {}
-        for arm in active:
-            estimates[arm] = yield MeanRequest(arm, draws)
+        means = yield MeanRequest(tuple(active), draws)
+        estimates: EstimateMap = dict(zip(active, means))
         keep = (len(active) + 1) // 2
         # Stable sort: ties keep the earlier-listed arm in front.
         active = sorted(active, key=lambda a: -estimates[a])[:keep]
@@ -181,10 +229,9 @@ def frac_test_plan(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta):
     cutoff = (c_lo + c_hi) / 2.0
     # Multinomial pick counts have exactly the law of `probes` uniform picks.
     picks = oracle.rng.multinomial(probes, np.full(len(members), 1.0 / len(members)))
-    below = 0
-    for arm, n_picked in zip(members, picks):
-        if n_picked:
-            below += yield TallyRequest(arm, per_probe, int(n_picked), cutoff)
+    # Arms with no pick are left out of the request.
+    arms, counts = zip(*[(arm, n) for arm, n in zip(members, picks.tolist()) if n])
+    below = yield TallyRequest(arms, per_probe, counts, cutoff)
     return below / probes > (theta_lo + theta_hi) / 2.0
 
 

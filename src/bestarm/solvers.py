@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
+import numpy as np
+
 from .instances import Instance, _check_delta
 from .oracle import SamplingOracle
 from .primitives import (
@@ -318,8 +320,9 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     r = 0
     while len(active) > 1:
         r += 1
-        for arm in active:
-            sums[arm] += yield MeanRequest(arm, 1)
+        rewards = yield MeanRequest(tuple(active), 1)
+        for arm, reward in zip(active, rewards):
+            sums[arm] += reward
         radius = se_radius(r, n, delta)
         means = {arm: sums[arm] / r for arm in active}
         best_lcb = max(means[arm] - radius for arm in active)
@@ -333,9 +336,13 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
 def make_outcome(result: SolveResult | None, per_arm, budget_rounds: int = 0) -> RunOutcome:
     """Package a plan's result and its per-arm draws as a :class:`RunOutcome`.
 
+    ``per_arm`` is an int64 array or a list of ints; the total is summed in
+    Python ints, so it is exact even where an int64 sum would wrap.
     ``result`` is None for a run stopped by its budget, which then reports
     ``budget_rounds`` completed rounds.
     """
+    if isinstance(per_arm, np.ndarray):
+        per_arm = per_arm.tolist()
     if result is None:
         status, result = BUDGET_EXCEEDED, SolveResult(arm=None, rounds=budget_rounds)
     else:
@@ -343,8 +350,8 @@ def make_outcome(result: SolveResult | None, per_arm, budget_rounds: int = 0) ->
     return RunOutcome(
         status=status,
         arm=result.arm,
-        total_samples=int(per_arm.sum()),
-        per_arm_samples=tuple(int(c) for c in per_arm),
+        total_samples=sum(per_arm),
+        per_arm_samples=tuple(per_arm),
         rounds_executed=result.rounds,
         accepted_guess_t=result.accepted_t,
     )

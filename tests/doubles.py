@@ -12,16 +12,20 @@ class DeterministicOracle(SamplingOracle):
 
     def draw(self, arm: int) -> float:
         self.counts[arm] += 1
+        self._total += 1
         return self._means[arm]
 
     def sample_mean(self, arm: int, draws: int) -> float:
         if draws < 1:
             raise ValueError("draws must be >= 1")
         self.counts[arm] = self.counts.item(arm) + draws
+        self._total += draws
         return self._means[arm]
 
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")
-        self.counts[arm] = self.counts.item(arm) + draws * probes
+        n = draws * probes
+        self.counts[arm] = self.counts.item(arm) + n
+        self._total += n
         return probes if self._means[arm] < cutoff else 0

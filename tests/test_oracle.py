@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bestarm import Instance, SamplingOracle, complexity_guessing
+from bestarm.solvers import SolveResult, make_outcome
 from doubles import DeterministicOracle
 
 
@@ -79,3 +80,14 @@ def test_overflowing_counter_raises_before_it_wraps():
     with pytest.raises(OverflowError):
         complexity_guessing(oracle, inst, 0.01, budget=None)
     assert (oracle.counts >= 0).all()
+
+
+def test_totals_are_exact_past_int64():
+    # two counters of 2^62 each: an int64 sum of them wraps to -2^63
+    for oracle in (SamplingOracle([0.5, 0.5], seed=0), DeterministicOracle([0.5, 0.5])):
+        oracle.sample_mean(0, 2**62)
+        oracle.sample_mean(1, 2**62)
+        assert oracle.total == 2**63
+        outcome = make_outcome(SolveResult(arm=0, rounds=1), oracle.snapshot())
+        assert outcome.total_samples == 2**63
+        assert outcome.per_arm_samples == (2**62, 2**62)

@@ -85,8 +85,9 @@ def reference_ladder(instance, delta, inner, *, seed, max_copies):
 
 def toy_inner(scripts, oracles):
     """Plan factory: copy k issues ``scripts[(k-1) % len(scripts)]`` as
-    ``(arm, draws)`` requests and returns ``SolveResult(arm, rounds=k)``;
-    each copy's oracle is appended to ``oracles``."""
+    ``(arms, draws)`` requests and returns ``SolveResult(arm, rounds=k)``
+    with the last arm requested; each copy's oracle is appended to
+    ``oracles``."""
 
     def inner(oracle, instance, delta_k):
         oracles.append(oracle)
@@ -94,9 +95,9 @@ def toy_inner(scripts, oracles):
         script = scripts[(k - 1) % len(scripts)]
 
         def plan():
-            for arm, draws in script:
-                yield MeanRequest(arm, draws)
-            return SolveResult(arm=script[-1][0] if script else 0, rounds=k)
+            for arms, draws in script:
+                yield MeanRequest(arms, draws)
+            return SolveResult(arm=script[-1][0][-1] if script else 0, rounds=k)
 
         return plan()
 
@@ -104,16 +105,20 @@ def toy_inner(scripts, oracles):
 
 
 TOY = Instance.from_means((1.0, 0.5, 0.25), label="toy")
-toy_scripts = st.lists(
-    st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), max_size=5),
-    min_size=1,
-    max_size=6,
+# Requests over one to three arms, so a request in flight at the stop may
+# have some of its arms completed and one partly granted.
+toy_requests = st.tuples(
+    st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple), st.integers(1, 4)
 )
+toy_scripts = st.lists(st.lists(toy_requests, max_size=5), min_size=1, max_size=6)
 max_copies_choice = st.sampled_from([None, 1, 2, 3])
 # Copy 1 finishes at t = 2 and copy 2 at t = 1 * 2: the lower index wins.
-SAME_ITERATION = [[(0, 2)], [(1, 1)]]
+SAME_ITERATION = [[((0,), 2)], [((1,), 1)]]
 # Copy 2 returns before sampling, at its first scheduled iteration t = 2.
-RETURNS_AT_SPAWN = [[(0, 3)], []]
+RETURNS_AT_SPAWN = [[((0,), 3)], []]
+# Copy 1 wins at t = 6 while copy 2 is inside its three-arm request: two
+# arms done, the third still open.
+MID_REQUEST = [[((0, 1), 3)], [((2, 1, 0), 1)]]
 
 
 class TestSchedule:
@@ -190,6 +195,13 @@ class TestParallelSimulation:
         with pytest.raises(ValueError):
             parallel_simulation(TWO_ARM, 0.0, seed=0)
 
+    def test_ledger_is_exact_past_int64(self):
+        # two counters of 2^62 each: their int64 sum would wrap to -2^63
+        inner = toy_inner([[((0, 1), 2**62)]], [])
+        out = parallel_simulation(TOY, 0.1, inner, budget=None, max_copies=1)
+        assert out.per_arm_samples == (2**62, 2**62, 0)
+        assert out.total_samples == 2**63
+
 
 # Three desk instances of tests/test_acceptance.py.
 GOLDEN_INSTANCES = [
@@ -218,6 +230,7 @@ def test_golden_replay_of_ladder_outcomes():
 @given(scripts=toy_scripts, max_copies=max_copies_choice, seed=st.integers(0, 3))
 @example(scripts=SAME_ITERATION, max_copies=None, seed=0)
 @example(scripts=RETURNS_AT_SPAWN, max_copies=None, seed=0)
+@example(scripts=MID_REQUEST, max_copies=None, seed=0)
 @example(scripts=[[]], max_copies=1, seed=0)
 def test_matches_draw_by_draw_reference(scripts, max_copies, seed):
     oracles = []
@@ -246,7 +259,10 @@ def test_grant_ledger_matches_draw_by_draw_reference(scripts, max_copies, seed):
     for copy in copies:
         for arm, count in enumerate(copy.oracle.counts):
             granted[arm] += int(count)
-        if copy.pending is not None:
-            granted[copy.pending.arm] += copy.progress
+        if copy.pending is not None:  # grants toward it go to its arms in order
+            left = copy.progress
+            for arm, cost in zip(copy.pending.arms, copy.pending.arm_costs()):
+                granted[arm] += min(left, cost)
+                left -= min(left, cost)
     assert out.total_samples == sum(c.granted for c in copies)
     assert out.per_arm_samples == tuple(granted)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bestarm import (
+    BudgetExceededError,
     SamplingOracle,
     elimination,
     frac_test,
@@ -11,7 +12,12 @@ from bestarm import (
     unif_sampl,
     unif_sample_size,
 )
-from bestarm.primitives import frac_test_probe_counts
+from bestarm.primitives import (
+    frac_test_plan,
+    frac_test_probe_counts,
+    med_elim_plan,
+    run_plan,
+)
 from doubles import DeterministicOracle
 
 
@@ -95,6 +101,15 @@ class TestMedElim:
         assert oracle.counts[3] == expected_round1
         assert oracle.counts[0] > expected_round1
 
+    def test_budget_stops_mid_round_at_the_first_arm_that_crosses(self):
+        # one round is one request over four arms; the cap admits two of them
+        d = 2097
+        oracle = fixed([0.9, 0.8, 0.2, 0.1])
+        with pytest.raises(BudgetExceededError):
+            run_plan(med_elim_plan([2, 0, 3, 1], 0.5, 0.1), oracle, budget=2 * d + 1)
+        assert list(oracle.counts) == [d, 0, d, 0]
+        assert oracle.total == 2 * d
+
     def test_tie_break_prefers_first_listed(self):
         oracle = fixed([0.5, 0.5, 0.5, 0.1])
         assert med_elim(oracle, [2, 0, 1, 3], eps=0.5, delta=0.1) == 2
@@ -116,6 +131,17 @@ class TestFracTest:
         oracle = fixed([1.0, 1.0])
         frac_test(oracle, [0, 1], 0.0, 0.5, 0.3, 0.5, 0.1)
         assert oracle.total == probes * per_probe
+
+    def test_budget_stops_mid_tally_at_the_first_arm_that_crosses(self):
+        probes, per_probe = frac_test_probe_counts(0.0, 0.5, 0.3, 0.5, 0.1)
+        # the plan's arm picks, replayed from the same seed
+        picks = np.random.default_rng(0).multinomial(probes, [1 / 3] * 3)
+        assert picks.all()
+        oracle = fixed([1.0, 1.0, 1.0])
+        with pytest.raises(BudgetExceededError):  # one draw short of the whole tally
+            run_plan(frac_test_plan(oracle, [0, 1, 2], 0.0, 0.5, 0.3, 0.5, 0.1), oracle,
+                     budget=probes * per_probe - 1)
+        assert list(oracle.counts) == [per_probe * int(picks[0]), per_probe * int(picks[1]), 0]
 
     def test_all_means_above_band_returns_false(self):
         oracle = fixed([1.0, 0.9, 0.95])
