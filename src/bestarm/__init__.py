@@ -20,14 +20,9 @@ from .instances import (
 from .oracle import SamplingOracle
 from .primitives import (
     BudgetExceededError,
-    EstimateMap,
     MeanRequest,
     TallyRequest,
-    elimination,
-    frac_test,
-    med_elim,
     run_plan,
-    unif_sampl,
     unif_sample_size,
 )
 from .solvers import (

@@ -7,7 +7,8 @@ Subcommands:
   signxi  measure the sign-solver loss profile over gaps 2^-1 .. 2^-m -> CSV
   gen     generate instance files
 
-Exit codes: 0 success, 1 configuration error, 2 budget exhaustion in `run`.
+Exit codes: 0 success, 1 configuration error (a bad argument included), 2
+budget exhaustion in `run`.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_signxi(args) -> int:
-    pk = [1.0 / args.m] * args.m
+    pk = [1.0 / args.m for _ in range(args.m)]  # empty for m < 1, which is refused
     prof = measure_loss_profile(
         run_sign_trial, pk, args.delta, args.trials, base_seed=args.seed, budget=args.budget
     )
@@ -191,8 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 is kept for budget stops.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:

@@ -1,12 +1,12 @@
 """Reusable sampling subroutines: uniform sampling, median elimination,
 fraction testing and batch elimination.
 
-Every subroutine exists in two forms: a *plan* generator that yields
-sampling requests (so callers may suspend execution at each draw batch) and
-an eager function that drives the plan against an oracle directly.  Plans
-receive the oracle only for its RNG stream and counters; all reward draws
-flow through the yielded requests, which is what lets an outer scheduler
-interleave several runs.
+Every subroutine is a *plan*: a generator that yields sampling requests,
+so callers may suspend execution at each draw batch, and returns its
+result.  :func:`run_plan` drives a plan against an oracle.  Plans receive
+the oracle only for its RNG stream; all reward draws flow through the
+yielded requests, which is what lets an outer scheduler interleave several
+runs.
 
 A plan yields one request per round: per median-elimination round, per
 uniform-sampling call and per fraction test.  A request names an ordered
@@ -28,10 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import _check_delta
-
-# Estimates keyed by arm id, exactly the queried set.
-EstimateMap = dict[int, float]
-
 
 class BudgetExceededError(RuntimeError):
     """Raised by plan drivers when the next request would cross the sample cap."""
@@ -156,44 +152,18 @@ def _check_members(members) -> list[int]:
 
 
 def unif_sampl_plan(members, eps: float, delta: float):
-    """Plan form of :func:`unif_sampl`."""
+    """Sample every arm in ``members`` ceil(2 eps^-2 ln(2/delta)) times.
+
+    Returns each arm's empirical mean, keyed by arm; with probability
+    1 - delta a given arm's estimate is within eps of its true mean.
+    """
     members = _check_members(members)
     draws = unif_sample_size(eps, delta)
     means = yield MeanRequest(tuple(members), draws)
     return dict(zip(members, means))
 
 
-def unif_sampl(oracle, members, eps: float, delta: float) -> EstimateMap:
-    """Sample every arm in ``members`` ceil(2 eps^-2 ln(2/delta)) times.
-
-    Returns each arm's empirical mean; with probability 1 - delta a given
-    arm's estimate is within eps of its true mean.
-    """
-    return run_plan(unif_sampl_plan(members, eps, delta), oracle)
-
-
 def med_elim_plan(members, eps: float, delta: float):
-    """Plan form of :func:`med_elim`."""
-    members = _check_members(members)
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    _check_delta(delta)
-    active = list(members)
-    eps_l = eps / 4.0
-    delta_l = delta / 2.0
-    while len(active) > 1:
-        draws = _count(2.0 * (eps_l / 2.0) ** -2 * math.log(3.0 / delta_l))
-        means = yield MeanRequest(tuple(active), draws)
-        estimates: EstimateMap = dict(zip(active, means))
-        keep = (len(active) + 1) // 2
-        # Stable sort: ties keep the earlier-listed arm in front.
-        active = sorted(active, key=lambda a: -estimates[a])[:keep]
-        eps_l *= 0.75
-        delta_l /= 2.0
-    return active[0]
-
-
-def med_elim(oracle, members, eps: float, delta: float) -> int:
     """Median-elimination tournament returning an eps-optimal arm w.p. >= 1 - delta.
 
     Halves the field each round (keeping the ceil(|S|/2) arms with the
@@ -202,7 +172,22 @@ def med_elim(oracle, members, eps: float, delta: float) -> int:
     ceil(2 (eps_l/2)^-2 ln(3/delta_l)) draws per surviving arm per round.
     A singleton input is returned without sampling.
     """
-    return run_plan(med_elim_plan(members, eps, delta), oracle)
+    active = _check_members(members)
+    if eps <= 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    _check_delta(delta)
+    eps_l = eps / 4.0
+    delta_l = delta / 2.0
+    while len(active) > 1:
+        draws = _count(2.0 * (eps_l / 2.0) ** -2 * math.log(3.0 / delta_l))
+        means = yield MeanRequest(tuple(active), draws)
+        estimates = dict(zip(active, means))
+        keep = (len(active) + 1) // 2
+        # Stable sort: ties keep the earlier-listed arm in front.
+        active = sorted(active, key=lambda a: -estimates[a])[:keep]
+        eps_l *= 0.75
+        delta_l /= 2.0
+    return active[0]
 
 
 def frac_test_probe_counts(c_lo, c_hi, theta_lo, theta_hi, delta) -> tuple[int, int]:
@@ -219,10 +204,20 @@ def frac_test_probe_counts(c_lo, c_hi, theta_lo, theta_hi, delta) -> tuple[int, 
 
 
 def frac_test_plan(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta):
-    """Plan form of :func:`frac_test`.
+    """Randomized check whether a large fraction of arms have small means.
+
+    Performs m = ceil((spread/6)^-2 ln(2/delta)) probes, spread = theta_hi -
+    theta_lo.  Each probe picks an arm uniformly at random, estimates its
+    mean to (c_hi - c_lo)/2 accuracy at confidence spread/6, and counts the
+    estimate if it falls below the midpoint of (c_lo, c_hi).  Returns True
+    iff the counted fraction exceeds the midpoint of (theta_lo, theta_hi).
+
+    With probability 1 - delta: a True answer implies more than a theta_lo
+    fraction of arms lie below c_hi, and a False answer implies fewer than a
+    theta_hi fraction lie below c_lo.
 
     Uses ``oracle.rng`` for the uniform arm picks; rewards flow through the
-    yielded requests.
+    yielded request.
     """
     members = _check_members(members)
     probes, per_probe = frac_test_probe_counts(c_lo, c_hi, theta_lo, theta_hi, delta)
@@ -235,31 +230,22 @@ def frac_test_plan(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta):
     return below / probes > (theta_lo + theta_hi) / 2.0
 
 
-def frac_test(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta) -> bool:
-    """Randomized check whether a large fraction of arms have small means.
-
-    Performs m = ceil((spread/6)^-2 ln(2/delta)) probes, spread = theta_hi -
-    theta_lo.  Each probe picks an arm uniformly at random, estimates its
-    mean to (c_hi - c_lo)/2 accuracy at confidence spread/6, and counts the
-    estimate if it falls below the midpoint of (c_lo, c_hi).  Returns True
-    iff the counted fraction exceeds the midpoint of (theta_lo, theta_hi).
-
-    With probability 1 - delta: a True answer implies more than a theta_lo
-    fraction of arms lie below c_hi, and a False answer implies fewer than a
-    theta_hi fraction lie below c_lo.
-    """
-    return run_plan(frac_test_plan(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta), oracle)
-
-
 def elimination_plan(oracle, members, d_lo: float, d_hi: float, delta: float):
-    """Plan form of :func:`elimination`."""
-    members = _check_members(members)
+    """Repeatedly purge arms whose means sit below the (d_lo, d_hi) band.
+
+    Each pass runs a fraction test at thresholds (0.05, 0.1) on the lower
+    half-band; while it reports a crowd of low arms, every survivor is
+    re-estimated and arms at or below the upper quarter-point are dropped.
+    Arms with means >= d_hi survive with probability >= 1 - delta/2, and
+    with probability >= 1 - delta/2 at most a 0.1 fraction of the output
+    sits below d_lo.
+    """
+    active = _check_members(members)
     if not d_lo < d_hi:
         raise ValueError(f"need d_lo < d_hi, got {d_lo} >= {d_hi}")
     _check_delta(delta)
     d_mid = (d_lo + d_hi) / 2.0
     keep_above = (d_mid + d_hi) / 2.0
-    active = list(members)
     round_idx = 0
     while active:
         round_idx += 1
@@ -271,15 +257,3 @@ def elimination_plan(oracle, members, d_lo: float, d_hi: float, delta: float):
         active = [arm for arm in active if estimates[arm] > keep_above]
     return active
 
-
-def elimination(oracle, members, d_lo: float, d_hi: float, delta: float) -> list[int]:
-    """Repeatedly purge arms whose means sit below the (d_lo, d_hi) band.
-
-    Each pass runs a fraction test at thresholds (0.05, 0.1) on the lower
-    half-band; while it reports a crowd of low arms, every survivor is
-    re-estimated and arms at or below the upper quarter-point are dropped.
-    Arms with means >= d_hi survive with probability >= 1 - delta/2, and
-    with probability >= 1 - delta/2 at most a 0.1 fraction of the output
-    sits below d_lo.
-    """
-    return run_plan(elimination_plan(oracle, members, d_lo, d_hi, delta), oracle)

@@ -19,8 +19,9 @@ thin blocking drivers over the plans and package the result as a
 ``entropy_elimination`` share one round plan, :func:`_elimination_round`:
 median elimination picks an anchor arm, its mean is estimated, and when the
 fraction test reports a crowd of arms well below the anchor, elimination
-purges them, keeping the anchor should every arm go.  Solvers shuffle the arm order once at start from the
-oracle's RNG so behaviour does not depend on storage order.
+purges them, keeping the anchor should every arm go.  Solvers shuffle the
+arm order once at start from the oracle's RNG so behaviour does not depend
+on storage order.
 
 The statistical contracts hold for delta < 0.01; the implementation accepts
 any delta in (0, 1) so cheaper exploratory runs are possible.
@@ -87,13 +88,13 @@ class RoundEvent:
     eps: float
     n_active: int
     rejected: bool
-    frac_true: bool | None
-    h_estimate: float | None
-    t_estimate: float | None
-    theta_lo: float | None
-    theta_hi: float | None
-    delta_round: float | None
-    delta_prime: float | None
+    frac_true: bool | None = None
+    h_estimate: float | None = None
+    t_estimate: float | None = None
+    theta_lo: float | None = None
+    theta_hi: float | None = None
+    delta_round: float | None = None
+    delta_prime: float | None = None
     draws_med: int = 0
     draws_anchor: int = 0
     draws_frac: int = 0
@@ -164,9 +165,10 @@ _DRAW_FIELDS = ("draws_med", "draws_anchor", "draws_frac", "draws_elim")
 def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_prime):
     """One round at accuracy ``eps``, shared by both elimination solvers.
 
-    Returns ``(survivors, crowded, draws)``; ``draws`` maps each
-    ``RoundEvent`` draw field to the draws of its phase.
+    Returns ``(survivors, fields)``; ``fields`` holds the round's own
+    ``RoundEvent`` fields, each draw field set to the draws of its phase.
     """
+    n_active = len(members)
     marks = [oracle.total]
     anchor = yield from med_elim_plan(members, 0.125 * eps, 0.01)
     marks.append(oracle.total)
@@ -181,8 +183,17 @@ def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_
         survivors = yield from elimination_plan(oracle, members, d_lo, d_hi, delta_prime)
         members = survivors if survivors else [anchor]
     marks.append(oracle.total)
-    draws = {field: b - a for field, a, b in zip(_DRAW_FIELDS, marks, marks[1:])}
-    return members, crowded, draws
+    fields = {field: b - a for field, a, b in zip(_DRAW_FIELDS, marks, marks[1:])}
+    fields.update(
+        eps=eps,
+        n_active=n_active,
+        frac_true=crowded,
+        theta_lo=theta_lo,
+        theta_hi=theta_hi,
+        delta_round=delta_r,
+        delta_prime=delta_prime if crowded else None,
+    )
+    return members, fields
 
 
 # --- known complexity ------------------------------------------------------
@@ -198,32 +209,13 @@ def known_complexity_plan(oracle, instance, H, delta, emit=None):
     for r in count(1):
         if len(members) == 1:
             return SolveResult(arm=members[0], rounds=r)
-        n_start = len(members)
         eps_r = round_eps(r)
-        delta_r = kc_round_delta(delta, r)
-        delta_prime = min(n_start * eps_r**-2 / h_hat * delta, delta)
-        members, crowded, draws = yield from _elimination_round(
-            oracle, members, eps_r, delta_r, 0.3, 0.5, delta_prime
+        delta_prime = min(len(members) * eps_r**-2 / h_hat * delta, delta)
+        members, fields = yield from _elimination_round(
+            oracle, members, eps_r, kc_round_delta(delta, r), 0.3, 0.5, delta_prime
         )
         if emit is not None:
-            emit(
-                RoundEvent(
-                    solver="known_complexity",
-                    guess_t=None,
-                    round_index=r,
-                    eps=eps_r,
-                    n_active=n_start,
-                    rejected=False,
-                    frac_true=crowded,
-                    h_estimate=None,
-                    t_estimate=None,
-                    theta_lo=0.3,
-                    theta_hi=0.5,
-                    delta_round=delta_r,
-                    delta_prime=delta_prime if crowded else None,
-                    **draws,
-                )
-            )
+            emit(RoundEvent("known_complexity", None, r, rejected=False, **fields))
 
 
 # --- entropy elimination (one guess) ---------------------------------------
@@ -252,37 +244,22 @@ def entropy_elimination_plan(oracle, instance, delta, t, emit=None, _members=Non
         t_next = t_r + weight * max(math.log(h_hat / (weight * delta)), 1.0)
         rejected = h_r + 4.0 * weight >= h_hat or t_next >= 100.0 * h_hat
         # A rejected guess stops before the round samples anything.
-        crowded, draws, theta_r = None, {}, None
-        if not rejected:
+        if rejected:
+            fields = dict(eps=eps_r, n_active=n_start, delta_round=delta_r)
+        else:
             t_r = t_next
             theta_r = theta_prev + theta_step(t, r)
-            active, crowded, draws = yield from _elimination_round(
+            active, fields = yield from _elimination_round(
                 oracle, active, eps_r, delta_r, theta_prev, theta_r, delta_prime
             )
-            if crowded:
+            if fields["frac_true"]:
                 h_r += 4.0 * weight
+            theta_prev = theta_r
         if emit is not None:
-            emit(
-                RoundEvent(
-                    solver="entropy_elimination",
-                    guess_t=t,
-                    round_index=r,
-                    eps=eps_r,
-                    n_active=n_start,
-                    rejected=rejected,
-                    frac_true=crowded,
-                    h_estimate=h_r,
-                    t_estimate=t_next,
-                    theta_lo=None if rejected else theta_prev,
-                    theta_hi=theta_r,
-                    delta_round=delta_r,
-                    delta_prime=delta_prime if crowded else None,
-                    **draws,
-                )
-            )
+            emit(RoundEvent("entropy_elimination", t, r, rejected=rejected,
+                            h_estimate=h_r, t_estimate=t_next, **fields))
         if rejected:
             return SolveResult(arm=None, rounds=r, rejected=True)
-        theta_prev = theta_r
 
 
 # --- complexity guessing ----------------------------------------------------

@@ -18,19 +18,18 @@ from bestarm import (
     Instance,
     SamplingOracle,
     complexity_guessing,
-    elimination,
     entropy_elimination,
-    frac_test,
     known_complexity,
     make_discrete_instance,
     measure_loss_profile,
     parallel_simulation,
     profile,
+    run_plan,
     run_sign_trial,
-    unif_sampl,
     unif_sample_size,
 )
 from bestarm.bench import equal_h_pair
+from bestarm.primitives import elimination_plan, frac_test_plan, unif_sampl_plan
 from bestarm.signxi import NEGATIVE, POSITIVE
 from bestarm.solvers import C_ROUNDS
 from doubles import DeterministicOracle
@@ -97,7 +96,7 @@ def test_criterion_2_primitive_accounting():
         delta = float(rng.uniform(0.001, 0.3))
         n_arms = int(rng.integers(1, 6))
         oracle = SamplingOracle([0.5] * n_arms, seed=int(rng.integers(1 << 30)))
-        unif_sampl(oracle, range(n_arms), eps, delta)
+        run_plan(unif_sampl_plan(range(n_arms), eps, delta), oracle)
         expected = unif_sample_size(eps, delta)
         assert list(oracle.counts) == [expected] * n_arms
     elapsed = time.perf_counter() - start
@@ -112,29 +111,34 @@ def test_criterion_3_frac_test_and_elimination_contracts():
 
     # Deterministic oracles: the two one-sided answers are exact.
     crowd = DeterministicOracle([0.1] * 12 + [0.9] * 8, seed=0)
-    assert frac_test(crowd, range(20), 0.4, 0.6, 0.3, 0.5, delta) is True
+    assert run_plan(frac_test_plan(crowd, range(20), 0.4, 0.6, 0.3, 0.5, delta), crowd) is True
     sparse = DeterministicOracle([0.1] * 6 + [0.9] * 14, seed=0)
-    assert frac_test(sparse, range(20), 0.4, 0.6, 0.3, 0.5, delta) is False
+    assert run_plan(frac_test_plan(sparse, range(20), 0.4, 0.6, 0.3, 0.5, delta), sparse) is False
 
     # Fraction test, True side: 12/20 arms below c_lo (>= theta_hi fraction).
     means_true = [0.1] * 12 + [0.9] * 8
-    hits_true = sum(
-        frac_test(SamplingOracle(means_true, seed=s), range(20), 0.4, 0.6, 0.3, 0.5, delta)
-        for s in range(trials)
-    )
+    hits_true = 0
+    for s in range(trials):
+        oracle = SamplingOracle(means_true, seed=s)
+        hits_true += run_plan(
+            frac_test_plan(oracle, range(20), 0.4, 0.6, 0.3, 0.5, delta), oracle
+        )
     # False side: 6/20 arms below c_hi (<= theta_lo fraction).
     means_false = [0.1] * 6 + [0.9] * 14
-    hits_false = sum(
-        not frac_test(SamplingOracle(means_false, seed=s), range(20), 0.4, 0.6, 0.3, 0.5, delta)
-        for s in range(trials)
-    )
+    hits_false = 0
+    for s in range(trials):
+        oracle = SamplingOracle(means_false, seed=s)
+        hits_false += not run_plan(
+            frac_test_plan(oracle, range(20), 0.4, 0.6, 0.3, 0.5, delta), oracle
+        )
 
     # Elimination on 10 high / 10 low arms around the (0.4, 0.6) band.
     elim_means = [0.9] * 10 + [0.1] * 10
     retained = 0
     purged = 0
     for s in range(trials):
-        survivors = elimination(SamplingOracle(elim_means, seed=s), range(20), 0.4, 0.6, delta)
+        oracle = SamplingOracle(elim_means, seed=s)
+        survivors = run_plan(elimination_plan(oracle, range(20), 0.4, 0.6, delta), oracle)
         retained += all(arm in survivors for arm in range(10))
         low = sum(elim_means[arm] < 0.4 for arm in survivors)
         purged += low <= 0.1 * len(survivors)

@@ -49,6 +49,20 @@ def test_run_budget_exit_code(tmp_path, capsys):
     assert "budget_exceeded" in capsys.readouterr().out
 
 
+def test_argument_errors_exit_1(tmp_path, capsys):
+    # argparse's own exit code, 2, would read as a budget stop
+    path = write_instance(tmp_path)
+    assert main(["run", "--instance", str(path), "--delta", "abc"]) == 1
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+    assert main(["run", "--algo", "guess"]) == 1
+    assert "--instance" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_run_trace_emits_round_events(tmp_path, capsys):
     path = write_instance(tmp_path)
     code = main([
@@ -135,6 +149,12 @@ def test_signxi_writes_profile(tmp_path, capsys):
     rows = list(csv.reader(out_csv.open()))
     assert rows[0] == ["k", "p_k", "alpha_k", "mean_samples"]
     assert rows[-1][0] == "ln_inv_delta"
+
+
+def test_signxi_without_gap_groups_is_a_config_error(tmp_path, capsys):
+    for m in ("0", "-1", "5"):
+        assert main(["signxi", "--m", m, "--out", str(tmp_path / "loss.csv")]) == 1
+        assert "error: need 1 <= m <= 4" in capsys.readouterr().err
 
 
 def test_gen_equal_h_pair(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from bestarm import Instance, SamplingOracle, complexity_guessing
 from bestarm.solvers import SolveResult, make_outcome
@@ -35,6 +36,25 @@ def test_sample_mean_distribution_matches_per_draw_scale():
     oracle = SamplingOracle([0.0], seed=9)
     values = [oracle.sample_mean(0, 400) for _ in range(2000)]
     assert np.std(values) == pytest.approx(1 / 20, rel=0.1)
+
+
+def test_sample_mean_law_is_exact_at_small_n():
+    # the mean of n unit-Gaussian rewards is N(mu, 1/n) exactly, not just asymptotically
+    for n in (2, 3, 5, 10):
+        oracle = SamplingOracle([0.3], seed=n)
+        values = [oracle.sample_mean(0, n) for _ in range(2000)]
+        assert stats.kstest(values, "norm", args=(0.3, n**-0.5)).pvalue > 0.01
+
+
+def test_count_means_below_law_matches_per_probe_simulation():
+    # each probe is the mean of `draws` explicit rewards, counted when below the cutoff
+    mean, draws, probes, cutoff, reps = 0.5, 9, 4, 0.6, 2000
+    oracle = SamplingOracle([mean], seed=11)
+    tallies = [oracle.count_means_below(0, draws, probes, cutoff) for _ in range(reps)]
+    rewards = np.random.default_rng(12).normal(mean, 1.0, size=(reps, probes, draws))
+    explicit = (rewards.mean(axis=2) < cutoff).sum(axis=1)
+    table = [np.bincount(tallies, minlength=probes + 1), np.bincount(explicit, minlength=probes + 1)]
+    assert stats.chi2_contingency(table).pvalue > 0.01
 
 
 def test_deterministic_family_returns_means_exactly():
