@@ -2,8 +2,8 @@
 
 Library plus CLI simulator: instance analytics (gap groups, complexity,
 gap entropy, conjectured bound), the four sampling primitives, the
-elimination solvers, a confidence-laddered parallel wrapper, a sign-test
-harness, and a seeded Monte-Carlo bench.
+elimination solver plans and their ``solve`` driver, a confidence-laddered
+parallel wrapper, a sign-test harness, and a seeded Monte-Carlo bench.
 """
 
 from .instances import (
@@ -32,10 +32,11 @@ from .solvers import (
     REJECTED,
     RoundEvent,
     RunOutcome,
-    baseline_successive_elimination,
-    complexity_guessing,
-    entropy_elimination,
-    known_complexity,
+    baseline_successive_elimination_plan,
+    complexity_guessing_plan,
+    entropy_elimination_plan,
+    known_complexity_plan,
+    solve,
 )
 from .parallel import copy_seed, parallel_simulation
 from .signxi import (
@@ -44,7 +45,6 @@ from .signxi import (
     measure_loss_profile,
     run_sign_trial,
     sign_instance,
-    solve_sign_xi,
 )
 from .bench import (
     ALGORITHMS,

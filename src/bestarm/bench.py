@@ -19,9 +19,10 @@ from .solvers import (
     DEFAULT_BUDGET,
     OK,
     RunOutcome,
-    baseline_successive_elimination,
-    complexity_guessing,
-    known_complexity,
+    baseline_successive_elimination_plan,
+    complexity_guessing_plan,
+    known_complexity_plan,
+    solve,
 )
 
 ALGORITHMS = ("known", "guess", "parallel", "baseline")
@@ -70,13 +71,12 @@ def run_one_trial(
         return parallel_simulation(instance, delta, seed=seed, budget=budget)
     oracle = SamplingOracle.for_instance(instance, seed=seed)
     if algo == "known":
-        return known_complexity(
-            oracle, instance, profile(instance).H, delta, budget=budget, trace=trace
-        )
+        H = profile(instance).H
+        return solve(known_complexity_plan, oracle, instance, H, delta, budget=budget, trace=trace)
     if algo == "guess":
-        return complexity_guessing(oracle, instance, delta, budget=budget, trace=trace)
+        return solve(complexity_guessing_plan, oracle, instance, delta, budget=budget, trace=trace)
     if algo == "baseline":
-        return baseline_successive_elimination(oracle, instance, delta, budget=budget)
+        return solve(baseline_successive_elimination_plan, oracle, instance, delta, budget=budget)
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
@@ -248,6 +248,8 @@ def generate_instances(kind: str, params: dict | None = None, seed: int = 0) -> 
         top_mean = float(params.get("top_mean", 1.0))
         if not 1 <= k_max <= 3:
             raise ValueError(f"k_max must be in 1..3 at desk scale, got {k_max}")
+        if cap < 1:
+            raise ValueError(f"cap must be >= 1 arm per gap group, got {cap}")
         rng = np.random.default_rng(seed)
         out = []
         for idx in range(count):

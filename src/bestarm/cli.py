@@ -30,7 +30,9 @@ def _budget(value: str):
     if value.lower() in ("none", "inf"):
         return None
     cap = int(value)
-    return None if cap <= 0 else cap
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {cap}")
+    return cap or None
 
 
 def _load_instance(path: str):
@@ -119,7 +121,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_signxi(args) -> int:
-    pk = [1.0 / args.m for _ in range(args.m)]  # empty for m < 1, which is refused
+    if args.m < 1:
+        raise ValueError(f"need 1 <= m <= 4 gap groups, got {args.m}")
+    pk = [1.0 / args.m] * args.m
     prof = measure_loss_profile(
         run_sign_trial, pk, args.delta, args.trials, base_seed=args.seed, budget=args.budget
     )

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 from .instances import Instance
 from .oracle import SamplingOracle
-from .solvers import BUDGET_EXCEEDED, DEFAULT_BUDGET, OK, RunOutcome, complexity_guessing
+from .solvers import BUDGET_EXCEEDED, DEFAULT_BUDGET, OK, RunOutcome, complexity_guessing_plan, solve
 
 #: Embedding offset; the reference arm sits exactly here.
 SIGN_SHIFT = 0.5
@@ -47,29 +47,6 @@ class SignResult:
     outcome: RunOutcome
 
 
-def solve_sign_xi(
-    oracle: SamplingOracle,
-    hidden_mean: float,
-    delta: float,
-    *,
-    budget: int | None = DEFAULT_BUDGET,
-) -> SignResult:
-    """Decide the sign of the hidden mean through the two-arm reduction.
-
-    ``oracle`` must be built over ``sign_instance(hidden_mean)`` (real arm
-    first); every draw of either embedded arm is counted there, so the
-    outcome's totals are exactly the reduction's sample cost.  Correct with
-    probability >= 1 - delta for delta < 0.01.
-    """
-    embedded = sign_instance(hidden_mean)
-    if oracle.n_arms != 2:
-        raise ValueError("sign reduction needs a two-arm oracle (real arm, reference arm)")
-    outcome = complexity_guessing(oracle, embedded, delta, budget=budget)
-    if outcome.status != OK:
-        return SignResult(None, outcome)
-    return SignResult(POSITIVE if outcome.arm == REAL_ARM else NEGATIVE, outcome)
-
-
 def run_sign_trial(
     hidden_mean: float,
     delta: float,
@@ -77,9 +54,19 @@ def run_sign_trial(
     *,
     budget: int | None = DEFAULT_BUDGET,
 ) -> SignResult:
-    """Build the embedded oracle for one seeded trial and solve it."""
-    oracle = SamplingOracle.for_instance(sign_instance(hidden_mean), seed=seed)
-    return solve_sign_xi(oracle, hidden_mean, delta, budget=budget)
+    """Decide the sign of the hidden mean in one seeded trial of the reduction.
+
+    Runs the guessing solver on ``sign_instance(hidden_mean)`` (real arm
+    first) over its own oracle; every draw of either embedded arm is counted
+    there, so the outcome's totals are exactly the reduction's sample cost.
+    Correct with probability >= 1 - delta for delta < 0.01.
+    """
+    embedded = sign_instance(hidden_mean)
+    oracle = SamplingOracle.for_instance(embedded, seed=seed)
+    outcome = solve(complexity_guessing_plan, oracle, embedded, delta, budget=budget)
+    if outcome.status != OK:
+        return SignResult(None, outcome)
+    return SignResult(POSITIVE if outcome.arm == REAL_ARM else NEGATIVE, outcome)
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,27 @@
 """Top-level best-arm identification solvers.
 
-Three gap-entropy-driven elimination solvers plus a classical baseline:
+Three gap-entropy-driven elimination solvers plus a classical baseline, each
+a *plan* generator that suspends at every sampling request (see
+:mod:`bestarm.primitives`):
 
-* ``known_complexity`` -- round-based elimination when the instance
+* ``known_complexity_plan`` -- round-based elimination when the instance
   complexity H is supplied by the caller.
-* ``entropy_elimination`` -- one complexity guess 100^t: either returns the
-  best arm or rejects the guess, spending at most ~100 * 100^t planned
+* ``entropy_elimination_plan`` -- one complexity guess 100^t: either returns
+  the best arm or rejects the guess, spending at most ~100 * 100^t planned
   samples on it.
-* ``complexity_guessing`` -- tries guesses t = 1, 2, ... until one is
+* ``complexity_guessing_plan`` -- tries guesses t = 1, 2, ... until one is
   accepted.
-* ``baseline_successive_elimination`` -- textbook confidence-radius racing,
-  for benchmarking only.
+* ``baseline_successive_elimination_plan`` -- textbook confidence-radius
+  racing, for benchmarking only.
 
-Each solver is written as a *plan* generator that suspends at every
-sampling request (see :mod:`bestarm.primitives`); the public functions are
-thin blocking drivers over the plans and package the result as a
-:class:`RunOutcome`.  ``known_complexity`` and each guess of
-``entropy_elimination`` share one round plan, :func:`_elimination_round`:
-median elimination picks an anchor arm, its mean is estimated, and when the
-fraction test reports a crowd of arms well below the anchor, elimination
-purges them, keeping the anchor should every arm go.  Solvers shuffle the
-arm order once at start from the oracle's RNG so behaviour does not depend
-on storage order.
+:func:`solve` drives any of them against an oracle and packages the result
+as a :class:`RunOutcome`.  ``known_complexity_plan`` and each guess of
+``entropy_elimination_plan`` share one round plan,
+:func:`_elimination_round`: median elimination picks an anchor arm, its mean
+is estimated, and when the fraction test reports a crowd of arms well below
+the anchor, elimination purges them, keeping the anchor should every arm go.
+Solvers shuffle the arm order once at start from the oracle's RNG so
+behaviour does not depend on storage order.
 
 The statistical contracts hold for delta < 0.01; the implementation accepts
 any delta in (0, 1) so cheaper exploratory runs are possible.
@@ -200,7 +200,15 @@ def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_
 
 
 def known_complexity_plan(oracle, instance, H, delta, emit=None):
-    """Plan form of :func:`known_complexity`."""
+    """Identify the best arm given the instance complexity H.
+
+    Runs rounds r = 1, 2, ... at accuracy 2^-r: a median-elimination pass
+    picks an anchor arm, its mean is estimated, and when the fraction test
+    reports that a (0.3, 0.5) fraction of arms sit well below the anchor an
+    elimination pass purges them at confidence scaled by 4096 H.  Returns
+    the last survivor; correct with probability >= 1 - delta for
+    delta < 0.01.
+    """
     _check_delta(delta)
     if H <= 0.0:
         raise ValueError(f"H must be positive, got {H}")
@@ -222,7 +230,12 @@ def known_complexity_plan(oracle, instance, H, delta, emit=None):
 
 
 def entropy_elimination_plan(oracle, instance, delta, t, emit=None, _members=None):
-    """Plan form of :func:`entropy_elimination`."""
+    """Run one complexity guess 100^t; returns the best arm or rejects.
+
+    The guess is rejected -- before any sampling in that round -- once the
+    running eliminated-complexity estimate or the planned-sample ledger
+    outgrows the guess.
+    """
     _check_delta(delta)
     if t < 1 or int(t) != t:
         raise ValueError(f"guess index t must be an integer >= 1, got {t}")
@@ -266,7 +279,12 @@ def entropy_elimination_plan(oracle, instance, delta, t, emit=None, _members=Non
 
 
 def complexity_guessing_plan(oracle, instance, delta, emit=None):
-    """Plan form of :func:`complexity_guessing`."""
+    """Identify the best arm without knowing the instance complexity.
+
+    Tries guesses 100^1, 100^2, ... until one is accepted; samples from
+    rejected guesses accumulate into the outcome.  Correct with probability
+    >= 1 - delta for delta < 0.01.
+    """
     _check_delta(delta)
     members = _shuffled_arms(oracle, instance)
     rounds = 0
@@ -288,7 +306,12 @@ def se_radius(r: int, n_arms: int, delta: float) -> float:
 
 
 def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
-    """Plan form of :func:`baseline_successive_elimination`."""
+    """Classical successive elimination, as a benchmarking baseline.
+
+    Draws one sample per surviving arm per round; after r rounds an arm is
+    dropped when its mean estimate plus the radius sqrt(2 ln(4 n r^2 /
+    delta) / r) falls below another arm's estimate minus that radius.
+    """
     _check_delta(delta)
     members = _shuffled_arms(oracle, instance)
     n = instance.n_arms
@@ -307,7 +330,7 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     return SolveResult(arm=active[0], rounds=r)
 
 
-# --- public drivers -----------------------------------------------------------
+# --- the driver ----------------------------------------------------------------
 
 
 def make_outcome(result: SolveResult | None, per_arm, budget_rounds: int = 0) -> RunOutcome:
@@ -334,8 +357,20 @@ def make_outcome(result: SolveResult | None, per_arm, budget_rounds: int = 0) ->
     )
 
 
-def _execute(plan, oracle: SamplingOracle, instance, *args, budget, trace=None) -> RunOutcome:
-    """Drive ``plan(oracle, instance, *args, emit=...)``; round events also go to ``trace``."""
+def solve(
+    plan,
+    oracle: SamplingOracle,
+    instance: Instance,
+    *args,
+    budget: int | None = DEFAULT_BUDGET,
+    trace=None,
+) -> RunOutcome:
+    """Drive ``plan(oracle, instance, *args, emit=...)`` and package its outcome.
+
+    E.g. ``solve(known_complexity_plan, oracle, instance, H, delta)``.  The
+    run stops as ``budget_exceeded`` before its draws would pass ``budget``
+    (None lifts the cap); every round event also goes to ``trace``.
+    """
     events: list[RoundEvent] = []
 
     def emit(event: RoundEvent) -> None:
@@ -349,77 +384,3 @@ def _execute(plan, oracle: SamplingOracle, instance, *args, budget, trace=None) 
     except BudgetExceededError:
         result = None
     return make_outcome(result, oracle.snapshot() - before, budget_rounds=len(events))
-
-
-def known_complexity(
-    oracle: SamplingOracle,
-    instance: Instance,
-    H: float,
-    delta: float,
-    *,
-    budget: int | None = DEFAULT_BUDGET,
-    trace=None,
-) -> RunOutcome:
-    """Identify the best arm given the instance complexity H.
-
-    Runs rounds r = 1, 2, ... at accuracy 2^-r: a median-elimination pass
-    picks an anchor arm, its mean is estimated, and when the fraction test
-    reports that a (0.3, 0.5) fraction of arms sit well below the anchor an
-    elimination pass purges them at confidence scaled by 4096 H.  Returns
-    the last survivor; correct with probability >= 1 - delta for
-    delta < 0.01.
-    """
-    return _execute(known_complexity_plan, oracle, instance, H, delta, budget=budget, trace=trace)
-
-
-def entropy_elimination(
-    oracle: SamplingOracle,
-    instance: Instance,
-    delta: float,
-    t: int,
-    *,
-    budget: int | None = DEFAULT_BUDGET,
-    trace=None,
-) -> RunOutcome:
-    """Run one complexity guess 100^t; returns the best arm or rejects.
-
-    The guess is rejected -- before any sampling in that round -- once the
-    running eliminated-complexity estimate or the planned-sample ledger
-    outgrows the guess.
-    """
-    return _execute(
-        entropy_elimination_plan, oracle, instance, delta, t, budget=budget, trace=trace
-    )
-
-
-def complexity_guessing(
-    oracle: SamplingOracle,
-    instance: Instance,
-    delta: float,
-    *,
-    budget: int | None = DEFAULT_BUDGET,
-    trace=None,
-) -> RunOutcome:
-    """Identify the best arm without knowing the instance complexity.
-
-    Tries guesses 100^1, 100^2, ... until one is accepted; samples from
-    rejected guesses accumulate into the outcome.  Correct with probability
-    >= 1 - delta for delta < 0.01.
-    """
-    return _execute(complexity_guessing_plan, oracle, instance, delta, budget=budget, trace=trace)
-
-
-def baseline_successive_elimination(
-    oracle: SamplingOracle,
-    instance: Instance,
-    delta: float,
-    *,
-    budget: int | None = DEFAULT_BUDGET,
-) -> RunOutcome:
-    """Classical successive elimination, as a benchmarking baseline.
-
-    Draws one sample per surviving arm per round; after r rounds an arm is
-    dropped when its mean estimate plus the radius sqrt(2 ln(4 n r^2 /
-    delta) / r) falls below another arm's estimate minus that radius.
-    """
-    return _execute(baseline_successive_elimination_plan, oracle, instance, delta, budget=budget)

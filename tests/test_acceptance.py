@@ -17,15 +17,16 @@ from bestarm import (
     REJECTED,
     Instance,
     SamplingOracle,
-    complexity_guessing,
-    entropy_elimination,
-    known_complexity,
+    complexity_guessing_plan,
+    entropy_elimination_plan,
+    known_complexity_plan,
     make_discrete_instance,
     measure_loss_profile,
     parallel_simulation,
     profile,
     run_plan,
     run_sign_trial,
+    solve,
     unif_sample_size,
 )
 from bestarm.bench import equal_h_pair
@@ -174,7 +175,7 @@ def _delta_correctness(solver_name, run, trials=200, delta=0.01):
 def test_criterion_4_known_complexity_delta_correct():
     def run(inst, delta, seed):
         oracle = SamplingOracle.for_instance(inst, seed=seed)
-        return known_complexity(oracle, inst, profile(inst).H, delta, budget=None)
+        return solve(known_complexity_plan, oracle, inst, profile(inst).H, delta, budget=None)
 
     ok, detail = _delta_correctness("known-complexity", run)
     report(4, ok, detail + " (each <= 0.025)")
@@ -183,7 +184,7 @@ def test_criterion_4_known_complexity_delta_correct():
 def test_criterion_5_guessing_and_parallel_delta_correct():
     def run_guess(inst, delta, seed):
         oracle = SamplingOracle.for_instance(inst, seed=seed)
-        return complexity_guessing(oracle, inst, delta, budget=None)
+        return solve(complexity_guessing_plan, oracle, inst, delta, budget=None)
 
     ok_g, detail_g = _delta_correctness("complexity-guessing", run_guess)
 
@@ -198,8 +199,8 @@ def test_criterion_6_deterministic_rejection():
     inst = Instance.from_means((1.0, 0.5, 0.5, 0.5, 0.75, 0.75, 0.875), "n7")
     ok = True
     for seed in range(50):
-        out = entropy_elimination(
-            SamplingOracle.for_instance(inst, seed=seed), inst, delta=0.005, t=1
+        out = solve(
+            entropy_elimination_plan, SamplingOracle.for_instance(inst, seed=seed), inst, 0.005, 1
         )
         ok = ok and out.status == REJECTED and out.rounds_executed == 1 and out.total_samples == 0
     report(6, ok, "7-arm instance with guess t=1 rejects at round 1 with 0 draws on 50 seeds")
@@ -218,9 +219,9 @@ def test_criterion_7_structural_invariants():
         for t in (1, 2, 3):
             for seed in range(84):
                 events = []
-                out = entropy_elimination(
-                    SamplingOracle.for_instance(inst, seed=seed), inst,
-                    delta=0.008, t=t, budget=None, trace=events.append,
+                out = solve(
+                    entropy_elimination_plan, SamplingOracle.for_instance(inst, seed=seed), inst,
+                    0.008, t, budget=None, trace=events.append,
                 )
                 runs += 1
                 ok = ok and out.rounds_executed <= math.ceil(C_ROUNDS * t)
@@ -230,11 +231,13 @@ def test_criterion_7_structural_invariants():
     # replay determinism, bit-identical outcomes
     for inst in instances:
         for seed in (0, 17):
-            a = complexity_guessing(
-                SamplingOracle.for_instance(inst, seed=seed), inst, 0.008, budget=None
+            a = solve(
+                complexity_guessing_plan, SamplingOracle.for_instance(inst, seed=seed), inst,
+                0.008, budget=None,
             )
-            b = complexity_guessing(
-                SamplingOracle.for_instance(inst, seed=seed), inst, 0.008, budget=None
+            b = solve(
+                complexity_guessing_plan, SamplingOracle.for_instance(inst, seed=seed), inst,
+                0.008, budget=None,
             )
             ok = ok and a == b
     report(7, ok and runs >= 1000,
@@ -247,8 +250,9 @@ def test_criterion_8a_samples_grow_as_delta_drops():
     totals = {}
     for delta in (0.1, 0.01):
         runs = [
-            complexity_guessing(
-                SamplingOracle.for_instance(inst, seed=s), inst, delta, budget=None
+            solve(
+                complexity_guessing_plan, SamplingOracle.for_instance(inst, seed=s), inst, delta,
+                budget=None,
             ).total_samples
             for s in range(50)
         ]
@@ -265,8 +269,9 @@ def test_criterion_8b_entropy_does_not_cheapen_equal_h():
 
     def mean_cost(inst):
         runs = [
-            complexity_guessing(
-                SamplingOracle.for_instance(inst, seed=s), inst, 0.1, budget=None
+            solve(
+                complexity_guessing_plan, SamplingOracle.for_instance(inst, seed=s), inst, 0.1,
+                budget=None,
             ).total_samples
             for s in range(50)
         ]

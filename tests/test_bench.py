@@ -7,13 +7,18 @@ from bestarm import (
     OK,
     Instance,
     RunOutcome,
+    SamplingOracle,
     TrialReport,
+    baseline_successive_elimination_plan,
+    complexity_guessing_plan,
     conjectured_bound,
     equal_h_pair,
     generate_instances,
+    known_complexity_plan,
     make_discrete_instance,
     profile,
     run_trials,
+    solve,
     write_reports,
 )
 from bestarm import bench
@@ -63,6 +68,20 @@ class TestRunTrials:
         inst = Instance.from_means((1.0, 0.25), label="easy")
         report = run_trials("baseline", inst, 0.1, trials=10, base_seed=0)
         assert report.errors == 0
+
+    def test_run_one_trial_solves_the_named_plan(self):
+        # `known` must receive the instance complexity of the gap profile
+        inst = make_discrete_instance({1: 3, 2: 3}, 1.0, label="disc-7")
+        plans = {
+            "known": (known_complexity_plan, profile(inst).H, 0.01),
+            "guess": (complexity_guessing_plan, 0.01),
+            "baseline": (baseline_successive_elimination_plan, 0.01),
+        }
+        for algo, (plan, *args) in plans.items():
+            for seed in (0, 1):
+                oracle = SamplingOracle.for_instance(inst, seed=seed)
+                direct = solve(plan, oracle, inst, *args, budget=None)
+                assert bench.run_one_trial(algo, inst, 0.01, seed, None) == direct
 
     def test_worker_pool_matches_serial(self):
         serial = run_trials("guess", TWO_ARM, 0.05, trials=6, base_seed=5, budget=None)
@@ -156,6 +175,9 @@ class TestGenerateInstances:
             generate_instances("zipfian", {})
         with pytest.raises(ValueError):
             generate_instances("discrete-random", {"k_max": 5})
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="cap"):
+                generate_instances("discrete-random", {"cap": cap})
         with pytest.raises(ValueError):
             generate_instances("two-arm", {"gap": 1.5})
 

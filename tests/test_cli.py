@@ -56,6 +56,9 @@ def test_argument_errors_exit_1(tmp_path, capsys):
     assert "invalid float value: 'abc'" in capsys.readouterr().err
     assert main(["run", "--algo", "guess"]) == 1
     assert "--instance" in capsys.readouterr().err
+    # only 0 or 'none' lifts the cap; a negative one would lift it silently
+    assert main(["run", "--instance", str(path), "--budget", "-5"]) == 1
+    assert "budget must be >= 0, got -5" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):
@@ -154,7 +157,16 @@ def test_signxi_writes_profile(tmp_path, capsys):
 def test_signxi_without_gap_groups_is_a_config_error(tmp_path, capsys):
     for m in ("0", "-1", "5"):
         assert main(["signxi", "--m", m, "--out", str(tmp_path / "loss.csv")]) == 1
-        assert "error: need 1 <= m <= 4" in capsys.readouterr().err
+        assert f"error: need 1 <= m <= 4 gap groups, got {m}" in capsys.readouterr().err
+
+
+def test_gen_without_arms_per_group_is_a_config_error(tmp_path, capsys):
+    for cap in ("0", "-1"):
+        assert main([
+            "gen", "--kind", "discrete-random", "--params", f"cap={cap}",
+            "--out", str(tmp_path / "gen"),
+        ]) == 1
+        assert f"error: cap must be >= 1 arm per gap group, got {cap}" in capsys.readouterr().err
 
 
 def test_gen_equal_h_pair(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bestarm import Instance, SamplingOracle, complexity_guessing
+from bestarm import Instance, SamplingOracle, complexity_guessing_plan, solve
 from bestarm.solvers import SolveResult, make_outcome
 from doubles import DeterministicOracle
 
@@ -98,7 +98,7 @@ def test_overflowing_counter_raises_before_it_wraps():
     inst = Instance.from_means((1.0, 0.9999847412109375))
     oracle = SamplingOracle.for_instance(inst, seed=0)
     with pytest.raises(OverflowError):
-        complexity_guessing(oracle, inst, 0.01, budget=None)
+        solve(complexity_guessing_plan, oracle, inst, 0.01, budget=None)
     assert (oracle.counts >= 0).all()
 
 

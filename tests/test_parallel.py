@@ -11,12 +11,13 @@ from bestarm import (
     Instance,
     MeanRequest,
     SamplingOracle,
-    complexity_guessing,
-    known_complexity,
+    complexity_guessing_plan,
+    known_complexity_plan,
     parallel_simulation,
+    solve,
 )
 from bestarm.parallel import copy_seed
-from bestarm.solvers import SolveResult, known_complexity_plan
+from bestarm.solvers import SolveResult
 
 TWO_ARM = Instance.from_means((1.0, 0.5), label="two-arm")
 TRIPLE = Instance.from_means((1.0, 0.75, 0.5), label="triple")
@@ -151,7 +152,7 @@ class TestParallelSimulation:
             wrapped = parallel_simulation(TWO_ARM, 0.02, seed=seed, budget=None,
                                           max_copies=1)
             oracle = SamplingOracle.for_instance(TWO_ARM, seed=copy_seed(seed, 1))
-            direct = complexity_guessing(oracle, TWO_ARM, 0.01, budget=None)
+            direct = solve(complexity_guessing_plan, oracle, TWO_ARM, 0.01, budget=None)
             assert wrapped == direct
 
     def test_returns_best_arm(self):
@@ -183,7 +184,7 @@ class TestParallelSimulation:
         out = parallel_simulation(TWO_ARM, 0.02, inner, seed=5, budget=None)
         assert out.status == OK
         oracle = SamplingOracle.for_instance(TWO_ARM, seed=copy_seed(5, 1))
-        direct = known_complexity(oracle, TWO_ARM, H, 0.01, budget=None)
+        direct = solve(known_complexity_plan, oracle, TWO_ARM, H, 0.01, budget=None)
         solo = parallel_simulation(TWO_ARM, 0.02, inner, seed=5, budget=None, max_copies=1)
         assert solo == direct
 

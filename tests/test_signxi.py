@@ -7,10 +7,11 @@ from bestarm import (
     OK,
     RunOutcome,
     SamplingOracle,
+    complexity_guessing_plan,
     measure_loss_profile,
     run_sign_trial,
     sign_instance,
-    solve_sign_xi,
+    solve,
 )
 from bestarm.signxi import NEGATIVE, POSITIVE, SignResult, loss_profile_rows
 
@@ -51,16 +52,14 @@ class TestSolveSignXi:
         assert hits >= 46
 
     def test_sample_exact_accounting(self):
-        oracle = SamplingOracle.for_instance(sign_instance(0.25), seed=7)
-        res = solve_sign_xi(oracle, 0.25, delta=0.05, budget=None)
+        res = run_sign_trial(0.25, delta=0.05, seed=7, budget=None)
+        # the trial is the guessing solver over the seeded embedded oracle
+        embedded = sign_instance(0.25)
+        oracle = SamplingOracle.for_instance(embedded, seed=7)
+        assert res.outcome == solve(complexity_guessing_plan, oracle, embedded, 0.05, budget=None)
         assert res.outcome.total_samples == oracle.total
         assert res.outcome.per_arm_samples == tuple(int(c) for c in oracle.counts)
         assert all(c > 0 for c in oracle.counts)  # both embedded arms really sampled
-
-    def test_needs_two_arm_oracle(self):
-        oracle = SamplingOracle([0.75, 0.5, 0.1], seed=0)
-        with pytest.raises(ValueError):
-            solve_sign_xi(oracle, 0.25, delta=0.05)
 
     def test_budget_returns_no_decision(self):
         res = run_sign_trial(0.25, delta=0.01, seed=0, budget=1000)
@@ -75,14 +74,16 @@ class TestSolveSignXi:
         fwd = sign_instance(0.25)
         rev = bestarm.Instance.from_means((0.5, 0.75), label="sign-rev")
         fwd_mean = sum(
-            bestarm.complexity_guessing(
-                SamplingOracle.for_instance(fwd, seed=s), fwd, 0.05, budget=None
+            solve(
+                complexity_guessing_plan, SamplingOracle.for_instance(fwd, seed=s), fwd, 0.05,
+                budget=None,
             ).total_samples
             for s in range(100)
         ) / 100
         rev_mean = sum(
-            bestarm.complexity_guessing(
-                SamplingOracle.for_instance(rev, seed=s), rev, 0.05, budget=None
+            solve(
+                complexity_guessing_plan, SamplingOracle.for_instance(rev, seed=s), rev, 0.05,
+                budget=None,
             ).total_samples
             for s in range(100)
         ) / 100

@@ -11,12 +11,13 @@ from bestarm import (
     REJECTED,
     Instance,
     SamplingOracle,
-    baseline_successive_elimination,
-    complexity_guessing,
-    entropy_elimination,
-    known_complexity,
+    baseline_successive_elimination_plan,
+    complexity_guessing_plan,
+    entropy_elimination_plan,
+    known_complexity_plan,
     make_discrete_instance,
     profile,
+    solve,
 )
 from bestarm.solvers import (
     C_ROUNDS,
@@ -65,30 +66,30 @@ class TestKnownComplexity:
     def test_validates_arguments(self):
         oracle = gauss(TWO_ARM, 0)
         with pytest.raises(ValueError):
-            known_complexity(oracle, TWO_ARM, H=0.0, delta=0.01)
+            solve(known_complexity_plan, oracle, TWO_ARM, 0.0, 0.01)
         with pytest.raises(ValueError):
-            known_complexity(oracle, TWO_ARM, H=4.0, delta=1.0)
+            solve(known_complexity_plan, oracle, TWO_ARM, 4.0, 1.0)
 
     def test_two_arm_instance_statistics(self):
         hits = 0
         for seed in range(60):
-            out = known_complexity(gauss(TWO_ARM, seed), TWO_ARM, H=4.0, delta=0.01,
-                                   budget=None)
+            out = solve(known_complexity_plan, gauss(TWO_ARM, seed), TWO_ARM, 4.0, 0.01,
+                        budget=None)
             assert out.status == OK
             assert out.total_samples == sum(out.per_arm_samples)
             hits += out.arm == 0
         assert hits >= 58
 
     def test_budget_stops_before_crossing(self):
-        out = known_complexity(gauss(TWO_ARM, 1), TWO_ARM, H=4.0, delta=0.01,
-                               budget=10_000)
+        out = solve(known_complexity_plan, gauss(TWO_ARM, 1), TWO_ARM, 4.0, 0.01,
+                    budget=10_000)
         assert out.status == BUDGET_EXCEEDED
         assert out.arm is None
         assert out.total_samples <= 10_000
 
     def test_replay_determinism(self):
         runs = [
-            known_complexity(gauss(TWO_ARM, 9), TWO_ARM, H=4.0, delta=0.01, budget=None)
+            solve(known_complexity_plan, gauss(TWO_ARM, 9), TWO_ARM, 4.0, 0.01, budget=None)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -98,7 +99,7 @@ class TestEntropyElimination:
     def test_seven_arms_rejected_at_round_one_without_sampling(self):
         inst = Instance.from_means((1.0, 0.5, 0.5, 0.5, 0.75, 0.75, 0.875), label="n7")
         for seed in range(25):
-            out = entropy_elimination(gauss(inst, seed), inst, delta=0.005, t=1)
+            out = solve(entropy_elimination_plan, gauss(inst, seed), inst, 0.005, 1)
             assert out.status == REJECTED
             assert out.rounds_executed == 1
             assert out.total_samples == 0
@@ -107,10 +108,10 @@ class TestEntropyElimination:
         # 4 * n * eps_1^-2 = 16n crosses 100 exactly at n = 7
         for n in range(7, 13):
             inst = Instance.from_means([1.0] + [0.5] * (n - 1))
-            out = entropy_elimination(gauss(inst, 3), inst, delta=0.005, t=1)
+            out = solve(entropy_elimination_plan, gauss(inst, 3), inst, 0.005, 1)
             assert (out.status, out.rounds_executed, out.total_samples) == (REJECTED, 1, 0)
         inst6 = Instance.from_means([1.0] + [0.5] * 5)
-        out6 = entropy_elimination(gauss(inst6, 3), inst6, delta=0.005, t=1, budget=None)
+        out6 = solve(entropy_elimination_plan, gauss(inst6, 3), inst6, 0.005, 1, budget=None)
         assert out6.total_samples > 0
 
     def test_round_cap_and_theta_ladder(self):
@@ -118,8 +119,8 @@ class TestEntropyElimination:
         for t in (1, 2, 3):
             for seed in range(10):
                 events = []
-                out = entropy_elimination(gauss(inst, seed), inst, delta=0.008, t=t,
-                                          budget=None, trace=events.append)
+                out = solve(entropy_elimination_plan, gauss(inst, seed), inst, 0.008, t,
+                            budget=None, trace=events.append)
                 assert out.rounds_executed <= math.ceil(C_ROUNDS * t)
                 # only the guessing solver reports an accepted guess index
                 assert out.accepted_guess_t is None
@@ -133,8 +134,8 @@ class TestEntropyElimination:
     def test_monotone_round_ledgers(self):
         inst = Instance.from_means((1.0, 0.5, 0.5, 0.75, 0.75), label="ledger")
         events = []
-        entropy_elimination(gauss(inst, 4), inst, delta=0.008, t=2, budget=None,
-                            trace=events.append)
+        solve(entropy_elimination_plan, gauss(inst, 4), inst, 0.008, 2, budget=None,
+              trace=events.append)
         h_seen, t_seen = 0.0, 0.0
         for ev in events:
             assert ev.h_estimate >= h_seen
@@ -144,15 +145,15 @@ class TestEntropyElimination:
     def test_validates_guess_index(self):
         oracle = gauss(TWO_ARM, 0)
         with pytest.raises(ValueError):
-            entropy_elimination(oracle, TWO_ARM, delta=0.005, t=0)
+            solve(entropy_elimination_plan, oracle, TWO_ARM, 0.005, 0)
 
 
 class TestComplexityGuessing:
     def test_seven_arm_instance_skips_guess_one(self):
         inst = Instance.from_means((1.0, 0.5, 0.5, 0.5, 0.75, 0.75, 0.875), label="n7")
         events = []
-        out = complexity_guessing(gauss(inst, 2), inst, delta=0.005, budget=None,
-                                  trace=events.append)
+        out = solve(complexity_guessing_plan, gauss(inst, 2), inst, 0.005, budget=None,
+                    trace=events.append)
         assert out.status == OK
         assert out.accepted_guess_t >= 2
         first = events[0]
@@ -161,8 +162,8 @@ class TestComplexityGuessing:
     def test_two_arm_statistics(self):
         hits = 0
         for seed in range(60):
-            out = complexity_guessing(gauss(TWO_ARM, seed), TWO_ARM, delta=0.01,
-                                      budget=None)
+            out = solve(complexity_guessing_plan, gauss(TWO_ARM, seed), TWO_ARM, 0.01,
+                        budget=None)
             assert out.status == OK
             hits += out.arm == 0
         assert hits >= 58
@@ -170,10 +171,10 @@ class TestComplexityGuessing:
     def test_total_samples_reconcile_with_round_events(self):
         # both solvers built on the shared elimination round
         for run in (
-            lambda tr: complexity_guessing(gauss(TWO_ARM, 5), TWO_ARM, delta=0.01,
-                                           budget=None, trace=tr),
-            lambda tr: known_complexity(gauss(TWO_ARM, 5), TWO_ARM, H=4.0, delta=0.01,
-                                        budget=None, trace=tr),
+            lambda tr: solve(complexity_guessing_plan, gauss(TWO_ARM, 5), TWO_ARM, 0.01,
+                             budget=None, trace=tr),
+            lambda tr: solve(known_complexity_plan, gauss(TWO_ARM, 5), TWO_ARM, 4.0, 0.01,
+                             budget=None, trace=tr),
         ):
             events = []
             out = run(events.append)
@@ -183,13 +184,13 @@ class TestComplexityGuessing:
 
     def test_replay_determinism(self):
         runs = [
-            complexity_guessing(gauss(TWO_ARM, 11), TWO_ARM, delta=0.01, budget=None)
+            solve(complexity_guessing_plan, gauss(TWO_ARM, 11), TWO_ARM, 0.01, budget=None)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
     def test_budget_propagates(self):
-        out = complexity_guessing(gauss(TWO_ARM, 0), TWO_ARM, delta=0.01, budget=5000)
+        out = solve(complexity_guessing_plan, gauss(TWO_ARM, 0), TWO_ARM, 0.01, budget=5000)
         assert out.status == BUDGET_EXCEEDED
         assert out.total_samples <= 5000
 
@@ -204,7 +205,7 @@ class TestBaseline:
             r for r in range(1, 100_000) if se_radius(r, 2, delta) < 0.25
         )
         oracle = DeterministicOracle.for_instance(inst, seed=0)
-        out = baseline_successive_elimination(oracle, inst, delta)
+        out = solve(baseline_successive_elimination_plan, oracle, inst, delta)
         assert out.status == OK and out.arm == 0
         assert out.per_arm_samples == (expected_round, expected_round)
         assert out.rounds_executed == expected_round
@@ -213,13 +214,13 @@ class TestBaseline:
         inst = Instance.from_means((1.0, 0.0), label="easy")
         hits = 0
         for seed in range(200):
-            out = baseline_successive_elimination(gauss(inst, seed), inst, delta=0.1)
+            out = solve(baseline_successive_elimination_plan, gauss(inst, seed), inst, 0.1)
             hits += out.status == OK and out.arm == 0
         assert hits >= 180
 
     def test_budget(self):
         inst = Instance.from_means((1.0, 0.875), label="slow")
-        out = baseline_successive_elimination(gauss(inst, 0), inst, delta=0.01, budget=50)
+        out = solve(baseline_successive_elimination_plan, gauss(inst, 0), inst, 0.01, budget=50)
         assert out.status == BUDGET_EXCEEDED
         assert out.total_samples <= 50
 
@@ -230,11 +231,11 @@ def test_shuffle_makes_storage_order_irrelevant_on_average():
     fwd = Instance.from_means((1.0, 0.5, 0.75), label="fwd")
     rev = Instance.from_means((0.75, 0.5, 1.0), label="rev")
     fwd_hits = sum(
-        complexity_guessing(gauss(fwd, s), fwd, 0.01, budget=None).arm == 0
+        solve(complexity_guessing_plan, gauss(fwd, s), fwd, 0.01, budget=None).arm == 0
         for s in range(30)
     )
     rev_hits = sum(
-        complexity_guessing(gauss(rev, s), rev, 0.01, budget=None).arm == 2
+        solve(complexity_guessing_plan, gauss(rev, s), rev, 0.01, budget=None).arm == 2
         for s in range(30)
     )
     assert fwd_hits >= 28 and rev_hits >= 28
@@ -265,16 +266,15 @@ def test_golden_replay_of_solver_outcomes_and_round_events():
         H = profile(inst).H
         for seed in range(2):
             for budget in GOLDEN_BUDGETS:
-                record("known", inst, seed, budget, lambda o, tr: known_complexity(
-                    o, inst, H, 0.01, budget=budget, trace=tr))
-                record("guess", inst, seed, budget, lambda o, tr: complexity_guessing(
-                    o, inst, 0.01, budget=budget, trace=tr))
+                record("known", inst, seed, budget, lambda o, tr: solve(
+                    known_complexity_plan, o, inst, H, 0.01, budget=budget, trace=tr))
+                record("guess", inst, seed, budget, lambda o, tr: solve(
+                    complexity_guessing_plan, o, inst, 0.01, budget=budget, trace=tr))
                 for t in (1, 2):
-                    record(f"ee{t}", inst, seed, budget, lambda o, tr: entropy_elimination(
-                        o, inst, 0.01, t, budget=budget, trace=tr))
+                    record(f"ee{t}", inst, seed, budget, lambda o, tr: solve(
+                        entropy_elimination_plan, o, inst, 0.01, t, budget=budget, trace=tr))
             if inst.n_arms <= 10:
                 for budget in (None, 0, 1000):
-                    record("baseline", inst, seed, budget,
-                           lambda o, tr: baseline_successive_elimination(
-                               o, inst, 0.01, budget=budget))
+                    record("baseline", inst, seed, budget, lambda o, tr: solve(
+                        baseline_successive_elimination_plan, o, inst, 0.01, budget=budget))
     assert digest.hexdigest() == GOLDEN_DIGEST

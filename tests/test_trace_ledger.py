@@ -1,17 +1,17 @@
 """Tier-1 guard of the benchmark's draw ledger.
 
-Runs a few solver runs under the per-layer tracer of ``perfbench/`` and
-checks that its ledger reconciles: every oracle draw goes through a traced
-sampler inside a request, and off the ladder the draws charged to each
-primitive match the runs' round events and ``total_samples``.  A draw that
-bypasses the traced samplers fails here, not only in the benchmark's
-self-test.
+Runs a few solver and sign-reduction runs under the per-layer tracer of
+``perfbench/`` and checks that its ledger reconciles: every oracle draw goes
+through a traced sampler inside a request, and off the ladder the draws
+charged to each primitive match the runs' round events and
+``total_samples``.  A draw that bypasses the traced samplers fails here, not
+only in the benchmark's self-test.
 """
 
 import sys
 from pathlib import Path
 
-from bestarm import Instance, bench, make_discrete_instance, solvers
+from bestarm import Instance, bench, make_discrete_instance, signxi, solvers
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import Tracer, reconcile  # noqa: E402
@@ -41,6 +41,17 @@ def test_solver_draws_reconcile_under_the_tracer():
     assert counts["bench.trials"] == 3
     assert counts["oracle.draws"] > 0
     assert reconcile(counts, sum(out.total_samples for out in traced)) == []
+
+
+def test_sign_reduction_draws_reconcile_under_the_tracer():
+    runs = [
+        lambda mu=mu, seed=seed: signxi.run_sign_trial(mu, 0.05, seed, budget=None)
+        for mu, seed in ((0.25, 0), (-0.25, 1), (0.125, 2))
+    ]
+    plain, traced, counts = traced_runs(runs)
+    assert traced == plain
+    assert counts["oracle.draws"] > 0
+    assert reconcile(counts, sum(res.outcome.total_samples for res in traced)) == []
 
 
 def test_ladder_draws_reconcile_under_the_tracer():
