@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -201,12 +202,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a usage error; 2 is kept for budget stops.
         return 1 if exc.code else 0
+    code = 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Reader gone (`bestarm run ... | head -1`): no error; mute the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, OSError, OverflowError) as exc:
         # OverflowError: a run's draw counts outgrew the int64 per-arm ledger.
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

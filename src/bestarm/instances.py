@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,34 @@ class Instance:
     def best_arm(self) -> int:
         """Index of the unique arm with the largest mean."""
         return max(range(len(self.means)), key=self.means.__getitem__)
+
+    @cached_property
+    def _profile(self) -> GapProfile:
+        # The memo behind ``profile``; not a field, so ==, hash and repr ignore it.
+        means = self.means
+        best = self.best_arm
+        top = means[best]
+        groups: list[int | None] = []
+        for i, m in enumerate(means):
+            groups.append(None if i == best else group_index(top - m))
+        gaps = tuple(sorted(top - m for i, m in enumerate(means) if i != best))
+
+        by_group: dict[int, list[float]] = {}
+        for g in gaps:
+            by_group.setdefault(group_index(g), []).append(g)
+        Hk = {k: math.fsum(g**-2 for g in sorted(gs)) for k, gs in sorted(by_group.items())}
+        H = math.fsum(Hk.values())
+        pk = {k: hk / H for k, hk in Hk.items()}
+        ent = math.fsum(p * math.log(1.0 / p) for p in pk.values() if p > 0.0)
+        return GapProfile(
+            gaps=gaps,
+            groups=tuple(groups),
+            H=H,
+            Hk=Hk,
+            pk=pk,
+            ent=ent,
+            r_max=max(Hk),
+        )
 
 
 @dataclass(frozen=True)
@@ -87,35 +116,13 @@ def group_index(gap: float) -> int:
 
 
 def profile(instance: Instance) -> GapProfile:
-    """Compute the gap profile of an instance.
+    """Compute the gap profile of an instance, once: it is kept on the instance.
 
-    All sums use exact accumulation (math.fsum) so the result is invariant
-    under arm reordering.
+    Every call returns the same object, whose ``Hk``/``pk`` no caller
+    mutates.  All sums use exact accumulation (math.fsum) so the result is
+    invariant under arm reordering.
     """
-    means = instance.means
-    best = instance.best_arm
-    top = means[best]
-    groups: list[int | None] = []
-    for i, m in enumerate(means):
-        groups.append(None if i == best else group_index(top - m))
-    gaps = tuple(sorted(top - m for i, m in enumerate(means) if i != best))
-
-    by_group: dict[int, list[float]] = {}
-    for g in gaps:
-        by_group.setdefault(group_index(g), []).append(g)
-    Hk = {k: math.fsum(g**-2 for g in sorted(gs)) for k, gs in sorted(by_group.items())}
-    H = math.fsum(Hk.values())
-    pk = {k: hk / H for k, hk in Hk.items()}
-    ent = math.fsum(p * math.log(1.0 / p) for p in pk.values() if p > 0.0)
-    return GapProfile(
-        gaps=gaps,
-        groups=tuple(groups),
-        H=H,
-        Hk=Hk,
-        pk=pk,
-        ent=ent,
-        r_max=max(Hk),
-    )
+    return instance._profile
 
 
 def _check_delta(delta: float) -> None:

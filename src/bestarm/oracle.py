@@ -6,10 +6,7 @@ import math
 
 import numpy as np
 
-
-def _phi(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+_SQRT2 = math.sqrt(2.0)
 
 
 class SamplingOracle:
@@ -63,17 +60,18 @@ class SamplingOracle:
         # Python-int sum: storing it raises OverflowError where += would wrap.
         self.counts[arm] = self.counts.item(arm) + draws
         self._total += draws
-        return float(self.rng.normal(self._means[arm], draws**-0.5))
+        return self.rng.normal(self._means[arm], draws**-0.5)
 
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
         """How many of ``probes`` independent mean-of-``draws`` estimates fall below ``cutoff``.
 
-        Counts draws * probes samples against the arm.
+        Counts draws * probes samples against the arm.  The probability needs no clamp:
+        0.5 * erfc(.) lies in [0, 1] for all x, +-inf included; NaN makes binomial raise.
         """
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")
         n = draws * probes
         self.counts[arm] = self.counts.item(arm) + n
         self._total += n
-        p = min(max(_phi((cutoff - self._means[arm]) * math.sqrt(draws)), 0.0), 1.0)
-        return int(self.rng.binomial(probes, p))
+        x = (cutoff - self._means[arm]) * math.sqrt(draws)
+        return self.rng.binomial(probes, 0.5 * math.erfc(-x / _SQRT2))

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import repeat
 
 from .instances import _check_delta
 
@@ -86,8 +85,8 @@ class TallyRequest:
         return TallyRequest(self.arms[:k], self.draws, self.probes[:k], self.cutoff)
 
     def fulfill(self, oracle) -> int:
-        count, draws, cutoff = oracle.count_means_below, self.draws, self.cutoff
-        return sum(count(arm, draws, n, cutoff) for arm, n in zip(self.arms, self.probes))
+        draws, cutoff = repeat(self.draws), repeat(self.cutoff)
+        return sum(map(oracle.count_means_below, self.arms, draws, self.probes, cutoff))
 
 
 def split_at_cap(request, room: int):
@@ -181,10 +180,10 @@ def med_elim_plan(members, eps: float, delta: float):
     while len(active) > 1:
         draws = _count(2.0 * (eps_l / 2.0) ** -2 * math.log(3.0 / delta_l))
         means = yield MeanRequest(tuple(active), draws)
-        estimates = dict(zip(active, means))
         keep = (len(active) + 1) // 2
-        # Stable sort: ties keep the earlier-listed arm in front.
-        active = sorted(active, key=lambda a: -estimates[a])[:keep]
+        # Stable sort, reverse=True included: ties keep the earlier-listed arm in front.
+        order = sorted(range(len(active)), key=means.__getitem__, reverse=True)
+        active = [active[i] for i in order[:keep]]
         eps_l *= 0.75
         delta_l /= 2.0
     return active[0]
@@ -223,7 +222,7 @@ def frac_test_plan(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta):
     probes, per_probe = frac_test_probe_counts(c_lo, c_hi, theta_lo, theta_hi, delta)
     cutoff = (c_lo + c_hi) / 2.0
     # Multinomial pick counts have exactly the law of `probes` uniform picks.
-    picks = oracle.rng.multinomial(probes, np.full(len(members), 1.0 / len(members)))
+    picks = oracle.rng.multinomial(probes, [1.0 / len(members)] * len(members))
     # Arms with no pick are left out of the request.
     arms, counts = zip(*[(arm, n) for arm, n in zip(members, picks.tolist()) if n])
     below = yield TallyRequest(arms, per_probe, counts, cutoff)

@@ -153,7 +153,7 @@ def _shuffled_arms(oracle: SamplingOracle, instance: Instance) -> list[int]:
         raise ValueError(
             f"oracle has {oracle.n_arms} arms but instance {instance.label!r} has {instance.n_arms}"
         )
-    return [int(a) for a in oracle.rng.permutation(instance.n_arms)]
+    return oracle.rng.permutation(instance.n_arms).tolist()
 
 
 # --- the shared elimination round -------------------------------------------
@@ -313,20 +313,20 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     delta) / r) falls below another arm's estimate minus that radius.
     """
     _check_delta(delta)
-    members = _shuffled_arms(oracle, instance)
+    active = tuple(_shuffled_arms(oracle, instance))
     n = instance.n_arms
-    sums = {arm: 0.0 for arm in members}
-    active = members
+    sums = [0.0] * n  # aligned with ``active``
     r = 0
     while len(active) > 1:
         r += 1
-        rewards = yield MeanRequest(tuple(active), 1)
-        for arm, reward in zip(active, rewards):
-            sums[arm] += reward
+        rewards = yield MeanRequest(active, 1)
+        sums = [s + reward for s, reward in zip(sums, rewards)]
         radius = se_radius(r, n, delta)
-        means = {arm: sums[arm] / r for arm in active}
-        best_lcb = max(means[arm] - radius for arm in active)
-        active = [arm for arm in active if means[arm] + radius >= best_lcb]
+        means = [s / r for s in sums]
+        best_lcb = max(means) - radius
+        if min(means) + radius < best_lcb:  # float +- radius keeps the means' order
+            kept = [(a, s) for a, s, m in zip(active, sums, means) if m + radius >= best_lcb]
+            active, sums = zip(*kept)
     return SolveResult(arm=active[0], rounds=r)
 
 

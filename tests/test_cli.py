@@ -1,5 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import bestarm
 from bestarm.cli import main
 
 TWO_ARM_FILE = "# two arms\n1.0\n0.5\n"
@@ -101,6 +108,32 @@ def test_run_trace_has_no_effect_for_baseline(tmp_path, capsys):
     assert "no effect" in captured.err
     assert "round_index" not in captured.out
     assert "status            ok" in captured.out
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["run", "run-trace"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["at-exit", "mid-command"])
+def test_run_into_a_closed_pipe_exits_quietly(tmp_path, trace, unbuffered):
+    # `bestarm run ... | head -1`: the reader is gone before the first write.
+    # Buffered, the pipe breaks at main's final flush; unbuffered, at the
+    # command's first print.
+    path = write_instance(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(bestarm.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["run", "--instance", str(path), "--algo", "guess", "--delta", "0.05",
+            "--seed", "3", "--budget", "none"] + (["--trace"] if trace else [])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys; from bestarm.cli import main; sys.exit(main())", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.stderr == b""
+    assert child.returncode == 0
 
 
 def test_run_overflowing_ledger_is_a_config_error(tmp_path, capsys):

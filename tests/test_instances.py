@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -168,6 +169,25 @@ class TestProfile:
             assert p.pk == base.pk
             assert p.ent == base.ent
             assert p.r_max == base.r_max
+
+
+    def test_is_computed_once_per_instance(self):
+        inst = Instance.from_means((1.0, 0.5, 0.75, 0.75), "memo")
+        first = profile(inst)
+        assert profile(inst) is first
+        twin = Instance.from_means((1.0, 0.5, 0.75, 0.75), "memo")
+        assert profile(twin) == first and profile(twin) is not first
+
+    def test_memo_leaves_equality_hash_and_pickle_alone(self):
+        plain = Instance.from_means((1.0, 0.5, 0.75), "memo")
+        profiled = Instance.from_means((1.0, 0.5, 0.75), "memo")
+        profile(profiled)
+        assert plain == profiled and hash(plain) == hash(profiled)
+        assert repr(plain) == repr(profiled)
+        for inst in (plain, profiled):
+            copy = pickle.loads(pickle.dumps(inst))
+            assert copy == inst and hash(copy) == hash(inst)
+            assert profile(copy) == profile(inst)
 
 
 class TestConjecturedBound:

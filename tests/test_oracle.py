@@ -76,6 +76,21 @@ def test_count_means_below_extremes():
     assert oracle.total == 100 * 50 * 2
 
 
+@pytest.mark.parametrize("cutoff, p", [(np.inf, 1.0), (-np.inf, 0.0)])
+def test_count_means_below_at_infinite_cutoff(cutoff, p):
+    # Phi(+-inf) is exactly 1 / 0, so no clamp is needed to get there.
+    oracle = SamplingOracle([0.5], seed=6)
+    twin = np.random.default_rng(6)
+    assert oracle.count_means_below(0, 3, 40, cutoff) == twin.binomial(40, p) == 40 * p
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_count_means_below_rejects_nan_cutoff():
+    oracle = SamplingOracle([0.5], seed=0)
+    with pytest.raises(ValueError):
+        oracle.count_means_below(0, 3, 40, float("nan"))
+
+
 def test_count_means_below_matches_explicit_means():
     # Same law as thresholding explicit sample_mean estimates.
     oracle = SamplingOracle([0.5], seed=3)

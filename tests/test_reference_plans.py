@@ -1,0 +1,125 @@
+"""The library's median-elimination and baseline rounds against reference plans.
+
+The references are the straightforward forms of the two loops: a dict of
+estimates sorted with a lambda key, and per-arm dict sums with a
+per-arm lower bound.  The library's forms sort positions with
+``reverse=True`` and keep the baseline's sums in a list aligned with the
+active arms; they must give the same outcome, the same per-arm draws and
+leave the same generator state, tied means included.
+"""
+
+import math
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bestarm import (
+    Instance,
+    SamplingOracle,
+    baseline_successive_elimination_plan,
+    known_complexity_plan,
+    profile,
+    run_plan,
+    solve,
+)
+from bestarm.primitives import MeanRequest, _check_members, _count, med_elim_plan
+from bestarm.solvers import SolveResult, se_radius
+from doubles import DeterministicOracle
+
+
+def reference_med_elim_plan(members, eps, delta):
+    active = _check_members(members)
+    eps_l = eps / 4.0
+    delta_l = delta / 2.0
+    while len(active) > 1:
+        draws = _count(2.0 * (eps_l / 2.0) ** -2 * math.log(3.0 / delta_l))
+        means = yield MeanRequest(tuple(active), draws)
+        estimates = dict(zip(active, means))
+        keep = (len(active) + 1) // 2
+        active = sorted(active, key=lambda a: -estimates[a])[:keep]
+        eps_l *= 0.75
+        delta_l /= 2.0
+    return active[0]
+
+
+def reference_baseline_plan(oracle, instance, delta, emit=None):
+    members = [int(a) for a in oracle.rng.permutation(instance.n_arms)]
+    n = instance.n_arms
+    sums = {arm: 0.0 for arm in members}
+    active = members
+    r = 0
+    while len(active) > 1:
+        r += 1
+        rewards = yield MeanRequest(tuple(active), 1)
+        for arm, reward in zip(active, rewards):
+            sums[arm] += reward
+        radius = se_radius(r, n, delta)
+        means = {arm: sums[arm] / r for arm in active}
+        best_lcb = max(means[arm] - radius for arm in active)
+        active = [arm for arm in active if means[arm] + radius >= best_lcb]
+    return SolveResult(arm=active[0], rounds=r)
+
+
+# Sub-optimal arms share few gap values, so tied means are common.
+tied_instances = st.lists(st.sampled_from([0.25, 0.375, 0.5, 0.75]), min_size=1, max_size=5).map(
+    lambda gaps: Instance.from_means((1.0,) + tuple(1.0 - g for g in gaps), label="tied")
+)
+deltas = st.floats(0.05, 0.5)
+oracle_kinds = st.sampled_from([SamplingOracle, DeterministicOracle])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def state(oracle):
+    return oracle.rng.bit_generator.state
+
+
+@settings(max_examples=150)
+@given(tied_instances, st.floats(0.25, 1.0), deltas, oracle_kinds, seeds, st.randoms())
+def test_med_elim_matches_reference(instance, eps, delta, kind, seed, rnd):
+    members = list(range(instance.n_arms))
+    rnd.shuffle(members)
+    ours, ref = kind.for_instance(instance, seed), kind.for_instance(instance, seed)
+    winner = run_plan(med_elim_plan(members, eps, delta), ours)
+    assert winner == run_plan(reference_med_elim_plan(members, eps, delta), ref)
+    assert ours.counts.tolist() == ref.counts.tolist()
+    assert state(ours) == state(ref)
+
+
+@settings(max_examples=100)
+@given(tied_instances, deltas, oracle_kinds, seeds)
+def test_known_complexity_matches_reference_med_elim(instance, delta, kind, seed):
+    H = profile(instance).H
+    ours, ref = kind.for_instance(instance, seed), kind.for_instance(instance, seed)
+    outcome = solve(known_complexity_plan, ours, instance, H, delta, budget=None)
+    with mock.patch("bestarm.solvers.med_elim_plan", reference_med_elim_plan):
+        expected = solve(known_complexity_plan, ref, instance, H, delta, budget=None)
+    assert outcome == expected
+    assert state(ours) == state(ref)
+
+
+@settings(max_examples=100)
+@given(tied_instances, deltas, oracle_kinds, seeds, st.integers(0, 5000))
+def test_baseline_matches_reference(instance, delta, kind, seed, budget):
+    ours, ref = kind.for_instance(instance, seed), kind.for_instance(instance, seed)
+    outcome = solve(baseline_successive_elimination_plan, ours, instance, delta, budget=budget)
+    expected = solve(reference_baseline_plan, ref, instance, delta, budget=budget)
+    assert outcome == expected
+    assert state(ours) == state(ref)
+
+
+def test_baseline_keeps_an_arm_exactly_at_the_bound():
+    # Round 1 draws rewards 2R, 0 and (third arm) -1 with radius R: the
+    # arm at 0 has upper bound 0 + R == 2R - R, the best lower bound, so
+    # it survives the round; the arm at -1 leaves.
+    delta = 0.1
+    for extra in ((), (-1.0,)):
+        n = 2 + len(extra)
+        radius = se_radius(1, n, delta)
+        rewards = (2.0 * radius, 0.0) + extra
+        instance = Instance.from_means((1.0,) + (0.5,) * (n - 1), label="bound")
+        ours, ref = DeterministicOracle(rewards, seed=0), DeterministicOracle(rewards, seed=0)
+        outcome = solve(baseline_successive_elimination_plan, ours, instance, delta)
+        assert outcome == solve(reference_baseline_plan, ref, instance, delta)
+        assert outcome.arm == 0 and outcome.rounds_executed == 2
+        assert outcome.per_arm_samples == (2, 2) + (1,) * len(extra)
