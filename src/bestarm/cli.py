@@ -71,7 +71,7 @@ def cmd_stats(args) -> int:
         print(f"  group {k}:  H_k={prof.Hk[k]!r}  p_k={prof.pk[k]!r}")
     print(f"conjectured bound at delta={args.delta:g}: "
           f"{conjectured_bound(prof, args.delta)!r}")
-    print("csv: " + ",".join(profile_csv_row(instance, prof)))
+    print("csv: " + ",".join(profile_csv_row(instance)))
     return 0
 
 

@@ -106,13 +106,9 @@ def group_index(gap: float) -> int:
     """
     if not 0.0 < gap <= 1.0:
         raise ValueError(f"gap must lie in (0, 1], got {gap}")
-    k = int(math.floor(math.log2(1.0 / gap)))
-    # Guard against log/floor rounding right at the half-open boundaries.
-    while gap <= 2.0 ** -(k + 1):
-        k += 1
-    while gap > 2.0**-k:
-        k -= 1
-    return k
+    # Exact: gap = m * 2^e with 0.5 <= m < 1, and m == 0.5 only at gap = 2^-k.
+    m, e = math.frexp(gap)
+    return (m == 0.5) - e
 
 
 def profile(instance: Instance) -> GapProfile:
@@ -204,10 +200,9 @@ def format_instance(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def profile_csv_row(instance: Instance, prof: GapProfile | None = None) -> list[str]:
+def profile_csv_row(instance: Instance) -> list[str]:
     """Flatten a profile to one CSV row: id,n,H,ent,r_max then k,H_k,p_k per group."""
-    if prof is None:
-        prof = profile(instance)
+    prof = profile(instance)
     row = [
         instance.label,
         str(instance.n_arms),

@@ -43,9 +43,9 @@ class SamplingOracle:
         """Total draws taken so far, over all arms."""
         return self._total
 
-    def snapshot(self) -> np.ndarray:
-        """Copy of the per-arm draw counters."""
-        return self.counts.copy()
+    def snapshot(self) -> list[int]:
+        """The per-arm draw counters, as Python ints."""
+        return self.counts.tolist()
 
     def draw(self, arm: int) -> float:
         """One reward from one arm; increments that arm's counter by one."""

@@ -21,9 +21,10 @@ go to the lower copy index, which is the order in which the per-draw
 schedule serves copies within one iteration.
 
 A request covers several arms, served in order, and the ledger stays per
-draw: under a budget a copy stops at the first arm that crosses its cap,
-and when the winner finishes, each other copy's draws toward its request
-in flight are attributed arm by arm, in request order.
+draw.  Each copy's oracle is its only draw ledger.  Every request goes
+through :func:`~bestarm.primitives.serve`, so under a budget a copy stops
+at the first arm that crosses its cap.  When the winner finishes, each
+other copy's draws toward its request in flight are attributed arm by arm.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .instances import Instance, _check_delta
 from .oracle import SamplingOracle
-from .primitives import split_at_cap
+from .primitives import BudgetExceededError, serve, split_at_cap
 from .solvers import DEFAULT_BUDGET, RunOutcome, complexity_guessing_plan, make_outcome
 
 
@@ -46,21 +47,24 @@ def copy_seed(seed, k: int) -> np.random.SeedSequence:
 
 
 class _Copy:
-    __slots__ = ("index", "step", "oracle", "plan", "pending", "consumed", "result", "budget_hit")
+    __slots__ = ("index", "step", "oracle", "plan", "pending", "result")
 
     def __init__(self, index, oracle, plan):
         self.index = index
         self.step = 1 << (index - 1)  # iterations between two draw grants
         self.oracle = oracle
         self.plan = plan
-        self.consumed = 0
         self.result = None
-        self.budget_hit = False
+        self.resume(None)  # a plan may terminate without sampling
+
+    def resume(self, reply) -> bool:
+        """Send ``reply`` to the plan; True once it has returned its result."""
         try:
-            self.pending = next(plan)
-        except StopIteration as stop:  # terminated without sampling
-            self.pending = None
-            self.result = stop.value
+            self.pending = self.plan.send(reply)
+            return False
+        except StopIteration as stop:
+            self.pending, self.result = None, stop.value
+            return True
 
     def finish_iteration(self, budget) -> int:
         """Iteration at which the pending request (or termination) falls due.
@@ -68,12 +72,13 @@ class _Copy:
         A request that would cross the budget falls due at the end of its
         first arm that crosses.
         """
+        consumed = self.oracle.total
         if self.pending is None:
-            return max(self.consumed, 1) * self.step
+            return max(consumed, 1) * self.step
         due = self.pending.cost
-        if budget is not None and self.consumed + due > budget:
-            due = split_at_cap(self.pending, budget - self.consumed)[1]
-        return (self.consumed + due) * self.step
+        if budget is not None and consumed + due > budget:
+            due = split_at_cap(self.pending, budget - consumed)[1]
+        return (consumed + due) * self.step
 
     def grants(self, stop: int, winner: int) -> int:
         """Draws granted up to iteration ``stop``: one per multiple of the
@@ -92,7 +97,6 @@ def parallel_simulation(
     *,
     seed=0,
     budget: int | None = DEFAULT_BUDGET,
-    max_copies: int | None = None,
 ) -> RunOutcome:
     """Run laddered copies of a solver and return the first finisher's answer.
 
@@ -101,12 +105,11 @@ def parallel_simulation(
         delta: overall confidence; copy k runs at delta / 2^k.
         inner: plan factory ``(oracle, instance, delta_k) -> generator``;
             defaults to the complexity-guessing solver.
-        seed: base seed; copy k's oracle is seeded from ``copy_seed(seed, k)``.
-        budget: per-copy sample cap.  A copy whose next arm would cross
-            the cap terminates with a budget error, which propagates as the
-            wrapper's answer if that copy finishes first.
-        max_copies: optional cap on the ladder height (1 reproduces a plain
-            run of the solver at delta / 2).
+        seed: base seed; copy k's oracle is seeded from ``copy_seed(seed, k)``
+            and is that copy's only draw ledger.
+        budget: per-copy sample cap, applied by ``serve``.  A copy whose
+            next arm would cross the cap stops there; if that copy is the
+            first to finish, the run is ``budget_exceeded``.
 
     Returns:
         RunOutcome whose sample counts sum every draw granted to every copy,
@@ -131,9 +134,7 @@ def parallel_simulation(
     while True:
         # Any not-yet-spawned copy whose first grant precedes the next event
         # could still beat it, so materialize those lazily.
-        while (max_copies is None or len(copies) < max_copies) and (
-            1 << len(copies)
-        ) <= events[0][0]:
+        while (1 << len(copies)) <= events[0][0]:
             spawn()
         stop_iter, index = events[0]
         stale = stop_iter  # where grants to the other copies end; see below
@@ -141,35 +142,29 @@ def parallel_simulation(
         if live.result is not None:
             break
         request = live.pending
-        if budget is not None and live.consumed + request.cost > budget:
-            head, _ = split_at_cap(request, budget - live.consumed)
-            if head is not None:
-                head.fulfill(live.oracle)
-            live.budget_hit = True
+        try:
+            reply = serve(request, live.oracle, budget)
+        except BudgetExceededError:
             live.plan.close()
             break
-        reply = request.fulfill(live.oracle)
-        live.consumed += request.cost
-        try:
-            live.pending = live.plan.send(reply)
-        except StopIteration as stop:
-            live.result = stop.value
+        if live.resume(reply):
             # Known over-count, kept so that ladder outcomes replay: the
             # other copies are granted draws up to one more serving of the
             # winner's last arm.
-            stale = (live.consumed + request.arm_costs()[-1]) * live.step
+            stale = (live.oracle.total + request.arm_costs()[-1]) * live.step
             break
         heapq.heapreplace(events, (live.finish_iteration(budget), live.index))
     winner = live
     # Python-int sums: the ledger is exact where an int64 sum would wrap.
-    per_arm = [sum(column) for column in zip(*(c.oracle.counts.tolist() for c in copies))]
+    per_arm = [sum(column) for column in zip(*(c.oracle.snapshot() for c in copies))]
     for copy in copies:
         if copy is winner or copy.pending is None:
             continue
         # Arms of the in-flight request completed by the stop count in
         # full; the first one still open gets its grants up to ``stale``.
-        done = copy.grants(stop_iter, winner.index) - copy.consumed
-        granted = copy.grants(stale, winner.index) - copy.consumed
+        consumed = copy.oracle.total
+        done = copy.grants(stop_iter, winner.index) - consumed
+        granted = copy.grants(stale, winner.index) - consumed
         for arm, cost in zip(copy.pending.arms, copy.pending.arm_costs()):
             if done < cost:
                 per_arm[arm] += min(max(granted, 0), cost)
@@ -177,4 +172,5 @@ def parallel_simulation(
             per_arm[arm] += cost
             done -= cost
             granted -= cost
-    return make_outcome(None if winner.budget_hit else winner.result, per_arm)
+    # A winner stopped by its budget never returned, so its result is None.
+    return make_outcome(winner.result, per_arm)

@@ -12,9 +12,9 @@ A plan yields one request per round: per median-elimination round, per
 uniform-sampling call and per fraction test.  A request names an ordered
 tuple of arms, and fulfilling it samples them arm by arm, in that order,
 so the RNG stream and the draw counters advance exactly as one request per
-arm would.  Budget stops stay per arm: a request that would cross a
-sample cap is served only up to its last arm that fits (see
-:func:`split_at_cap`).
+arm would.  Budget stops stay per arm: :func:`serve`, the one serving
+step of every plan driver, serves a request that would cross the sample
+cap only up to its last arm that fits (see :func:`split_at_cap`).
 
 Ties are broken toward the arm listed first, so callers control tie order
 through the member sequence.
@@ -32,7 +32,7 @@ class BudgetExceededError(RuntimeError):
     """Raised by plan drivers when the next request would cross the sample cap."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class MeanRequest:
     """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms``.
 
@@ -59,7 +59,7 @@ class MeanRequest:
         return [sample_mean(arm, draws) for arm in self.arms]
 
 
-@dataclass(frozen=True)
+@dataclass
 class TallyRequest:
     """Ask how many of ``probes[i]`` independent mean-of-``draws`` estimates
     from ``arms[i]`` fall strictly below ``cutoff``, summed over the arms.
@@ -105,12 +105,28 @@ def split_at_cap(request, room: int):
     return request, through
 
 
+def serve(request, oracle, budget: int | None):
+    """Fulfil ``request`` against ``oracle`` and return the reply.
+
+    If that would push the oracle's total past ``budget`` (None lifts the
+    cap), only the leading arms that fit are served and BudgetExceededError
+    is raised; the arm that crosses is never drawn.
+    """
+    if budget is not None and oracle.total + request.cost > budget:
+        head, _ = split_at_cap(request, budget - oracle.total)
+        if head is not None:
+            head.fulfill(oracle)
+        raise BudgetExceededError(
+            f"next request ({request.cost} draws) would exceed the cap of {budget}"
+        )
+    return request.fulfill(oracle)
+
+
 def run_plan(plan, oracle, budget: int | None = None):
     """Drive a sampling plan to completion against an oracle.
 
-    If fulfilling the next request would push the oracle's total past
-    ``budget``, its arms that still fit are served, the plan is closed and
-    BudgetExceededError raised; the arm that crosses is never drawn.
+    Each request goes through :func:`serve`; on a budget stop the plan is
+    closed and BudgetExceededError re-raised.
     """
     reply = None
     while True:
@@ -118,15 +134,11 @@ def run_plan(plan, oracle, budget: int | None = None):
             request = plan.send(reply)
         except StopIteration as stop:
             return stop.value
-        if budget is not None and oracle.total + request.cost > budget:
-            head, _ = split_at_cap(request, budget - oracle.total)
-            if head is not None:
-                head.fulfill(oracle)
+        try:
+            reply = serve(request, oracle, budget)
+        except BudgetExceededError:
             plan.close()
-            raise BudgetExceededError(
-                f"next request ({request.cost} draws) would exceed the cap of {budget}"
-            )
-        reply = request.fulfill(oracle)
+            raise
 
 
 def _count(value: float) -> int:

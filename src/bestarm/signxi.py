@@ -27,16 +27,14 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
-def sign_instance(hidden_mean: float, label: str | None = None) -> Instance:
+def sign_instance(hidden_mean: float) -> Instance:
     """Two-arm embedding of the sign problem: (0.5 + mu, 0.5).
 
     Requires 0 < |mu| <= 0.5 so both means stay in [0, 1].
     """
     if not 0.0 < abs(hidden_mean) <= SIGN_SHIFT:
         raise ValueError(f"hidden mean must satisfy 0 < |mu| <= {SIGN_SHIFT}, got {hidden_mean}")
-    if label is None:
-        label = f"sign{hidden_mean:+g}"
-    return Instance.from_means((SIGN_SHIFT + hidden_mean, SIGN_SHIFT), label)
+    return Instance.from_means((SIGN_SHIFT + hidden_mean, SIGN_SHIFT), f"sign{hidden_mean:+g}")
 
 
 @dataclass(frozen=True)

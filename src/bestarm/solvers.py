@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
-import numpy as np
-
 from .instances import Instance, _check_delta
 from .oracle import SamplingOracle
 from .primitives import (
@@ -336,13 +334,10 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
 def make_outcome(result: SolveResult | None, per_arm, budget_rounds: int = 0) -> RunOutcome:
     """Package a plan's result and its per-arm draws as a :class:`RunOutcome`.
 
-    ``per_arm`` is an int64 array or a list of ints; the total is summed in
-    Python ints, so it is exact even where an int64 sum would wrap.
-    ``result`` is None for a run stopped by its budget, which then reports
-    ``budget_rounds`` completed rounds.
+    ``per_arm`` is a list of Python ints, so the total is exact even where
+    an int64 sum would wrap.  ``result`` is None for a run stopped by its
+    budget, which then reports ``budget_rounds`` completed rounds.
     """
-    if isinstance(per_arm, np.ndarray):
-        per_arm = per_arm.tolist()
     if result is None:
         status, result = BUDGET_EXCEEDED, SolveResult(arm=None, rounds=budget_rounds)
     else:
@@ -383,4 +378,5 @@ def solve(
         result = run_plan(plan(oracle, instance, *args, emit=emit), oracle, budget=budget)
     except BudgetExceededError:
         result = None
-    return make_outcome(result, oracle.snapshot() - before, budget_rounds=len(events))
+    per_arm = [a - b for a, b in zip(oracle.snapshot(), before)]
+    return make_outcome(result, per_arm, budget_rounds=len(events))

@@ -81,6 +81,10 @@ class TestGroupIndex:
         assert group_index(0.5) == 1
         assert group_index(1.0) == 0
         assert group_index(0.3) == 1
+        # subnormal gaps, where 1 / gap overflows to inf
+        assert group_index(5e-324) == 1074
+        assert group_index(2.0**-1024) == 1024
+        assert group_index(math.nextafter(2.0**-1024, 1.0)) == 1023
 
     def test_boundary_gap_goes_to_closed_end(self):
         # gap exactly 2^-k belongs to group k, not k-1

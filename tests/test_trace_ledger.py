@@ -63,11 +63,11 @@ def test_ladder_draws_reconcile_under_the_tracer():
 
     def ladder():
         oracles.clear()
-        return bench.parallel_simulation(DISC, 0.01, inner, seed=0, budget=None, max_copies=3)
+        return bench.parallel_simulation(DISC, 0.01, inner, seed=0, budget=None)
 
     plain, traced, counts = traced_runs([ladder])
     assert traced == plain
-    assert counts["parallel.copies"] == 3
+    assert counts["parallel.copies"] == len(oracles)
     assert counts["parallel.events"] > 0
     assert reconcile(counts, None) == []
     # every draw of every copy went through a traced sampler
