@@ -39,13 +39,7 @@ from .solvers import (
     solve,
 )
 from .parallel import copy_seed, parallel_simulation
-from .signxi import (
-    LossProfile,
-    SignResult,
-    measure_loss_profile,
-    run_sign_trial,
-    sign_instance,
-)
+from .signxi import LossProfile, measure_loss_profile, sign_instance
 from .bench import (
     ALGORITHMS,
     TrialReport,

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from itertools import repeat
 
@@ -101,8 +101,11 @@ def run_trials(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    bound = conjectured_bound(profile(instance), delta)  # refuses a bad instance before any run
     seeds = [base_seed + i for i in range(trials)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
         args = (repeat(algo), repeat(instance), repeat(delta), seeds, repeat(budget))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_one_trial, *args))
@@ -130,7 +133,6 @@ def run_trials(
         if outcome.accepted_guess_t is not None:
             accepted.append(outcome.accepted_guess_t)
 
-    bound = conjectured_bound(profile(instance), delta)
     mean_samples = math.fsum(totals) / len(totals) if totals else math.nan
     return TrialReport(
         algo=algo,
@@ -219,56 +221,69 @@ def equal_h_pair(
     return lo, hi
 
 
-def generate_instances(kind: str, params: dict | None = None, seed: int = 0) -> list[Instance]:
-    """Generate benchmark instances.
+GEN_KEYS = {
+    "two-arm": ("gap", "gaps"),
+    "discrete-random": ("count", "k_max", "cap", "top_mean"),
+    "equal-h-varying-ent": ("h", "k_max", "cap", "top_mean"),
+}
 
-    Kinds:
-      * ``two-arm``: params ``gap`` (or ``gaps`` list); best arm at 1.0.
-      * ``discrete-random``: params ``count``, ``k_max`` (<= 3 so the
-        minimum gap stays >= 0.125), ``cap`` arms per group, ``top_mean``.
-      * ``equal-h-varying-ent``: params ``h``, ``k_max``, ``cap``; emits a
-        pair with identical complexity and entropies 0 versus maximal.
+
+def _number(key: str, value, integer: bool = False):
+    """``value`` as a float (an int when ``integer``); ValueError naming ``key`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or integer and value % 1:
+        kind = "an integer" if integer else "a single number"
+        raise ValueError(f"parameter {key} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def generate_instances(kind: str, params: dict | None = None, seed: int = 0) -> list[Instance]:
+    """Generate benchmark instances; an unknown key or a wrong value raises ValueError.
+
+    Kinds (``k_max`` <= 3 keeps every gap >= 0.125):
+      * ``two-arm``: params ``gap`` or ``gaps``, one gap or a list; best arm at 1.0.
+      * ``discrete-random``: params ``count`` >= 1, ``k_max``, ``cap`` arms per
+        group, ``top_mean``.
+      * ``equal-h-varying-ent``: params ``h``, ``k_max``, ``cap``, ``top_mean``;
+        emits a pair with identical complexity and entropies 0 versus maximal.
     """
     params = dict(params or {})
+    if kind not in GEN_KEYS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    keys = GEN_KEYS[kind]
+    unknown = ", ".join(sorted(set(params) - set(keys)))
+    if unknown:
+        raise ValueError(f"unknown {kind} parameter(s) {unknown}; expected {', '.join(keys)}")
     if kind == "two-arm":
-        gaps = params.get("gaps", [params.get("gap", 0.5)])
+        gaps = params.get("gaps", params.get("gap", 0.5))
         if not isinstance(gaps, (list, tuple)):
             gaps = [gaps]
         out = []
         for gap in gaps:
-            gap = float(gap)
+            gap = _number("gap", gap)
             if not 0.0 < gap <= 1.0:
                 raise ValueError(f"two-arm gap must lie in (0, 1], got {gap}")
             out.append(Instance.from_means((1.0, 1.0 - gap), f"two-arm-g{gap:g}"))
         return out
-    if kind == "discrete-random":
-        count = int(params.get("count", 5))
-        k_max = int(params.get("k_max", 3))
-        cap = int(params.get("cap", 3))
-        top_mean = float(params.get("top_mean", 1.0))
-        if not 1 <= k_max <= 3:
-            raise ValueError(f"k_max must be in 1..3 at desk scale, got {k_max}")
-        if cap < 1:
-            raise ValueError(f"cap must be >= 1 arm per gap group, got {cap}")
-        rng = np.random.default_rng(seed)
-        out = []
-        for idx in range(count):
-            counts = {}
-            while not counts:
-                counts = {
-                    k: int(rng.integers(0, cap + 1)) for k in range(1, k_max + 1)
-                }
-                counts = {k: n for k, n in counts.items() if n}
-            sig = "-".join(f"{k}:{n}" for k, n in sorted(counts.items()))
-            out.append(make_discrete_instance(counts, top_mean, label=f"disc{idx}-{sig}"))
-        return out
+    k_max = _number("k_max", params.get("k_max", 3), integer=True)
+    cap = _number("cap", params.get("cap", 3 if kind == "discrete-random" else 8), integer=True)
+    top_mean = _number("top_mean", params.get("top_mean", 1.0))
+    if not 1 <= k_max <= 3:
+        raise ValueError(f"k_max must be in 1..3 at desk scale, got {k_max}")
     if kind == "equal-h-varying-ent":
-        return list(
-            equal_h_pair(
-                h_target=int(params.get("h", 32)),
-                k_max=int(params.get("k_max", 3)),
-                cap=int(params.get("cap", 8)),
-                top_mean=float(params.get("top_mean", 1.0)),
-            )
-        )
-    raise ValueError(f"unknown instance kind {kind!r}")
+        h = _number("h", params.get("h", 32), integer=True)
+        return list(equal_h_pair(h_target=h, k_max=k_max, cap=cap, top_mean=top_mean))
+    count = _number("count", params.get("count", 5), integer=True)
+    if count < 1:
+        raise ValueError(f"count must be >= 1 instance, got {count}")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1 arm per gap group, got {cap}")
+    rng = np.random.default_rng(seed)
+    out = []
+    for idx in range(count):
+        counts = {}
+        while not counts:
+            drawn = (int(rng.integers(0, cap + 1)) for _ in range(k_max))
+            counts = {k: n for k, n in enumerate(drawn, start=1) if n}
+        sig = "-".join(f"{k}:{n}" for k, n in sorted(counts.items()))
+        out.append(make_discrete_instance(counts, top_mean, label=f"disc{idx}-{sig}"))
+    return out

@@ -20,9 +20,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bench import ALGORITHMS, generate_instances, run_one_trial, run_trials, write_reports
+from .bench import (
+    ALGORITHMS, GEN_KEYS, generate_instances, run_one_trial, run_trials, write_reports,
+)
 from .instances import conjectured_bound, format_instance, parse_instance, profile, profile_csv_row
-from .signxi import loss_profile_rows, measure_loss_profile, run_sign_trial
+from .signxi import loss_profile_rows, measure_loss_profile
 from .solvers import BUDGET_EXCEEDED, DEFAULT_BUDGET
 
 
@@ -47,30 +49,25 @@ def _parse_params(pairs):
         if "=" not in pair:
             raise ValueError(f"expected key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
-        if "," in raw:
-            params[key] = [float(v) for v in raw.split(",")]
-        else:
-            try:
-                params[key] = int(raw)
-            except ValueError:
-                try:
-                    params[key] = float(raw)
-                except ValueError:
-                    params[key] = raw
+        try:
+            values = [float(v) for v in raw.split(",")]
+        except ValueError:
+            values = [raw]  # not numbers: generate_instances names the key
+        params[key] = values if len(values) > 1 else values[0]
     return params
 
 
 def cmd_stats(args) -> int:
     instance = _load_instance(args.instance)
     prof = profile(instance)
+    bound = conjectured_bound(prof, args.delta)  # refuses a bad --delta before any output
     print(f"instance      {instance.label}  (n={instance.n_arms})")
     print(f"H             {prof.H!r}")
     print(f"gap entropy   {prof.ent!r}")
     print(f"r_max         {prof.r_max}")
     for k in sorted(prof.Hk):
         print(f"  group {k}:  H_k={prof.Hk[k]!r}  p_k={prof.pk[k]!r}")
-    print(f"conjectured bound at delta={args.delta:g}: "
-          f"{conjectured_bound(prof, args.delta)!r}")
+    print(f"conjectured bound at delta={args.delta:g}: {bound!r}")
     print("csv: " + ",".join(profile_csv_row(instance)))
     return 0
 
@@ -126,7 +123,7 @@ def cmd_signxi(args) -> int:
         raise ValueError(f"need 1 <= m <= 4 gap groups, got {args.m}")
     pk = [1.0 / args.m] * args.m
     prof = measure_loss_profile(
-        run_sign_trial, pk, args.delta, args.trials, base_seed=args.seed, budget=args.budget
+        pk, args.delta, args.trials, base_seed=args.seed, budget=args.budget
     )
     with open(args.out, "w", newline="") as fh:
         csv.writer(fh).writerows(loss_profile_rows(prof))
@@ -187,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_signxi)
 
     p = sub.add_parser("gen", help="generate instance files")
-    p.add_argument("--kind", required=True,
-                   choices=["two-arm", "discrete-random", "equal-h-varying-ent"])
+    p.add_argument("--kind", required=True, choices=list(GEN_KEYS))
     p.add_argument("--params", nargs="*", help="key=value pairs, e.g. gap=0.5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")

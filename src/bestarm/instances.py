@@ -63,8 +63,11 @@ class Instance:
         by_group: dict[int, list[float]] = {}
         for g in gaps:
             by_group.setdefault(group_index(g), []).append(g)
-        Hk = {k: math.fsum(g**-2 for g in sorted(gs)) for k, gs in sorted(by_group.items())}
-        H = math.fsum(Hk.values())
+        try:
+            Hk = {k: math.fsum(g**-2 for g in sorted(gs)) for k, gs in sorted(by_group.items())}
+            H = math.fsum(Hk.values())
+        except OverflowError:
+            raise ValueError(f"smallest gap {gaps[0]!r} too small: H overflows a float") from None
         pk = {k: hk / H for k, hk in Hk.items()}
         ent = math.fsum(p * math.log(1.0 / p) for p in pk.values() if p > 0.0)
         return GapProfile(
@@ -130,7 +133,10 @@ def _check_delta(delta: float) -> None:
 def conjectured_bound(prof: GapProfile, delta: float) -> float:
     """Instance complexity scale H * (ln(1/delta) + Ent), with unit constant."""
     _check_delta(delta)
-    return prof.H * (math.log(1.0 / delta) + prof.ent)
+    bound = prof.H * (math.log(1.0 / delta) + prof.ent)
+    if not math.isfinite(bound):
+        raise ValueError(f"smallest gap {prof.gaps[0]!r} too small: the bound overflows a float")
+    return bound
 
 
 def make_discrete_instance(

@@ -4,8 +4,10 @@ Deciding whether a hidden mean mu is positive or negative is solved by
 racing the hidden arm against a fictitious reference arm of known mean:
 both are embedded at an offset of 0.5 so the two-arm instance stays inside
 [0, 1] (shifting a unit-variance Gaussian does not change the problem).
-The module also measures the per-gap sample-cost profile of a solver over a
-distribution of gaps 2^-k.
+The reduction is :func:`sign_instance`; the bench runs it like any other
+instance, and a wrong sign is a wrong best arm.  The module also measures
+the per-gap sample-cost profile of the guessing solver over a distribution
+of gaps 2^-k, with :func:`bestarm.bench.run_trials`.
 """
 
 from __future__ import annotations
@@ -14,57 +16,23 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+from .bench import run_trials
 from .instances import Instance
-from .oracle import SamplingOracle
-from .solvers import BUDGET_EXCEEDED, DEFAULT_BUDGET, OK, RunOutcome, complexity_guessing_plan, solve
+from .solvers import DEFAULT_BUDGET
 
 #: Embedding offset; the reference arm sits exactly here.
 SIGN_SHIFT = 0.5
-REAL_ARM = 0
-REFERENCE_ARM = 1
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
 
 
 def sign_instance(hidden_mean: float) -> Instance:
     """Two-arm embedding of the sign problem: (0.5 + mu, 0.5).
 
-    Requires 0 < |mu| <= 0.5 so both means stay in [0, 1].
+    The real arm comes first, so the sign is positive iff a run answers arm
+    0.  Requires 0 < |mu| <= 0.5 so both means stay in [0, 1].
     """
     if not 0.0 < abs(hidden_mean) <= SIGN_SHIFT:
         raise ValueError(f"hidden mean must satisfy 0 < |mu| <= {SIGN_SHIFT}, got {hidden_mean}")
     return Instance.from_means((SIGN_SHIFT + hidden_mean, SIGN_SHIFT), f"sign{hidden_mean:+g}")
-
-
-@dataclass(frozen=True)
-class SignResult:
-    """Decision ("positive"/"negative", None on budget exhaustion) plus the raw run."""
-
-    decision: str | None
-    outcome: RunOutcome
-
-
-def run_sign_trial(
-    hidden_mean: float,
-    delta: float,
-    seed,
-    *,
-    budget: int | None = DEFAULT_BUDGET,
-) -> SignResult:
-    """Decide the sign of the hidden mean in one seeded trial of the reduction.
-
-    Runs the guessing solver on ``sign_instance(hidden_mean)`` (real arm
-    first) over its own oracle; every draw of either embedded arm is counted
-    there, so the outcome's totals are exactly the reduction's sample cost.
-    Correct with probability >= 1 - delta for delta < 0.01.
-    """
-    embedded = sign_instance(hidden_mean)
-    oracle = SamplingOracle.for_instance(embedded, seed=seed)
-    outcome = solve(complexity_guessing_plan, oracle, embedded, delta, budget=budget)
-    if outcome.status != OK:
-        return SignResult(None, outcome)
-    return SignResult(POSITIVE if outcome.arm == REAL_ARM else NEGATIVE, outcome)
 
 
 @dataclass(frozen=True)
@@ -89,7 +57,6 @@ class LossProfile:
 
 
 def measure_loss_profile(
-    solver,
     pk: Sequence[float],
     delta: float,
     trials: int,
@@ -97,11 +64,12 @@ def measure_loss_profile(
     base_seed: int = 0,
     budget: int | None = DEFAULT_BUDGET,
 ) -> LossProfile:
-    """Measure a sign solver's loss profile over a gap distribution.
+    """Measure the guessing solver's sign loss profile over a gap distribution.
+
+    Gap k is one :func:`~bestarm.bench.run_trials` batch of ``guess`` on
+    ``sign_instance(2^-k)``; its mean sample count over 4^k is alpha_k.
 
     Args:
-        solver: trial runner ``(hidden_mean, delta, seed, *, budget) ->
-            SignResult``; :func:`run_sign_trial` fits.
         pk: probability of each gap 2^-k, for k = 1..m.  m <= 4 (the 4^k
             sample growth caps desk-scale gaps), probabilities must sum to 1.
         delta: confidence handed to each trial.
@@ -119,25 +87,12 @@ def measure_loss_profile(
     if trials < 30:
         raise ValueError(f"need at least 30 trials per gap, got {trials}")
 
-    alpha: list[float | None] = []
     mean_samples: list[float | None] = []
     for k in ks:
-        totals: list[int] = []
-        invalid = False
-        for i in range(trials):
-            seed = base_seed + (k - 1) * trials + i
-            result = solver(2.0**-k, delta, seed, budget=budget)
-            if result.outcome.status == BUDGET_EXCEEDED:
-                invalid = True
-                break
-            totals.append(result.outcome.total_samples)
-        if invalid:
-            alpha.append(None)
-            mean_samples.append(None)
-        else:
-            mean = math.fsum(totals) / trials
-            mean_samples.append(mean)
-            alpha.append(mean / 4.0**k)
+        seed = base_seed + (k - 1) * trials
+        report = run_trials("guess", sign_instance(2.0**-k), delta, trials, seed, budget=budget)
+        mean_samples.append(None if report.budget_exceeded else report.mean_samples)
+    alpha = [None if m is None else m / 4.0**k for k, m in zip(ks, mean_samples)]
 
     ent_p = math.fsum(p * math.log(1.0 / p) for p in probs if p > 0.0)
     usable = all(a is not None for a, p in zip(alpha, probs) if p > 0.0)

@@ -25,13 +25,13 @@ from bestarm import (
     parallel_simulation,
     profile,
     run_plan,
-    run_sign_trial,
+    run_trials,
+    sign_instance,
     solve,
     unif_sample_size,
 )
-from bestarm.bench import equal_h_pair
+from bestarm.bench import equal_h_pair, run_one_trial
 from bestarm.primitives import elimination_plan, frac_test_plan, unif_sampl_plan
-from bestarm.signxi import NEGATIVE, POSITIVE
 from bestarm.solvers import C_ROUNDS
 from doubles import DeterministicOracle
 from test_instances import brute_force_profile
@@ -195,6 +195,26 @@ def test_criterion_5_guessing_and_parallel_delta_correct():
     report(5, ok_g and ok_p, detail_g + " | " + detail_p + " (each <= 0.025)")
 
 
+def test_union_bound_ledger_spends_at_most_delta():
+    # Each sampled round spends delta_r twice (anchor estimate, fraction test)
+    # and delta' once when it eliminates; the proof's union bound needs the
+    # sum over a run's rounds, all guesses included, to stay within delta.
+    delta = 0.01
+    worst = {}
+    for algo in ("known", "guess"):
+        for inst in DESK_INSTANCES:
+            for seed in range(5):
+                events = []
+                run_one_trial(algo, inst, delta, seed, budget=None, trace=events.append)
+                spent = math.fsum(
+                    2 * e.delta_round + (e.delta_prime or 0.0) for e in events if not e.rejected
+                )
+                worst[algo] = max(worst.get(algo, 0.0), spent / delta)
+    detail = ", ".join(f"{algo} {ratio:.3g}" for algo, ratio in worst.items())
+    print(f"union-bound ledger: worst delta spent / delta: {detail} (each <= 1)")
+    assert all(ratio <= 1.0 for ratio in worst.values()), detail
+
+
 def test_criterion_6_deterministic_rejection():
     inst = Instance.from_means((1.0, 0.5, 0.5, 0.5, 0.75, 0.75, 0.875), "n7")
     ok = True
@@ -287,18 +307,16 @@ def test_criterion_8b_entropy_does_not_cheapen_equal_h():
 def test_criterion_9_sign_harness():
     delta, trials = 0.05, 200
     threshold = 186  # 1 - delta - slack of 200
-    pos = sum(
-        run_sign_trial(0.25, delta, seed=s, budget=None).decision == POSITIVE
-        for s in range(trials)
-    )
-    neg = sum(
-        run_sign_trial(-0.25, delta, seed=s, budget=None).decision == NEGATIVE
-        for s in range(trials)
-    )
+
+    def hits(mu):  # trials that name the sign of mu
+        r = run_trials("guess", sign_instance(mu), delta, trials, 0, budget=None)
+        return trials - r.errors - r.budget_exceeded
+
+    pos, neg = hits(0.25), hits(-0.25)
 
     uniform = [0.5, 0.5]
-    tight = measure_loss_profile(run_sign_trial, uniform, 0.05, 30, base_seed=9, budget=None)
-    loose = measure_loss_profile(run_sign_trial, uniform, 0.2, 30, base_seed=9, budget=None)
+    tight = measure_loss_profile(uniform, 0.05, 30, base_seed=9, budget=None)
+    loose = measure_loss_profile(uniform, 0.2, 30, base_seed=9, budget=None)
     ok = (
         pos >= threshold
         and neg >= threshold

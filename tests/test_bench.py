@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,15 @@ class TestRunTrials:
         with pytest.raises(RuntimeError, match="ledger"):
             run_trials("guess", TWO_ARM, 0.05, trials=1, base_seed=0, budget=None)
 
+    def test_bad_instance_fails_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(bench, "run_one_trial", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match="too small: the bound overflows a float"):
+            run_trials("guess", Instance.from_means((2.0**-511, 0.0)), 0.01, 3, 0)
+        with pytest.raises(ValueError, match="delta must lie in"):
+            run_trials("guess", TWO_ARM, 0.0, 3, 0)
+        assert runs == []
+
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
             run_trials("lilucb", TWO_ARM, 0.05, trials=1, base_seed=0)
@@ -131,8 +144,9 @@ class TestGenerateInstances:
         assert inst.means == (1.0, 0.5)
 
     def test_two_arm_gap_list(self):
-        out = generate_instances("two-arm", {"gaps": [0.5, 0.25]})
-        assert [i.means for i in out] == [(1.0, 0.5), (1.0, 0.75)]
+        for key in ("gaps", "gap"):
+            out = generate_instances("two-arm", {key: [0.5, 0.25]})
+            assert [i.means for i in out] == [(1.0, 0.5), (1.0, 0.75)]
 
     def test_discrete_random_delegates_to_builder(self):
         out = generate_instances("discrete-random", {"count": 4, "k_max": 3}, seed=9)
@@ -149,6 +163,8 @@ class TestGenerateInstances:
         a = generate_instances("discrete-random", {"count": 3}, seed=4)
         b = generate_instances("discrete-random", {"count": 3}, seed=4)
         assert [i.means for i in a] == [i.means for i in b]
+        # a whole float count (the CLI parses numbers as floats) is the same count
+        assert generate_instances("discrete-random", {"count": 3.0}, seed=4) == a
 
     def test_equal_h_pair_matches_exhaustive_search(self):
         flat, spread = equal_h_pair(h_target=32, k_max=3, cap=8)
@@ -180,6 +196,24 @@ class TestGenerateInstances:
                 generate_instances("discrete-random", {"cap": cap})
         with pytest.raises(ValueError):
             generate_instances("two-arm", {"gap": 1.5})
+        for key, bad in (("k_max", [2, 3]), ("cap", "3"), ("top_mean", None), ("count", 1.5)):
+            with pytest.raises(ValueError, match=f"parameter {key} must be"):
+                generate_instances("discrete-random", {key: bad})
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            generate_instances("discrete-random", {"count": -1})
+        with pytest.raises(ValueError, match="parameter h must be"):
+            generate_instances("equal-h-varying-ent", {"h": True})
+        with pytest.raises(ValueError, match="unknown discrete-random parameter.*gap"):
+            generate_instances("discrete-random", {"gap": 0.5})
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only ``workers > 1`` needs multiprocessing; test_worker_pool_matches_serial covers it
+    src = str(Path(bench.__file__).resolve().parent.parent)
+    code = "import sys, bestarm; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
 
 
 def test_trial_report_is_a_value_object():

@@ -34,6 +34,26 @@ def test_stats_config_error_exit_code(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text", ["5e-324\n0\n", "1e-154\n0\n0\n0\n", f"{2.0**-511!r}\n0\n"]
+)
+def test_stats_refuses_a_gap_too_small_for_a_float(tmp_path, capsys, text):
+    path = write_instance(tmp_path, text=text)
+    assert main(["stats", "--instance", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: smallest gap {text.split()[0]} too small:")
+    assert err.rstrip().endswith("overflows a float")
+
+
+def test_stats_checks_delta_before_printing(tmp_path, capsys):
+    path = write_instance(tmp_path)
+    assert main(["stats", "--instance", str(path), "--delta", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: delta must lie in (0, 1), got 0.0" in err
+
+
 def test_run_success(tmp_path, capsys):
     path = write_instance(tmp_path)
     code = main([
@@ -200,6 +220,37 @@ def test_gen_without_arms_per_group_is_a_config_error(tmp_path, capsys):
             "--out", str(tmp_path / "gen"),
         ]) == 1
         assert f"error: cap must be >= 1 arm per gap group, got {cap}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, param, message",
+    [
+        ("discrete-random", "k_max=2,3", "parameter k_max must be an integer, got [2.0, 3.0]"),
+        ("equal-h-varying-ent", "h=2,3", "parameter h must be an integer, got [2.0, 3.0]"),
+        ("equal-h-varying-ent", "k_max=2000", "k_max must be in 1..3 at desk scale, got 2000"),
+        ("discrete-random", "top_mean=0.5,0.6",
+         "parameter top_mean must be a single number, got [0.5, 0.6]"),
+        ("discrete-random", "count=1.5", "parameter count must be an integer, got 1.5"),
+        ("discrete-random", "count=-1", "count must be >= 1 instance, got -1"),
+        ("two-arm", "gpa=0.3", "unknown two-arm parameter(s) gpa; expected gap, gaps"),
+        ("two-arm", "gap=abc", "parameter gap must be a single number, got 'abc'"),
+    ],
+)
+def test_gen_bad_parameter_is_a_config_error(tmp_path, capsys, kind, param, message):
+    gen_dir = tmp_path / "gen"
+    assert main(["gen", "--kind", kind, "--params", param, "--out", str(gen_dir)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not gen_dir.exists()
+
+
+def test_gen_gap_list_is_a_gaps_list(tmp_path):
+    # gaps=0.5,0.25 is covered by test_gen_and_bench_roundtrip
+    gen_dir = tmp_path / "gen"
+    assert main([
+        "gen", "--kind", "two-arm", "--params", "gap=0.5,0.25", "--out", str(gen_dir),
+    ]) == 0
+    files = sorted(p.name for p in gen_dir.glob("*.txt"))
+    assert files == ["two-arm-g0.25.txt", "two-arm-g0.5.txt"]
 
 
 def test_gen_equal_h_pair(tmp_path):

@@ -182,6 +182,12 @@ class TestProfile:
         twin = Instance.from_means((1.0, 0.5, 0.75, 0.75), "memo")
         assert profile(twin) == first and profile(twin) is not first
 
+    @pytest.mark.parametrize("means", [(5e-324, 0.0), (1e-154, 0.0, 0.0, 0.0)])
+    def test_overflowing_complexity_is_refused_with_the_smallest_gap(self, means):
+        # 5e-324**-2 overflows alone; 1e-154**-2 = 1e308 fits, but three of them do not
+        with pytest.raises(ValueError, match=f"smallest gap {means[0]!r} too small"):
+            profile(Instance.from_means(means))
+
     def test_memo_leaves_equality_hash_and_pickle_alone(self):
         plain = Instance.from_means((1.0, 0.5, 0.75), "memo")
         profiled = Instance.from_means((1.0, 0.5, 0.75), "memo")
@@ -209,6 +215,12 @@ class TestConjecturedBound:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 conjectured_bound(p, bad)
+
+    def test_refuses_a_bound_that_overflows(self):
+        p = profile(Instance.from_means((2.0**-511, 0.0)))
+        assert p.H == 2.0**1022  # finite; the log factor takes it past the float range
+        with pytest.raises(ValueError, match=f"smallest gap {2.0**-511!r} too small"):
+            conjectured_bound(p, 0.01)
 
 
 class TestMakeDiscreteInstance:

@@ -45,13 +45,15 @@ def test_solver_draws_reconcile_under_the_tracer():
 
 def test_sign_reduction_draws_reconcile_under_the_tracer():
     runs = [
-        lambda mu=mu, seed=seed: signxi.run_sign_trial(mu, 0.05, seed, budget=None)
+        lambda mu=mu, seed=seed: bench.run_one_trial(
+            "guess", signxi.sign_instance(mu), 0.05, seed, budget=None
+        )
         for mu, seed in ((0.25, 0), (-0.25, 1), (0.125, 2))
     ]
     plain, traced, counts = traced_runs(runs)
     assert traced == plain
     assert counts["oracle.draws"] > 0
-    assert reconcile(counts, sum(res.outcome.total_samples for res in traced)) == []
+    assert reconcile(counts, sum(out.total_samples for out in traced)) == []
 
 
 def test_ladder_draws_reconcile_under_the_tracer():
