@@ -27,7 +27,6 @@ from .primitives import (
 )
 from .solvers import (
     BUDGET_EXCEEDED,
-    DEFAULT_BUDGET,
     OK,
     REJECTED,
     RoundEvent,

@@ -16,7 +16,6 @@ from .oracle import SamplingOracle
 from .parallel import parallel_simulation
 from .solvers import (
     BUDGET_EXCEEDED,
-    DEFAULT_BUDGET,
     OK,
     RunOutcome,
     baseline_successive_elimination_plan,
@@ -63,20 +62,23 @@ def run_one_trial(
     instance: Instance,
     delta: float,
     seed,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int | None = None,
     trace=None,
 ) -> RunOutcome:
     """Execute a single seeded run; ``trace`` gets ``known``/``guess`` round events."""
-    if algo == "parallel":
-        return parallel_simulation(instance, delta, seed=seed, budget=budget)
-    oracle = SamplingOracle.for_instance(instance, seed=seed)
-    if algo == "known":
-        H = profile(instance).H
-        return solve(known_complexity_plan, oracle, instance, H, delta, budget=budget, trace=trace)
-    if algo == "guess":
-        return solve(complexity_guessing_plan, oracle, instance, delta, budget=budget, trace=trace)
-    if algo == "baseline":
-        return solve(baseline_successive_elimination_plan, oracle, instance, delta, budget=budget)
+    try:
+        if algo == "parallel":
+            return parallel_simulation(instance, delta, seed=seed, budget=budget)
+        oracle = SamplingOracle.for_instance(instance, seed=seed)
+        if algo == "known":
+            H = profile(instance).H
+            return solve(known_complexity_plan, oracle, instance, H, delta, budget=budget, trace=trace)
+        if algo == "guess":
+            return solve(complexity_guessing_plan, oracle, instance, delta, budget=budget, trace=trace)
+        if algo == "baseline":
+            return solve(baseline_successive_elimination_plan, oracle, instance, delta, budget=budget)
+    except OverflowError:  # the plans turn a gap's overflow into ValueError; a delta's lands here
+        raise ValueError(f"delta {delta!r} too small: a derived value left the float range") from None
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
@@ -87,15 +89,15 @@ def run_trials(
     trials: int,
     base_seed: int,
     *,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int | None = None,
     workers: int = 1,
 ) -> TrialReport:
     """Run seeded trials of one algorithm on one instance and aggregate them.
 
     Trial i uses seed ``base_seed + i``, so a batch replays exactly.  The
     ``known`` algorithm receives the instance complexity computed from the
-    gap profile.  ``workers > 1`` fans trials out over a process pool; the
-    aggregation order is by trial index either way.
+    gap profile, and ``budget`` is an optional per-trial sample cap.
+    ``workers > 1`` fans trials out over a process pool; results aggregate in trial order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

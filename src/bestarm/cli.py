@@ -8,7 +8,7 @@ Subcommands:
   gen     generate instance files
 
 Exit codes: 0 success, 1 configuration error (a bad argument included), 2
-budget exhaustion in `run`.
+when `run` stops at the cap `--budget N` sets (by default there is none).
 """
 
 from __future__ import annotations
@@ -25,17 +25,17 @@ from .bench import (
 )
 from .instances import conjectured_bound, format_instance, parse_instance, profile, profile_csv_row
 from .signxi import loss_profile_rows, measure_loss_profile
-from .solvers import BUDGET_EXCEEDED, DEFAULT_BUDGET
+from .solvers import BUDGET_EXCEEDED
 
 
 def _budget(value: str):
-    """Parse --budget: a positive cap, or 0/none for unlimited."""
+    """Parse --budget: a cap N >= 0, or none/inf for no cap."""
     if value.lower() in ("none", "inf"):
         return None
     cap = int(value)
     if cap < 0:
         raise argparse.ArgumentTypeError(f"budget must be >= 0, got {cap}")
-    return cap or None
+    return cap
 
 
 def _load_instance(path: str):
@@ -157,8 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=ALGORITHMS, default="guess")
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                   help="sample cap; 0 or 'none' disables it (default 10^9)")
+    p.add_argument("--budget", type=_budget, help="sample cap (default: none)")
     p.add_argument("--trace", action="store_true", help="print per-round events")
     p.set_defaults(func=cmd_run)
 
@@ -168,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, help="sample cap (default: none)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--append", action="store_true")
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, help="sample cap (default: none)")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_signxi)
 
@@ -206,7 +205,7 @@ def main(argv=None) -> int:
         # Reader gone (`bestarm run ... | head -1`): no error; mute the flush at exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, OSError, OverflowError) as exc:
-        # OverflowError: a run's draw counts outgrew the int64 per-arm ledger.
+        # OverflowError: a derived float left the float range past the typed checks.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

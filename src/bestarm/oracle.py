@@ -17,9 +17,8 @@ class SamplingOracle:
     bit for bit.  The batched channels return sufficient statistics of
     groups of draws; these have exactly the joint law of drawing reward by
     reward (the mean of n draws is N(mu, 1/n)), while the counters always
-    advance by the true number of underlying draws.  A counter that would
-    pass the int64 range raises ``OverflowError`` before it is written; the
-    running total is a Python int, exact at any scale.
+    advance by the true number of underlying draws.  The per-arm counters
+    and the running total are Python ints, exact at any scale.
     """
 
     def __init__(self, means, seed=0):
@@ -27,7 +26,7 @@ class SamplingOracle:
         if not self._means:
             raise ValueError("oracle needs at least one arm")
         self.rng = np.random.default_rng(seed)
-        self.counts = np.zeros(len(self._means), dtype=np.int64)
+        self.counts = np.zeros(len(self._means), dtype=object)
         self._total = 0
 
     @classmethod
@@ -57,8 +56,7 @@ class SamplingOracle:
         """Empirical mean of ``draws`` fresh rewards from one arm."""
         if draws < 1:
             raise ValueError("draws must be >= 1")
-        # Python-int sum: storing it raises OverflowError where += would wrap.
-        self.counts[arm] = self.counts.item(arm) + draws
+        self.counts[arm] += draws
         self._total += draws
         return self.rng.normal(self._means[arm], draws**-0.5)
 
@@ -71,7 +69,7 @@ class SamplingOracle:
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")
         n = draws * probes
-        self.counts[arm] = self.counts.item(arm) + n
+        self.counts[arm] += n
         self._total += n
         x = (cutoff - self._means[arm]) * math.sqrt(draws)
         return self.rng.binomial(probes, 0.5 * math.erfc(-x / _SQRT2))

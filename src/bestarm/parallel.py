@@ -36,7 +36,7 @@ import numpy as np
 from .instances import Instance, _check_delta
 from .oracle import SamplingOracle
 from .primitives import BudgetExceededError, serve, split_at_cap
-from .solvers import DEFAULT_BUDGET, RunOutcome, complexity_guessing_plan, make_outcome
+from .solvers import RunOutcome, complexity_guessing_plan, make_outcome
 
 
 def copy_seed(seed, k: int) -> np.random.SeedSequence:
@@ -96,7 +96,7 @@ def parallel_simulation(
     inner=None,
     *,
     seed=0,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int | None = None,
 ) -> RunOutcome:
     """Run laddered copies of a solver and return the first finisher's answer.
 
@@ -107,9 +107,9 @@ def parallel_simulation(
             defaults to the complexity-guessing solver.
         seed: base seed; copy k's oracle is seeded from ``copy_seed(seed, k)``
             and is that copy's only draw ledger.
-        budget: per-copy sample cap, applied by ``serve``.  A copy whose
-            next arm would cross the cap stops there; if that copy is the
-            first to finish, the run is ``budget_exceeded``.
+        budget: optional cap on each copy's draws, applied by ``serve``.  A
+            copy whose next arm would cross it stops there; if that copy is
+            the first to finish, the run is ``budget_exceeded``.
 
     Returns:
         RunOutcome whose sample counts sum every draw granted to every copy,

@@ -18,7 +18,6 @@ from collections.abc import Sequence
 
 from .bench import run_trials
 from .instances import Instance
-from .solvers import DEFAULT_BUDGET
 
 #: Embedding offset; the reference arm sits exactly here.
 SIGN_SHIFT = 0.5
@@ -62,7 +61,7 @@ def measure_loss_profile(
     trials: int,
     *,
     base_seed: int = 0,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int | None = None,
 ) -> LossProfile:
     """Measure the guessing solver's sign loss profile over a gap distribution.
 
@@ -75,8 +74,8 @@ def measure_loss_profile(
         delta: confidence handed to each trial.
         trials: seeded trials per gap, at least 30.
         base_seed: trial (k, i) uses seed base_seed + (k-1)*trials + i.
-        budget: per-trial sample cap; one exhausted trial marks gap k as
-            missing and the profile as partial.
+        budget: optional per-trial sample cap; one exhausted trial marks gap
+            k as missing and the profile as partial.
     """
     probs = [float(p) for p in pk]
     ks = list(range(1, len(probs) + 1))

@@ -49,9 +49,6 @@ OK = "ok"
 REJECTED = "rejected"
 BUDGET_EXCEEDED = "budget_exceeded"
 
-#: Default hard sample cap for every solver; pass ``budget=None`` to lift it.
-DEFAULT_BUDGET = 10**9
-
 #: Growth factor of the complexity guesses, and its log base 4 (the factor
 #: that caps the number of rounds a guess may run).
 GUESS_GROWTH = 100
@@ -168,7 +165,10 @@ def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_
     """
     n_active = len(members)
     marks = [oracle.total]
-    anchor = yield from med_elim_plan(members, 0.125 * eps, 0.01)
+    try:
+        anchor = yield from med_elim_plan(members, 0.125 * eps, 0.01)
+    except OverflowError:  # med-elim runs at a fixed confidence: only eps sizes its counts
+        raise ValueError(f"gap too small: counts at accuracy {eps!r} left the float range") from None
     marks.append(oracle.total)
     estimates = yield from unif_sampl_plan([anchor], 0.125 * eps, delta_r)
     mu_hat = estimates[anchor]
@@ -177,6 +177,8 @@ def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_
     crowded = yield from frac_test_plan(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta_r)
     marks.append(oracle.total)
     if crowded:
+        if not delta_prime:  # underflowed: a float-range error, like the overflows of a tiny delta
+            raise OverflowError("delta_prime underflowed to 0")
         d_lo, d_hi = elim_thresholds(mu_hat, eps)
         survivors = yield from elimination_plan(oracle, members, d_lo, d_hi, delta_prime)
         members = survivors if survivors else [anchor]
@@ -320,6 +322,8 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
         rewards = yield MeanRequest(active, 1)
         sums = [s + reward for s, reward in zip(sums, rewards)]
         radius = se_radius(r, n, delta)
+        if radius == math.inf:  # no arm could ever be eliminated
+            raise ValueError(f"delta {delta!r} too small: the confidence radius left the float range")
         means = [s / r for s in sums]
         best_lcb = max(means) - radius
         if min(means) + radius < best_lcb:  # float +- radius keeps the means' order
@@ -357,14 +361,14 @@ def solve(
     oracle: SamplingOracle,
     instance: Instance,
     *args,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int | None = None,
     trace=None,
 ) -> RunOutcome:
     """Drive ``plan(oracle, instance, *args, emit=...)`` and package its outcome.
 
     E.g. ``solve(known_complexity_plan, oracle, instance, H, delta)``.  The
     run stops as ``budget_exceeded`` before its draws would pass ``budget``
-    (None lifts the cap); every round event also goes to ``trace``.
+    (None, the default, sets no cap); every round event also goes to ``trace``.
     """
     events: list[RoundEvent] = []
 

@@ -18,7 +18,7 @@ class DeterministicOracle(SamplingOracle):
     def sample_mean(self, arm: int, draws: int) -> float:
         if draws < 1:
             raise ValueError("draws must be >= 1")
-        self.counts[arm] = self.counts.item(arm) + draws
+        self.counts[arm] += draws
         self._total += draws
         return self._means[arm]
 
@@ -26,6 +26,6 @@ class DeterministicOracle(SamplingOracle):
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")
         n = draws * probes
-        self.counts[arm] = self.counts.item(arm) + n
+        self.counts[arm] += n
         self._total += n
         return probes if self._means[arm] < cutoff else 0

@@ -195,6 +195,13 @@ def test_criterion_5_guessing_and_parallel_delta_correct():
     report(5, ok_g and ok_p, detail_g + " | " + detail_p + " (each <= 0.025)")
 
 
+def desk_round_events(algo, inst, seed):
+    """The round events of one seeded run at delta = 0.01, for the ledger and schedule checks."""
+    events = []
+    run_one_trial(algo, inst, 0.01, seed, budget=None, trace=events.append)
+    return tuple(events)
+
+
 def test_union_bound_ledger_spends_at_most_delta():
     # Each sampled round spends delta_r twice (anchor estimate, fraction test)
     # and delta' once when it eliminates; the proof's union bound needs the
@@ -204,8 +211,7 @@ def test_union_bound_ledger_spends_at_most_delta():
     for algo in ("known", "guess"):
         for inst in DESK_INSTANCES:
             for seed in range(5):
-                events = []
-                run_one_trial(algo, inst, delta, seed, budget=None, trace=events.append)
+                events = desk_round_events(algo, inst, seed)
                 spent = math.fsum(
                     2 * e.delta_round + (e.delta_prime or 0.0) for e in events if not e.rejected
                 )
@@ -213,6 +219,60 @@ def test_union_bound_ledger_spends_at_most_delta():
     detail = ", ".join(f"{algo} {ratio:.3g}" for algo, ratio in worst.items())
     print(f"union-bound ledger: worst delta spent / delta: {detail} (each <= 1)")
     assert all(ratio <= 1.0 for ratio in worst.values()), detail
+
+
+def ceil(value):
+    # The library's ceiling: backed off 1e-9 so that exact integers stay put.
+    return math.ceil(value - 1e-9)
+
+
+def med_elim_draws(n, eps, delta):
+    """Draws of median elimination on n arms at (eps, delta), round by round."""
+    total, eps_l, delta_l = 0, eps / 4, delta / 2
+    while n > 1:
+        total += n * ceil(2 * (eps_l / 2) ** -2 * math.log(3 / delta_l))
+        n, eps_l, delta_l = (n + 1) // 2, eps_l * 0.75, delta_l / 2
+    return total
+
+
+def test_round_schedule_matches_the_paper_formulas():
+    # Every sampled round's confidences, fraction-test band and draws of its
+    # three deterministic phases, from the formulas written out here; the
+    # elimination's draws depend on which arms survive, so they are left out.
+    delta = 0.01
+    rounds = 0
+    for algo in ("known", "guess"):
+        for inst in DESK_INSTANCES:
+            top = max(inst.means)
+            H = math.fsum((top - m) ** -2 for m in inst.means if m != top)
+            for seed in range(5):
+                theta = {}  # guess t -> theta_hi of its latest round
+                for e in desk_round_events(algo, inst, seed):
+                    if e.rejected:
+                        continue
+                    r, t, eps, n = e.round_index, e.guess_t, e.eps, e.n_active
+                    assert eps == 2.0**-r
+                    if algo == "known":
+                        delta_r, lo, hi = delta / (10 * r * r), 0.3, 0.5
+                        delta_prime = min(n * eps**-2 * delta / (4096 * H), delta)
+                    else:
+                        delta_r = delta / (50 * r * r * t * t)
+                        lo = theta.get(t, 0.3)
+                        hi = theta[t] = lo + (math.log(100, 4) * t - r) ** -2 / 10
+                        delta_prime = 4 * n * eps**-2 * delta**2 / 100**t
+                    assert (e.delta_round, e.theta_lo, e.theta_hi) == pytest.approx(
+                        (delta_r, lo, hi), rel=1e-12)
+                    if e.frac_true:
+                        assert e.delta_prime == pytest.approx(delta_prime, rel=1e-12)
+                    assert e.draws_med == med_elim_draws(n, eps / 8, 0.01)
+                    assert e.draws_anchor == ceil(2 * (eps / 8) ** -2 * math.log(2 / delta_r))
+                    w = hi - lo
+                    probes = ceil((w / 6) ** -2 * math.log(2 / delta_r))
+                    per_probe = ceil(2 * (0.3125 * eps) ** -2 * math.log(12 / w))
+                    assert e.draws_frac == probes * per_probe
+                    rounds += 1
+    print(f"round schedule: {rounds} sampled rounds match the formulas")
+    assert rounds > 0
 
 
 def test_criterion_6_deterministic_rejection():

@@ -66,6 +66,28 @@ def test_run_success(tmp_path, capsys):
     assert "accepted_guess_t" in out
 
 
+STAIR_4_FILE = "# stair-4\n1.0\n0.85\n0.7\n0.55\n"
+
+
+@pytest.mark.parametrize("algo", bestarm.ALGORITHMS)
+def test_run_defaults_let_every_solver_finish(tmp_path, capsys, algo):
+    path = write_instance(tmp_path, text=STAIR_4_FILE)
+    assert main(["run", "--instance", str(path), "--algo", algo]) == 0
+    out = capsys.readouterr().out
+    assert "status            ok\narm               0\n" in out
+
+
+def test_bench_defaults_cap_no_trial(tmp_path, capsys):
+    write_instance(tmp_path, "stair-4.txt", STAIR_4_FILE)
+    out_csv = tmp_path / "report.csv"
+    assert main([
+        "bench", "--algo", "parallel", "--instances", str(tmp_path), "--trials", "3",
+        "--out", str(out_csv),
+    ]) == 0
+    rows = list(csv.DictReader(out_csv.open()))
+    assert [(row["instance"], row["budget_exceeded"]) for row in rows] == [("stair-4", "0")]
+
+
 def test_run_budget_exit_code(tmp_path, capsys):
     path = write_instance(tmp_path)
     code = main([
@@ -74,6 +96,9 @@ def test_run_budget_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "budget_exceeded" in capsys.readouterr().out
+    # --budget 0 caps at zero draws, as budget=0 does
+    assert main(["run", "--instance", str(path), "--algo", "known", "--budget", "0"]) == 2
+    assert "total_samples     0\n" in capsys.readouterr().out
 
 
 def test_argument_errors_exit_1(tmp_path, capsys):
@@ -83,7 +108,7 @@ def test_argument_errors_exit_1(tmp_path, capsys):
     assert "invalid float value: 'abc'" in capsys.readouterr().err
     assert main(["run", "--algo", "guess"]) == 1
     assert "--instance" in capsys.readouterr().err
-    # only 0 or 'none' lifts the cap; a negative one would lift it silently
+    # only 'none' lifts the cap; a negative one would lift it silently
     assert main(["run", "--instance", str(path), "--budget", "-5"]) == 1
     assert "budget must be >= 0, got -5" in capsys.readouterr().err
 
@@ -156,14 +181,25 @@ def test_run_into_a_closed_pipe_exits_quietly(tmp_path, trace, unbuffered):
     assert child.returncode == 0
 
 
-def test_run_overflowing_ledger_is_a_config_error(tmp_path, capsys):
-    # gap 2^-16: the fraction tests' draw counts outgrow the int64 ledger
+def test_run_past_int64_prints_the_exact_ledger(tmp_path, capsys):
+    # gap 2^-16: the fraction tests' draw counts pass the int64 range
     path = write_instance(tmp_path, text="1.0\n0.9999847412109375\n")
-    code = main([
-        "run", "--instance", str(path), "--algo", "guess", "--budget", "none",
-    ])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert main(["run", "--instance", str(path), "--algo", "guess"]) == 0
+    out = capsys.readouterr().out
+    assert "status            ok" in out
+    assert "total_samples     121003143037009234815\n" in out
+
+
+@pytest.mark.parametrize(
+    "algo, delta", [("guess", "1e-160"), ("guess", "1e-200"), ("parallel", "1e-200"),
+                    ("parallel", "1e-300")],
+)
+def test_run_refuses_a_delta_too_small_for_a_float(tmp_path, capsys, algo, delta):
+    path = write_instance(tmp_path)
+    assert main(["run", "--instance", str(path), "--algo", algo, "--delta", delta]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: delta {delta} too small: a derived value left the float range\n"
 
 
 def test_gen_and_bench_roundtrip(tmp_path, capsys):
@@ -178,8 +214,7 @@ def test_gen_and_bench_roundtrip(tmp_path, capsys):
     out_csv = tmp_path / "report.csv"
     assert main([
         "bench", "--algo", "guess", "--instances", str(gen_dir),
-        "--delta", "0.05", "--trials", "3", "--seed", "1",
-        "--budget", "0", "--out", str(out_csv),
+        "--delta", "0.05", "--trials", "3", "--seed", "1", "--out", str(out_csv),
     ]) == 0
     rows = list(csv.reader(out_csv.open()))
     assert len(rows) == 3  # header + one row per instance
@@ -197,11 +232,10 @@ def test_bench_rejects_empty_directory(tmp_path, capsys):
 
 
 def test_signxi_writes_profile(tmp_path, capsys):
+    # no --budget: the default lets every trial finish
     out_csv = tmp_path / "loss.csv"
-    assert main([
-        "signxi", "--m", "2", "--delta", "0.05", "--trials", "30",
-        "--seed", "0", "--budget", "none", "--out", str(out_csv),
-    ]) == 0
+    assert main(["signxi", "--m", "2", "--trials", "30", "--out", str(out_csv)]) == 0
+    assert "partial=False" in capsys.readouterr().out
     rows = list(csv.reader(out_csv.open()))
     assert rows[0] == ["k", "p_k", "alpha_k", "mean_samples"]
     assert rows[-1][0] == "ln_inv_delta"

@@ -4,6 +4,8 @@ import math
 from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bestarm import (
     BUDGET_EXCEEDED,
@@ -17,6 +19,7 @@ from bestarm import (
     known_complexity_plan,
     make_discrete_instance,
     profile,
+    run_one_trial,
     solve,
 )
 from bestarm.solvers import (
@@ -223,6 +226,37 @@ class TestBaseline:
         out = solve(baseline_successive_elimination_plan, gauss(inst, 0), inst, 0.01, budget=50)
         assert out.status == BUDGET_EXCEEDED
         assert out.total_samples <= 50
+
+    def test_refuses_a_radius_that_leaves_the_float_range(self):
+        # 4 n r^2 / delta overflows near round 4,800, before the radius drops
+        # below half the gap (round 5,700): no arm could ever leave.
+        inst = Instance.from_means((1.0, 0.0))
+        with pytest.raises(ValueError, match="delta 1e-300 too small: the confidence radius"):
+            solve(baseline_successive_elimination_plan, gauss(inst, 0), inst, 1e-300, budget=10**5)
+
+
+@pytest.mark.parametrize("algo", ["known", "guess"])
+@settings(max_examples=25)
+@given(
+    delta=st.floats(math.log(1e-300), math.log(0.999)).map(math.exp),
+    k=st.integers(1, 60),
+)
+@example(delta=1e-160, k=1)
+@example(delta=1e-200, k=1)
+@example(delta=1e-300, k=1)
+@example(delta=0.01, k=505)  # med-elim's counts overflow: refused
+@example(delta=0.01, k=500)  # ok, with more than 10^300 draws
+def test_float_edge_runs_exactly_or_is_refused(algo, delta, k):
+    inst = Instance.from_means((2.0**-k, 0.0))
+    try:
+        out = run_one_trial(algo, inst, delta, seed=0)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith((f"delta {delta!r} too small:", "gap too small:"))
+        assert message.endswith("left the float range")
+        return
+    assert out.status == OK
+    assert sum(out.per_arm_samples) == out.total_samples
 
 
 def test_shuffle_makes_storage_order_irrelevant_on_average():

@@ -74,3 +74,30 @@ def test_ladder_draws_reconcile_under_the_tracer():
     assert reconcile(counts, None) == []
     # every draw of every copy went through a traced sampler
     assert counts["oracle.draws"] == sum(oracle.total for oracle in oracles)
+
+
+def test_draws_past_int64_reconcile_under_the_tracer():
+    # gap 2^-16: the fraction tests' draw counts pass the int64 range
+    far = Instance.from_means((1.0, 0.9999847412109375), label="pair-g2^-16")
+    runs = [lambda algo=algo: bench.run_one_trial(algo, far, 0.01, 0) for algo in ("known", "guess")]
+    plain, traced, counts = traced_runs(runs)
+    assert traced == plain
+    assert min(out.total_samples for out in traced) > 2**63
+    assert reconcile(counts, sum(out.total_samples for out in traced)) == []
+
+    finished = []  # the winning copy's oracle of the latest run
+
+    def inner(oracle, instance, delta_k):
+        result = yield from solvers.complexity_guessing_plan(oracle, instance, delta_k)
+        finished.append(oracle)
+        return result
+
+    def ladder():
+        finished.clear()
+        return bench.parallel_simulation(far, 0.01, inner, seed=0)
+
+    plain, traced, counts = traced_runs([ladder])
+    assert traced == plain
+    assert len(finished) == 1 and finished[0].total > 2**63
+    assert counts["ladder.useful_draws"] == finished[0].total
+    assert reconcile(counts, None) == []
