@@ -66,19 +66,16 @@ def run_one_trial(
     trace=None,
 ) -> RunOutcome:
     """Execute a single seeded run; ``trace`` gets ``known``/``guess`` round events."""
-    try:
-        if algo == "parallel":
-            return parallel_simulation(instance, delta, seed=seed, budget=budget)
-        oracle = SamplingOracle.for_instance(instance, seed=seed)
-        if algo == "known":
-            H = profile(instance).H
-            return solve(known_complexity_plan, oracle, instance, H, delta, budget=budget, trace=trace)
-        if algo == "guess":
-            return solve(complexity_guessing_plan, oracle, instance, delta, budget=budget, trace=trace)
-        if algo == "baseline":
-            return solve(baseline_successive_elimination_plan, oracle, instance, delta, budget=budget)
-    except OverflowError:  # the plans turn a gap's overflow into ValueError; a delta's lands here
-        raise ValueError(f"delta {delta!r} too small: a derived value left the float range") from None
+    if algo == "parallel":
+        return parallel_simulation(instance, delta, seed=seed, budget=budget)
+    oracle = SamplingOracle.for_instance(instance, seed=seed)
+    if algo == "known":
+        H = profile(instance).H
+        return solve(known_complexity_plan, oracle, instance, H, delta, budget=budget, trace=trace)
+    if algo == "guess":
+        return solve(complexity_guessing_plan, oracle, instance, delta, budget=budget, trace=trace)
+    if algo == "baseline":
+        return solve(baseline_successive_elimination_plan, oracle, instance, delta, budget=budget)
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 

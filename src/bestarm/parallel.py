@@ -125,35 +125,40 @@ def parallel_simulation(
 
     def spawn() -> None:
         k = len(copies) + 1
+        if not (delta_k := delta / 2.0**k):  # underflowed: a float-range error
+            raise OverflowError("copy delta underflowed to 0")
         oracle = SamplingOracle.for_instance(instance, seed=copy_seed(seed, k))
-        copy = _Copy(k, oracle, inner(oracle, instance, delta / 2.0**k))
+        copy = _Copy(k, oracle, inner(oracle, instance, delta_k))
         copies.append(copy)
         heapq.heappush(events, (copy.finish_iteration(budget), k))
 
-    spawn()
-    while True:
-        # Any not-yet-spawned copy whose first grant precedes the next event
-        # could still beat it, so materialize those lazily.
-        while (1 << len(copies)) <= events[0][0]:
-            spawn()
-        stop_iter, index = events[0]
-        stale = stop_iter  # where grants to the other copies end; see below
-        live = copies[index - 1]
-        if live.result is not None:
-            break
-        request = live.pending
-        try:
-            reply = serve(request, live.oracle, budget)
-        except BudgetExceededError:
-            live.plan.close()
-            break
-        if live.resume(reply):
-            # Known over-count, kept so that ladder outcomes replay: the
-            # other copies are granted draws up to one more serving of the
-            # winner's last arm.
-            stale = (live.oracle.total + request.arm_costs()[-1]) * live.step
-            break
-        heapq.heapreplace(events, (live.finish_iteration(budget), live.index))
+    try:
+        spawn()
+        while True:
+            # Any not-yet-spawned copy whose first grant precedes the next event
+            # could still beat it, so materialize those lazily.
+            while (1 << len(copies)) <= events[0][0]:
+                spawn()
+            stop_iter, index = events[0]
+            stale = stop_iter  # where grants to the other copies end; see below
+            live = copies[index - 1]
+            if live.result is not None:
+                break
+            request = live.pending
+            try:
+                reply = serve(request, live.oracle, budget)
+            except BudgetExceededError:
+                live.plan.close()
+                break
+            if live.resume(reply):
+                # Known over-count, kept so that ladder outcomes replay: the
+                # other copies are granted draws up to one more serving of the
+                # winner's last arm.
+                stale = (live.oracle.total + request.arm_costs()[-1]) * live.step
+                break
+            heapq.heapreplace(events, (live.finish_iteration(budget), live.index))
+    except OverflowError:  # as in ``solve``: a delta's float-range failure, named as given
+        raise ValueError(f"delta {delta!r} too small: a derived value left the float range") from None
     winner = live
     # Python-int sums: the ledger is exact where an int64 sum would wrap.
     per_arm = [sum(column) for column in zip(*(c.oracle.snapshot() for c in copies))]

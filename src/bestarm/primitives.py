@@ -261,6 +261,8 @@ def elimination_plan(oracle, members, d_lo: float, d_hi: float, delta: float):
     while active:
         round_idx += 1
         delta_r = delta / (10.0 * 2.0**round_idx)
+        if not delta_r:  # underflowed: a float-range error of a tiny delta, not a bad input
+            raise OverflowError("elimination delta underflowed to 0")
         crowded = yield from frac_test_plan(oracle, active, d_lo, d_mid, 0.05, 0.1, delta_r)
         if not crowded:
             return active

@@ -29,9 +29,11 @@ any delta in (0, 1) so cheaper exploratory runs are possible.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from itertools import count
+from operator import add
 
 from .instances import Instance, _check_delta
 from .oracle import SamplingOracle
@@ -163,6 +165,8 @@ def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_
     Returns ``(survivors, fields)``; ``fields`` holds the round's own
     ``RoundEvent`` fields, each draw field set to the draws of its phase.
     """
+    if not delta_r:  # underflowed (a subnormal delta): a float-range error, like delta_prime's
+        raise OverflowError("delta_r underflowed to 0")
     n_active = len(members)
     marks = [oracle.total]
     try:
@@ -313,23 +317,23 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     delta) / r) falls below another arm's estimate minus that radius.
     """
     _check_delta(delta)
-    active = tuple(_shuffled_arms(oracle, instance))
+    request = MeanRequest(tuple(_shuffled_arms(oracle, instance)), 1)  # rebuilt when an arm leaves
     n = instance.n_arms
-    sums = [0.0] * n  # aligned with ``active``
+    sums = [0.0] * n  # aligned with ``request.arms``
     r = 0
-    while len(active) > 1:
+    while len(request.arms) > 1:
         r += 1
-        rewards = yield MeanRequest(active, 1)
-        sums = [s + reward for s, reward in zip(sums, rewards)]
+        rewards = yield request
+        sums = list(map(add, sums, rewards))
         radius = se_radius(r, n, delta)
         if radius == math.inf:  # no arm could ever be eliminated
             raise ValueError(f"delta {delta!r} too small: the confidence radius left the float range")
-        means = [s / r for s in sums]
-        best_lcb = max(means) - radius
-        if min(means) + radius < best_lcb:  # float +- radius keeps the means' order
-            kept = [(a, s) for a, s, m in zip(active, sums, means) if m + radius >= best_lcb]
-            active, sums = zip(*kept)
-    return SolveResult(arm=active[0], rounds=r)
+        best_lcb = max(sums) / r - radius
+        if min(sums) / r + radius < best_lcb:  # float / r > 0 and +- radius keep the sums' order
+            kept = [(a, s) for a, s in zip(request.arms, sums) if s / r + radius >= best_lcb]
+            arms, sums = zip(*kept)
+            request = MeanRequest(arms, 1)
+    return SolveResult(arm=request.arms[0], rounds=r)
 
 
 # --- the driver ----------------------------------------------------------------
@@ -382,5 +386,10 @@ def solve(
         result = run_plan(plan(oracle, instance, *args, emit=emit), oracle, budget=budget)
     except BudgetExceededError:
         result = None
+    except OverflowError:  # the plans turn a gap's overflow into ValueError; a delta's lands here
+        delta = inspect.signature(plan).bind(oracle, instance, *args).arguments.get("delta")
+        if delta is None:  # a wrapper that hides the plan's ``delta``: nothing to name
+            raise
+        raise ValueError(f"delta {delta!r} too small: a derived value left the float range") from None
     per_arm = [a - b for a, b in zip(oracle.snapshot(), before)]
     return make_outcome(result, per_arm, budget_rounds=len(events))

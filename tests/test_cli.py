@@ -192,7 +192,7 @@ def test_run_past_int64_prints_the_exact_ledger(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "algo, delta", [("guess", "1e-160"), ("guess", "1e-200"), ("parallel", "1e-200"),
-                    ("parallel", "1e-300")],
+                    ("parallel", "1e-300"), ("known", "5e-324")],
 )
 def test_run_refuses_a_delta_too_small_for_a_float(tmp_path, capsys, algo, delta):
     path = write_instance(tmp_path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from bestarm import Instance, SamplingOracle, complexity_guessing_plan, solve
@@ -44,6 +46,34 @@ def test_sample_mean_law_is_exact_at_small_n():
         oracle = SamplingOracle([0.3], seed=n)
         values = [oracle.sample_mean(0, n) for _ in range(2000)]
         assert stats.kstest(values, "norm", args=(0.3, n**-0.5)).pvalue > 0.01
+
+
+# The solvers' golden digests and the reference plans share this oracle, so
+# they cannot see a channel that drifts from ``rng.normal`` (say, under a
+# numpy build whose ``normal`` fuses the multiply-add); these tests can.
+@pytest.mark.parametrize("seed", [0, 7])
+def test_gaussian_draws_equal_rng_normal_bit_for_bit(seed):
+    means = (0.0, 0.5, 1.0)
+    oracle = SamplingOracle(means, seed=seed)
+    twin = np.random.default_rng(seed)
+    for draws in (1, 2, 3, 1000, 2**40, 2**62, 10**30):
+        for arm, mean in enumerate(means):
+            assert oracle.sample_mean(arm, draws).hex() == twin.normal(mean, draws**-0.5).hex()
+    for arm, mean in enumerate(means):
+        assert oracle.draw(arm).hex() == twin.normal(mean, 1.0).hex()
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    calls=st.lists(st.tuples(st.floats(-1e6, 1e6), st.integers(1, 2**100)), min_size=1),
+)
+def test_sample_mean_equals_rng_normal_on_any_mean_and_count(seed, calls):
+    oracle = SamplingOracle([mean for mean, _ in calls], seed=seed)
+    twin = np.random.default_rng(seed)
+    for arm, (mean, draws) in enumerate(calls):
+        assert oracle.sample_mean(arm, draws).hex() == twin.normal(mean, draws**-0.5).hex()
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_count_means_below_law_matches_per_probe_simulation():

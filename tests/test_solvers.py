@@ -18,8 +18,8 @@ from bestarm import (
     entropy_elimination_plan,
     known_complexity_plan,
     make_discrete_instance,
+    parallel_simulation,
     profile,
-    run_one_trial,
     solve,
 )
 from bestarm.solvers import (
@@ -235,21 +235,13 @@ class TestBaseline:
             solve(baseline_successive_elimination_plan, gauss(inst, 0), inst, 1e-300, budget=10**5)
 
 
-@pytest.mark.parametrize("algo", ["known", "guess"])
-@settings(max_examples=25)
-@given(
-    delta=st.floats(math.log(1e-300), math.log(0.999)).map(math.exp),
-    k=st.integers(1, 60),
-)
-@example(delta=1e-160, k=1)
-@example(delta=1e-200, k=1)
-@example(delta=1e-300, k=1)
-@example(delta=0.01, k=505)  # med-elim's counts overflow: refused
-@example(delta=0.01, k=500)  # ok, with more than 10^300 draws
-def test_float_edge_runs_exactly_or_is_refused(algo, delta, k):
-    inst = Instance.from_means((2.0**-k, 0.0))
+def gap_pair(k):
+    return Instance.from_means((2.0**-k, 0.0))
+
+
+def assert_runs_exactly_or_is_refused(run, delta):
     try:
-        out = run_one_trial(algo, inst, delta, seed=0)
+        out = run()
     except ValueError as exc:
         message = str(exc)
         assert message.startswith((f"delta {delta!r} too small:", "gap too small:"))
@@ -257,6 +249,42 @@ def test_float_edge_runs_exactly_or_is_refused(algo, delta, k):
         return
     assert out.status == OK
     assert sum(out.per_arm_samples) == out.total_samples
+
+
+LOG_DELTAS = st.floats(math.log(1e-300), math.log(0.999)).map(math.exp)
+
+
+@pytest.mark.parametrize("algo", ["known", "guess"])
+@settings(max_examples=25)
+@given(delta=LOG_DELTAS, k=st.integers(1, 60))
+@example(delta=5e-324, k=1)  # the smallest subnormal: every derived delta underflows
+@example(delta=1e-320, k=1)
+@example(delta=1e-160, k=1)
+@example(delta=1e-200, k=1)
+@example(delta=1e-300, k=1)
+@example(delta=0.01, k=505)  # med-elim's counts overflow: refused
+@example(delta=0.01, k=500)  # ok, with more than 10^300 draws
+def test_float_edge_runs_exactly_or_is_refused(algo, delta, k):
+    inst = gap_pair(k)
+    if algo == "known":
+        plan, args = known_complexity_plan, (profile(inst).H, delta)
+    else:
+        plan, args = complexity_guessing_plan, (delta,)
+    assert_runs_exactly_or_is_refused(lambda: solve(plan, gauss(inst, 0), inst, *args), delta)
+
+
+# The ladder's run time grows about as k^3 (k = 200 takes half a minute), so
+# its gaps stop at 2^-20; the deltas are those of the solvers above.
+@settings(max_examples=25)
+@given(delta=LOG_DELTAS, k=st.integers(1, 20))
+@example(delta=5e-324, k=1)
+@example(delta=1e-320, k=1)
+@example(delta=1e-160, k=1)
+@example(delta=1e-200, k=1)
+@example(delta=1e-300, k=1)
+def test_float_edge_on_the_ladder_runs_exactly_or_is_refused(delta, k):
+    inst = gap_pair(k)
+    assert_runs_exactly_or_is_refused(lambda: parallel_simulation(inst, delta, seed=0), delta)
 
 
 def test_shuffle_makes_storage_order_irrelevant_on_average():
