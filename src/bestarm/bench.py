@@ -7,7 +7,7 @@ import math
 import numbers
 import os
 from dataclasses import astuple, dataclass, fields
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 
@@ -71,7 +71,7 @@ def run_one_trial(
     oracle = SamplingOracle.for_instance(instance, seed=seed)
     if algo == "known":
         H = profile(instance).H
-        return solve(known_complexity_plan, oracle, instance, H, delta, budget=budget, trace=trace)
+        return solve(known_complexity_plan, oracle, instance, delta, H, budget=budget, trace=trace)
     if algo == "guess":
         return solve(complexity_guessing_plan, oracle, instance, delta, budget=budget, trace=trace)
     if algo == "baseline":
@@ -167,22 +167,12 @@ def write_reports(path, reports, *, append: bool = False) -> None:
 
 def _count_maps(h_target: int, k_max: int, cap: int):
     """All maps {k: n_k, 1 <= k <= k_max, n_k <= cap} with sum 4^k n_k == h_target."""
-    found: list[dict[int, int]] = []
-
-    def recurse(k: int, remaining: int, acc: dict[int, int]) -> None:
-        if k > k_max:
-            if remaining == 0 and acc:
-                found.append(dict(acc))
-            return
-        weight = 4**k
-        for n_k in range(min(cap, remaining // weight) + 1):
-            if n_k:
-                acc[k] = n_k
-            recurse(k + 1, remaining - n_k * weight, acc)
-            acc.pop(k, None)
-
-    recurse(1, h_target, {})
-    return found
+    ranges = [range(min(cap, h_target // 4**k) + 1) for k in range(1, k_max + 1)]
+    return [
+        {k: n for k, n in enumerate(ns, start=1) if n}
+        for ns in product(*ranges)
+        if any(ns) and sum(4**k * n for k, n in enumerate(ns, start=1)) == h_target
+    ]
 
 
 def _map_entropy(counts: dict[int, int]) -> float:

@@ -28,14 +28,17 @@ from .signxi import loss_profile_rows, measure_loss_profile
 from .solvers import BUDGET_EXCEEDED
 
 
+def _seed(value: str, name: str = "seed") -> int:
+    """Parse an integer flag that must be >= 0; the refusal names it."""
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {n}")
+    return n
+
+
 def _budget(value: str):
     """Parse --budget: a cap N >= 0, or none/inf for no cap."""
-    if value.lower() in ("none", "inf"):
-        return None
-    cap = int(value)
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {cap}")
-    return cap
+    return None if value.lower() in ("none", "inf") else _seed(value, "budget")
 
 
 def _load_instance(path: str):
@@ -156,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--algo", choices=ALGORITHMS, default="guess")
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--budget", type=_budget, help="sample cap (default: none)")
     p.add_argument("--trace", action="store_true", help="print per-round events")
     p.set_defaults(func=cmd_run)
@@ -166,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True, help="directory of *.txt instance files")
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--budget", type=_budget, help="sample cap (default: none)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
@@ -177,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2, help="number of gap groups (max 4)")
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--budget", type=_budget, help="sample cap (default: none)")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_signxi)
@@ -185,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate instance files")
     p.add_argument("--kind", required=True, choices=list(GEN_KEYS))
     p.add_argument("--params", nargs="*", help="key=value pairs, e.g. gap=0.5")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
     return parser

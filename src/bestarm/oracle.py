@@ -52,9 +52,7 @@ class SamplingOracle:
 
     def draw(self, arm: int) -> float:
         """One reward from one arm; increments that arm's counter by one."""
-        self.counts[arm] += 1
-        self._total += 1
-        return self._means[arm] + self._normal()
+        return self.sample_mean(arm, 1)
 
     def sample_mean(self, arm: int, draws: int) -> float:
         """Empirical mean of ``draws`` fresh rewards from one arm."""

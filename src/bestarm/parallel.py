@@ -72,12 +72,10 @@ class _Copy:
         A request that would cross the budget falls due at the end of its
         first arm that crosses.
         """
+        if self.pending is None:  # returned at spawn, before any draw
+            return self.step
         consumed = self.oracle.total
-        if self.pending is None:
-            return max(consumed, 1) * self.step
-        due = self.pending.cost
-        if budget is not None and consumed + due > budget:
-            due = split_at_cap(self.pending, budget - consumed)[1]
+        due = self.pending.cost if budget is None else split_at_cap(self.pending, budget - consumed)[1]
         return (consumed + due) * self.step
 
     def grants(self, stop: int, winner: int) -> int:

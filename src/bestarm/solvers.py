@@ -29,7 +29,6 @@ any delta in (0, 1) so cheaper exploratory runs are possible.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from itertools import count
@@ -96,10 +95,6 @@ class RoundEvent:
     draws_anchor: int = 0
     draws_frac: int = 0
     draws_elim: int = 0
-
-    @property
-    def draws_round(self) -> int:
-        return self.draws_med + self.draws_anchor + self.draws_frac + self.draws_elim
 
 
 @dataclass(frozen=True)
@@ -203,7 +198,7 @@ def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_
 # --- known complexity ------------------------------------------------------
 
 
-def known_complexity_plan(oracle, instance, H, delta, emit=None):
+def known_complexity_plan(oracle, instance, delta, H, emit=None):
     """Identify the best arm given the instance complexity H.
 
     Runs rounds r = 1, 2, ... at accuracy 2^-r: a median-elimination pass
@@ -364,13 +359,14 @@ def solve(
     plan,
     oracle: SamplingOracle,
     instance: Instance,
+    delta: float,
     *args,
     budget: int | None = None,
     trace=None,
 ) -> RunOutcome:
-    """Drive ``plan(oracle, instance, *args, emit=...)`` and package its outcome.
+    """Drive ``plan(oracle, instance, delta, *args, emit=...)`` and package its outcome.
 
-    E.g. ``solve(known_complexity_plan, oracle, instance, H, delta)``.  The
+    E.g. ``solve(known_complexity_plan, oracle, instance, delta, H)``.  The
     run stops as ``budget_exceeded`` before its draws would pass ``budget``
     (None, the default, sets no cap); every round event also goes to ``trace``.
     """
@@ -383,13 +379,10 @@ def solve(
 
     before = oracle.snapshot()
     try:
-        result = run_plan(plan(oracle, instance, *args, emit=emit), oracle, budget=budget)
+        result = run_plan(plan(oracle, instance, delta, *args, emit=emit), oracle, budget=budget)
     except BudgetExceededError:
         result = None
     except OverflowError:  # the plans turn a gap's overflow into ValueError; a delta's lands here
-        delta = inspect.signature(plan).bind(oracle, instance, *args).arguments.get("delta")
-        if delta is None:  # a wrapper that hides the plan's ``delta``: nothing to name
-            raise
         raise ValueError(f"delta {delta!r} too small: a derived value left the float range") from None
     per_arm = [a - b for a, b in zip(oracle.snapshot(), before)]
     return make_outcome(result, per_arm, budget_rounds=len(events))

@@ -175,7 +175,7 @@ def _delta_correctness(solver_name, run, trials=200, delta=0.01):
 def test_criterion_4_known_complexity_delta_correct():
     def run(inst, delta, seed):
         oracle = SamplingOracle.for_instance(inst, seed=seed)
-        return solve(known_complexity_plan, oracle, inst, profile(inst).H, delta, budget=None)
+        return solve(known_complexity_plan, oracle, inst, delta, profile(inst).H, budget=None)
 
     ok, detail = _delta_correctness("known-complexity", run)
     report(4, ok, detail + " (each <= 0.025)")

@@ -77,7 +77,7 @@ class TestRunTrials:
         # `known` must receive the instance complexity of the gap profile
         inst = make_discrete_instance({1: 3, 2: 3}, 1.0, label="disc-7")
         plans = {
-            "known": (known_complexity_plan, profile(inst).H, 0.01),
+            "known": (known_complexity_plan, 0.01, profile(inst).H),
             "guess": (complexity_guessing_plan, 0.01),
             "baseline": (baseline_successive_elimination_plan, 0.01),
         }

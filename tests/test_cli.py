@@ -113,6 +113,17 @@ def test_argument_errors_exit_1(tmp_path, capsys):
     assert "budget must be >= 0, got -5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--instance", "pair.txt"],
+    ["bench", "--algo", "guess", "--instances", ".", "--out", "r.csv"],
+    ["signxi", "--out", "p.csv"],
+    ["gen", "--kind", "two-arm", "--out", "."],
+])
+def test_negative_seed_is_refused_by_name(capsys, command):
+    assert main(command + ["--seed", "-1"]) == 1
+    assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert main(["run", "--help"]) == 0
     assert "usage:" in capsys.readouterr().out

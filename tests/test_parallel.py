@@ -149,7 +149,7 @@ EASY = Instance.from_means((1.0, 0.0), label="easy")
 
 
 def ladder_and_winner(instance, delta, plan, *args, seed):
-    """Run the ladder over copies of ``plan(oracle, instance, *args, delta_k)``.
+    """Run the ladder over copies of ``plan(oracle, instance, delta_k, *args)``.
 
     Returns its outcome, the index k of the copy that finished, the draws
     that copy served, and ``solve`` of ``plan`` over copy k's own oracle
@@ -160,14 +160,14 @@ def ladder_and_winner(instance, delta, plan, *args, seed):
     def inner(oracle, inst, delta_k):
         oracles.append(oracle)
         k = len(oracles)
-        result = yield from plan(oracle, inst, *args, delta_k)
+        result = yield from plan(oracle, inst, delta_k, *args)
         finished.append(k)
         return result
 
     out = parallel_simulation(instance, delta, inner, seed=seed, budget=None)
     [k] = finished
     oracle = SamplingOracle.for_instance(instance, seed=copy_seed(seed, k))
-    direct = solve(plan, oracle, instance, *args, delta / 2.0**k, budget=None)
+    direct = solve(plan, oracle, instance, delta / 2.0**k, *args, budget=None)
     return out, k, tuple(oracles[k - 1].snapshot()), direct
 
 
@@ -237,7 +237,7 @@ class TestParallelSimulation:
         H = 4.0
 
         def inner(oracle, instance, delta_k):
-            return known_complexity_plan(oracle, instance, H, delta_k)
+            return known_complexity_plan(oracle, instance, delta_k, H)
 
         out = parallel_simulation(TWO_ARM, 0.02, inner, seed=5, budget=None)
         assert out.status == OK

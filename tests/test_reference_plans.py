@@ -91,9 +91,9 @@ def test_med_elim_matches_reference(instance, eps, delta, kind, seed, rnd):
 def test_known_complexity_matches_reference_med_elim(instance, delta, kind, seed):
     H = profile(instance).H
     ours, ref = kind.for_instance(instance, seed), kind.for_instance(instance, seed)
-    outcome = solve(known_complexity_plan, ours, instance, H, delta, budget=None)
+    outcome = solve(known_complexity_plan, ours, instance, delta, H, budget=None)
     with mock.patch("bestarm.solvers.med_elim_plan", reference_med_elim_plan):
-        expected = solve(known_complexity_plan, ref, instance, H, delta, budget=None)
+        expected = solve(known_complexity_plan, ref, instance, delta, H, budget=None)
     assert outcome == expected
     assert state(ours) == state(ref)
 

@@ -69,14 +69,19 @@ class TestKnownComplexity:
     def test_validates_arguments(self):
         oracle = gauss(TWO_ARM, 0)
         with pytest.raises(ValueError):
-            solve(known_complexity_plan, oracle, TWO_ARM, 0.0, 0.01)
+            solve(known_complexity_plan, oracle, TWO_ARM, 0.01, 0.0)
         with pytest.raises(ValueError):
-            solve(known_complexity_plan, oracle, TWO_ARM, 4.0, 1.0)
+            solve(known_complexity_plan, oracle, TWO_ARM, 1.0, 4.0)
+
+    def test_refuses_complexity_in_the_delta_slot(self):
+        # H >= 1 is never a confidence, so the old (H, delta) order fails loudly
+        with pytest.raises(ValueError, match="delta must lie in"):
+            solve(known_complexity_plan, gauss(TWO_ARM, 0), TWO_ARM, 4.0, 0.01)
 
     def test_two_arm_instance_statistics(self):
         hits = 0
         for seed in range(60):
-            out = solve(known_complexity_plan, gauss(TWO_ARM, seed), TWO_ARM, 4.0, 0.01,
+            out = solve(known_complexity_plan, gauss(TWO_ARM, seed), TWO_ARM, 0.01, 4.0,
                         budget=None)
             assert out.status == OK
             assert out.total_samples == sum(out.per_arm_samples)
@@ -84,7 +89,7 @@ class TestKnownComplexity:
         assert hits >= 58
 
     def test_budget_stops_before_crossing(self):
-        out = solve(known_complexity_plan, gauss(TWO_ARM, 1), TWO_ARM, 4.0, 0.01,
+        out = solve(known_complexity_plan, gauss(TWO_ARM, 1), TWO_ARM, 0.01, 4.0,
                     budget=10_000)
         assert out.status == BUDGET_EXCEEDED
         assert out.arm is None
@@ -92,7 +97,7 @@ class TestKnownComplexity:
 
     def test_replay_determinism(self):
         runs = [
-            solve(known_complexity_plan, gauss(TWO_ARM, 9), TWO_ARM, 4.0, 0.01, budget=None)
+            solve(known_complexity_plan, gauss(TWO_ARM, 9), TWO_ARM, 0.01, 4.0, budget=None)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -176,13 +181,14 @@ class TestComplexityGuessing:
         for run in (
             lambda tr: solve(complexity_guessing_plan, gauss(TWO_ARM, 5), TWO_ARM, 0.01,
                              budget=None, trace=tr),
-            lambda tr: solve(known_complexity_plan, gauss(TWO_ARM, 5), TWO_ARM, 4.0, 0.01,
+            lambda tr: solve(known_complexity_plan, gauss(TWO_ARM, 5), TWO_ARM, 0.01, 4.0,
                              budget=None, trace=tr),
         ):
             events = []
             out = run(events.append)
             assert events
-            assert out.total_samples == sum(ev.draws_round for ev in events)
+            assert out.total_samples == sum(
+                ev.draws_med + ev.draws_anchor + ev.draws_frac + ev.draws_elim for ev in events)
             assert out.total_samples == sum(out.per_arm_samples)
 
     def test_replay_determinism(self):
@@ -267,7 +273,7 @@ LOG_DELTAS = st.floats(math.log(1e-300), math.log(0.999)).map(math.exp)
 def test_float_edge_runs_exactly_or_is_refused(algo, delta, k):
     inst = gap_pair(k)
     if algo == "known":
-        plan, args = known_complexity_plan, (profile(inst).H, delta)
+        plan, args = known_complexity_plan, (delta, profile(inst).H)
     else:
         plan, args = complexity_guessing_plan, (delta,)
     assert_runs_exactly_or_is_refused(lambda: solve(plan, gauss(inst, 0), inst, *args), delta)
@@ -329,7 +335,7 @@ def test_golden_replay_of_solver_outcomes_and_round_events():
         for seed in range(2):
             for budget in GOLDEN_BUDGETS:
                 record("known", inst, seed, budget, lambda o, tr: solve(
-                    known_complexity_plan, o, inst, H, 0.01, budget=budget, trace=tr))
+                    known_complexity_plan, o, inst, 0.01, H, budget=budget, trace=tr))
                 record("guess", inst, seed, budget, lambda o, tr: solve(
                     complexity_guessing_plan, o, inst, 0.01, budget=budget, trace=tr))
                 for t in (1, 2):

@@ -11,6 +11,8 @@ only in the benchmark's self-test.
 import sys
 from pathlib import Path
 
+import pytest
+
 from bestarm import Instance, bench, make_discrete_instance, signxi, solvers
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -101,3 +103,13 @@ def test_draws_past_int64_reconcile_under_the_tracer():
     assert len(finished) == 1 and finished[0].total > 2**63
     assert counts["ladder.useful_draws"] == finished[0].total
     assert reconcile(counts, None) == []
+
+
+def test_a_delta_too_small_is_named_under_the_tracer():
+    # the tracer's plan wrappers hide each plan's signature; ``solve`` still
+    # names the delta it was given, as an untraced run does
+    for algo, delta in (("known", 5e-324), ("guess", 1e-160)):
+        message = f"delta {delta!r} too small: a derived value left the float range"
+        with Tracer(), pytest.raises(ValueError) as raised:
+            bench.run_one_trial(algo, PAIR, delta, 0)
+        assert str(raised.value) == message
