@@ -21,7 +21,10 @@ class SamplingOracle:
     and the running total are Python ints, exact at any scale.  A Gaussian is
     ``mu + scale * z`` with ``z`` from a bound ``rng.standard_normal``, which is
     how numpy's ``rng.normal(mu, scale)`` computes it from one such ``z``: the
-    same float and generator state, at less call overhead.
+    same float and generator state, at less call overhead.  A mean request
+    draws its arms' ``z`` in one ``standard_normal(k)`` call (see
+    :meth:`queue_normals`), which fills them in arm order from the same stream
+    as ``k`` scalar calls; a tally stays one ``binomial`` call per arm.
     """
 
     def __init__(self, means, seed=0):
@@ -30,6 +33,7 @@ class SamplingOracle:
             raise ValueError("oracle needs at least one arm")
         self.rng = np.random.default_rng(seed)
         self._normal = self.rng.standard_normal
+        self._queued = []  # standard normals drawn ahead for the next sample_mean calls, last first
         self.counts = np.zeros(len(self._means), dtype=object)
         self._total = 0
 
@@ -54,13 +58,18 @@ class SamplingOracle:
         """One reward from one arm; increments that arm's counter by one."""
         return self.sample_mean(arm, 1)
 
+    def queue_normals(self, k: int) -> None:
+        """Draw the ``z`` of the next ``k`` ``sample_mean`` calls in one call."""
+        self._queued = self._normal(k)[::-1].tolist()
+
     def sample_mean(self, arm: int, draws: int) -> float:
         """Empirical mean of ``draws`` fresh rewards from one arm."""
         if draws < 1:
             raise ValueError("draws must be >= 1")
         self.counts[arm] += draws
         self._total += draws
-        return self._means[arm] + draws**-0.5 * self._normal()
+        z = self._queued.pop() if self._queued else self._normal()
+        return self._means[arm] + draws**-0.5 * z
 
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
         """How many of ``probes`` independent mean-of-``draws`` estimates fall below ``cutoff``.

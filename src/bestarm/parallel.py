@@ -163,17 +163,13 @@ def parallel_simulation(
     for copy in copies:
         if copy is winner or copy.pending is None:
             continue
-        # Arms of the in-flight request completed by the stop count in
-        # full; the first one still open gets its grants up to ``stale``.
+        # The in-flight request's arms through the first one still open at
+        # the stop are granted their draws in order, up to ``stale``.
         consumed = copy.oracle.total
-        done = copy.grants(stop_iter, winner.index) - consumed
-        granted = copy.grants(stale, winner.index) - consumed
-        for arm, cost in zip(copy.pending.arms, copy.pending.arm_costs()):
-            if done < cost:
-                per_arm[arm] += min(max(granted, 0), cost)
-                break
-            per_arm[arm] += cost
-            done -= cost
+        fit, through = split_at_cap(copy.pending, copy.grants(stop_iter, winner.index) - consumed)
+        granted = min(copy.grants(stale, winner.index) - consumed, through)
+        for arm, cost in zip(copy.pending.arms[:fit + 1], copy.pending.arm_costs()):
+            per_arm[arm] += min(max(granted, 0), cost)
             granted -= cost
     # A winner stopped by its budget never returned, so its result is None.
     return make_outcome(winner.result, per_arm)

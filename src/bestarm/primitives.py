@@ -36,7 +36,8 @@ class BudgetExceededError(RuntimeError):
 class MeanRequest:
     """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms``.
 
-    Fulfilled arm by arm, in order; the reply lists the means in arm order.
+    Fulfilled arm by arm, in order, with the arms' normals drawn in one
+    call; the reply lists the means in arm order.
     """
 
     arms: tuple[int, ...]
@@ -56,6 +57,9 @@ class MeanRequest:
 
     def fulfill(self, oracle) -> list[float]:
         sample_mean, draws = oracle.sample_mean, self.draws
+        if draws < 1:  # refused before any normal is drawn
+            raise ValueError("draws must be >= 1")
+        oracle.queue_normals(len(self.arms))
         return [sample_mean(arm, draws) for arm in self.arms]
 
 
@@ -92,17 +96,16 @@ class TallyRequest:
 def split_at_cap(request, room: int):
     """Split ``request`` where its arms, served in order, first pass ``room`` draws.
 
-    Returns ``(head, through)``: the same-class request over the leading
-    arms that fit (None when not even the first does) and the draws up to
-    and including the first arm that does not fit.  A request that fits
-    as a whole comes back unchanged, with its cost.
+    Returns ``(fit, through)``: the number of leading arms that fit, and
+    the draws up to and including the first arm that does not.  A request
+    that fits as a whole gives all its arms and its cost.
     """
     through = 0
     for k, cost in enumerate(request.arm_costs()):
         through += cost
         if through > room:
-            return (request.prefix(k) if k else None), through
-    return request, through
+            return k, through
+    return len(request.arms), through
 
 
 def serve(request, oracle, budget: int | None):
@@ -113,9 +116,9 @@ def serve(request, oracle, budget: int | None):
     is raised; the arm that crosses is never drawn.
     """
     if budget is not None and oracle.total + request.cost > budget:
-        head, _ = split_at_cap(request, budget - oracle.total)
-        if head is not None:
-            head.fulfill(oracle)
+        fit, _ = split_at_cap(request, budget - oracle.total)
+        if fit:
+            request.prefix(fit).fulfill(oracle)
         raise BudgetExceededError(
             f"next request ({request.cost} draws) would exceed the cap of {budget}"
         )

@@ -15,6 +15,9 @@ class DeterministicOracle(SamplingOracle):
         self._total += 1
         return self._means[arm]
 
+    def queue_normals(self, k: int) -> None:
+        pass
+
     def sample_mean(self, arm: int, draws: int) -> float:
         if draws < 1:
             raise ValueError("draws must be >= 1")

@@ -4,7 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from bestarm import Instance, SamplingOracle, complexity_guessing_plan, solve
+from bestarm import (
+    BudgetExceededError, Instance, MeanRequest, SamplingOracle, complexity_guessing_plan, solve,
+)
+from bestarm.primitives import serve
 from bestarm.solvers import SolveResult, make_outcome
 from doubles import DeterministicOracle
 
@@ -74,6 +77,59 @@ def test_sample_mean_equals_rng_normal_on_any_mean_and_count(seed, calls):
     for arm, (mean, draws) in enumerate(calls):
         assert oracle.sample_mean(arm, draws).hex() == twin.normal(mean, draws**-0.5).hex()
     assert oracle.rng.bit_generator.state == twin.bit_generator.state
+
+
+# A mean request draws its arms' normals in one ``standard_normal(k)`` call;
+# these pin that it is the float and the stream of one ``rng.normal`` per arm.
+@pytest.mark.parametrize("k", [1, 2, 3, 1000])
+@pytest.mark.parametrize("draws", [1, 3, 2**40, 2**62])
+def test_mean_request_equals_rng_normal_per_arm(k, draws):
+    means = [i / k for i in range(k)]
+    oracle = SamplingOracle(means, seed=k)
+    twin = np.random.default_rng(k)
+    arms = tuple(reversed(range(k)))
+    reply = MeanRequest(arms, draws).fulfill(oracle)
+    assert [m.hex() for m in reply] == [twin.normal(means[a], draws**-0.5).hex() for a in arms]
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
+    assert oracle.snapshot() == [draws] * k
+    assert oracle._queued == []
+
+
+def test_budget_split_head_consumes_only_its_normals():
+    oracle = SamplingOracle([0.1, 0.2, 0.3, 0.4], seed=3)
+    twin = np.random.default_rng(3)
+    with pytest.raises(BudgetExceededError):
+        serve(MeanRequest((0, 1, 2, 3), 5), oracle, budget=12)  # arms 0 and 1 fit
+    twin.standard_normal(2)
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
+    assert oracle.snapshot() == [5, 5, 0, 0]
+    assert oracle._queued == []
+
+
+def test_refused_mean_request_draws_nothing():
+    oracle = SamplingOracle([0.1, 0.2], seed=4)
+    state = oracle.rng.bit_generator.state
+    with pytest.raises(ValueError, match="draws must be >= 1"):
+        MeanRequest((0, 1), 0).fulfill(oracle)
+    assert oracle.rng.bit_generator.state == state
+    assert oracle._queued == [] and oracle.total == 0
+
+
+def test_direct_sample_mean_after_a_request_draws_fresh():
+    oracle = SamplingOracle([0.1, 0.2], seed=5)
+    twin = np.random.default_rng(5)
+    MeanRequest((0, 1), 7).fulfill(oracle)
+    twin.standard_normal(2)
+    assert oracle.sample_mean(1, 9).hex() == twin.normal(0.2, 9**-0.5).hex()
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_deterministic_double_serves_mean_requests_without_the_stream():
+    oracle = DeterministicOracle([0.7, 0.1, 0.4], seed=5)
+    state = oracle.rng.bit_generator.state
+    assert MeanRequest((2, 0, 1), 11).fulfill(oracle) == [0.4, 0.7, 0.1]
+    assert oracle.rng.bit_generator.state == state
+    assert oracle.snapshot() == [11, 11, 11]
 
 
 def test_count_means_below_law_matches_per_probe_simulation():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -22,6 +23,8 @@ from bestarm import (
     profile,
     solve,
 )
+from bestarm.cli import main
+from bestarm.primitives import frac_test_probe_counts
 from bestarm.solvers import (
     C_ROUNDS,
     ee_round_delta,
@@ -291,6 +294,88 @@ def test_float_edge_runs_exactly_or_is_refused(algo, delta, k):
 def test_float_edge_on_the_ladder_runs_exactly_or_is_refused(delta, k):
     inst = gap_pair(k)
     assert_runs_exactly_or_is_refused(lambda: parallel_simulation(inst, delta, seed=0), delta)
+
+
+# Means on a 1/256 grid that holds 0 and 1 exactly: one arm at top / 256 and
+# the others cycling over levels below it, so up to 10^4 arms come in requests
+# of thousands of arms.  The explicit ties at the top are refused, by the API
+# and by the CLI alike.
+RUNNERS = {
+    "known": lambda inst, seed: solve(
+        known_complexity_plan, gauss(inst, seed), inst, 0.01, profile(inst).H),
+    "guess": lambda inst, seed: solve(complexity_guessing_plan, gauss(inst, seed), inst, 0.01),
+    "parallel": lambda inst, seed: parallel_simulation(inst, 0.01, seed=seed),
+}
+
+
+def grid_instance_means(n, top, levels):
+    """``top / 256`` first, then ``n - 1`` arms cycling over ``levels`` (in 1/256)."""
+    return [top / 256] + [levels[i % len(levels)] / 256 for i in range(n - 1)]
+
+
+def assert_grid_case_runs_exactly_or_exits_1(tmp_path_factory, algo, means, seed):
+    try:
+        out = RUNNERS[algo](Instance.from_means(means), seed)
+    except ValueError:
+        path = tmp_path_factory.mktemp("grid") / "instance.txt"
+        path.write_text("".join(f"{m!r}\n" for m in means))
+        assert main(["run", "--instance", str(path), "--algo", algo, "--seed", str(seed)]) == 1
+        return
+    assert out.status == OK
+    assert sum(out.per_arm_samples) == out.total_samples
+
+
+def below_top(max_arms):
+    """(n, top, levels) with every level below ``top``."""
+    return st.tuples(st.integers(2, max_arms), st.integers(1, 256)).flatmap(
+        lambda nt: st.tuples(st.just(nt[0]), st.just(nt[1]),
+                             st.lists(st.integers(0, nt[1] - 1), min_size=1, max_size=3)))
+
+
+@pytest.mark.parametrize("algo", ["known", "guess"])
+@settings(max_examples=5)
+@given(case=below_top(10**4), seed=st.integers(0, 3))
+@example(case=(10**4, 256, [0]), seed=0)
+@example(case=(10**4, 256, [0, 128, 255]), seed=1)
+@example(case=(10**4, 256, [256, 0]), seed=0)  # tied at 1: refused
+@example(case=(2, 0, [0]), seed=0)  # tied at 0: refused
+@example(case=(2, 0, [256]), seed=0)
+def test_wide_instances_with_means_at_0_and_1_run_exactly_or_are_refused(
+        tmp_path_factory, algo, case, seed):
+    means = grid_instance_means(*case)
+    assert_grid_case_runs_exactly_or_exits_1(tmp_path_factory, algo, means, seed)
+
+
+# Forty ladder copies of 10^4 arms take seconds, so the ladder stops at 10^3.
+@settings(max_examples=4)
+@given(case=below_top(10**3), seed=st.integers(0, 3))
+@example(case=(10**3, 256, [0, 128]), seed=0)
+@example(case=(3, 256, [256, 0]), seed=0)  # tied at 1: refused
+def test_wide_instances_on_the_ladder_run_exactly_or_are_refused(tmp_path_factory, case, seed):
+    means = grid_instance_means(*case)
+    assert_grid_case_runs_exactly_or_exits_1(tmp_path_factory, "parallel", means, seed)
+
+
+def test_no_fraction_test_probe_count_passes_int64():
+    """The largest probe count a run can reach fits numpy's int64 binomial.
+
+    A guess 100^t overflows at t = 155, so t <= 154.  A delta whose
+    ln(2/delta) is finite has ln(2/delta) <= ln(float max).  The threshold
+    step (C t - r)^-2 / 10 is smallest, and the probe count largest, at
+    t = 154 and r = 1.  The multinomial of picks and every per-arm binomial
+    take at most this count.
+    """
+    with pytest.raises(OverflowError):
+        100.0**155
+    tiny = 2.0 / sys.float_info.max  # the smallest delta with a finite 2 / delta
+    while math.isinf(2.0 / tiny):
+        tiny = math.nextafter(tiny, 1.0)
+    assert math.log(2.0 / tiny) <= math.log(sys.float_info.max) < 709.79
+    steps = [theta_step(t, r) for t in range(1, 155) for r in range(1, int(C_ROUNDS * t))]
+    assert min(steps) == theta_step(154, 1)
+    probes, _ = frac_test_probe_counts(0.0, 1.0, 0.3, 0.3 + theta_step(154, 1), tiny)
+    assert probes <= 2**63 - 1
+    assert probes == pytest.approx(1.74e17, rel=1e-2)
 
 
 def test_shuffle_makes_storage_order_irrelevant_on_average():
