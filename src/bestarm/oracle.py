@@ -21,10 +21,10 @@ class SamplingOracle:
     and the running total are Python ints, exact at any scale.  A Gaussian is
     ``mu + scale * z`` with ``z`` from a bound ``rng.standard_normal``, which is
     how numpy's ``rng.normal(mu, scale)`` computes it from one such ``z``: the
-    same float and generator state, at less call overhead.  A mean request
-    draws its arms' ``z`` in one ``standard_normal(k)`` call (see
-    :meth:`queue_normals`), which fills them in arm order from the same stream
-    as ``k`` scalar calls; a tally stays one ``binomial`` call per arm.
+    same float and generator state, at less call overhead.  A request's normals
+    (two or more arms, :meth:`queue_normals`) or counts (``primitives.TALLY_BATCH``
+    or more arms, :meth:`queue_tallies`) come from one array call, in arm order,
+    with the values and the stream of one scalar call per arm.
     """
 
     def __init__(self, means, seed=0):
@@ -33,7 +33,7 @@ class SamplingOracle:
             raise ValueError("oracle needs at least one arm")
         self.rng = np.random.default_rng(seed)
         self._normal = self.rng.standard_normal
-        self._queued = []  # standard normals drawn ahead for the next sample_mean calls, last first
+        self._queued = []  # normals or tallies drawn ahead for the next sampler calls, last first
         self.counts = np.zeros(len(self._means), dtype=object)
         self._total = 0
 
@@ -62,6 +62,12 @@ class SamplingOracle:
         """Draw the ``z`` of the next ``k`` ``sample_mean`` calls in one call."""
         self._queued = self._normal(k)[::-1].tolist()
 
+    def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> None:
+        """Draw the counts of the next ``count_means_below`` calls, one per arm, in one call."""
+        scale, means = math.sqrt(draws), self._means
+        ps = [0.5 * math.erfc(-((cutoff - means[arm]) * scale) / _SQRT2) for arm in arms]
+        self._queued = self.rng.binomial(probes, ps)[::-1].tolist()
+
     def sample_mean(self, arm: int, draws: int) -> float:
         """Empirical mean of ``draws`` fresh rewards from one arm."""
         if draws < 1:
@@ -75,12 +81,15 @@ class SamplingOracle:
         """How many of ``probes`` independent mean-of-``draws`` estimates fall below ``cutoff``.
 
         Counts draws * probes samples against the arm.  The probability needs no clamp:
-        0.5 * erfc(.) lies in [0, 1] for all x, +-inf included; NaN makes binomial raise.
+        0.5 * erfc(.) lies in [0, 1] for all x, +-inf included; NaN makes binomial raise,
+        in a batched request inside :meth:`queue_tallies`, before any arm is charged.
         """
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")
         n = draws * probes
         self.counts[arm] += n
         self._total += n
+        if self._queued:
+            return self._queued.pop()
         x = (cutoff - self._means[arm]) * math.sqrt(draws)
         return self.rng.binomial(probes, 0.5 * math.erfc(-x / _SQRT2))

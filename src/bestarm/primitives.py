@@ -28,6 +28,9 @@ from itertools import repeat
 
 from .instances import _check_delta
 
+TALLY_BATCH = 16  # fewest arms of a tally drawn in one array call: the measured break-even
+
+
 class BudgetExceededError(RuntimeError):
     """Raised by plan drivers when the next request would cross the sample cap."""
 
@@ -36,8 +39,8 @@ class BudgetExceededError(RuntimeError):
 class MeanRequest:
     """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms``.
 
-    Fulfilled arm by arm, in order, with the arms' normals drawn in one
-    call; the reply lists the means in arm order.
+    Fulfilled arm by arm, in order, with the normals of two or more arms
+    drawn in one call; the reply lists the means in arm order.
     """
 
     arms: tuple[int, ...]
@@ -59,7 +62,8 @@ class MeanRequest:
         sample_mean, draws = oracle.sample_mean, self.draws
         if draws < 1:  # refused before any normal is drawn
             raise ValueError("draws must be >= 1")
-        oracle.queue_normals(len(self.arms))
+        if len(self.arms) > 1:
+            oracle.queue_normals(len(self.arms))
         return [sample_mean(arm, draws) for arm in self.arms]
 
 
@@ -68,7 +72,7 @@ class TallyRequest:
     """Ask how many of ``probes[i]`` independent mean-of-``draws`` estimates
     from ``arms[i]`` fall strictly below ``cutoff``, summed over the arms.
 
-    Fulfilled arm by arm, in order.
+    Fulfilled arm by arm, in order; ``TALLY_BATCH`` or more arms in one draw call.
     """
 
     arms: tuple[int, ...]
@@ -89,8 +93,12 @@ class TallyRequest:
         return TallyRequest(self.arms[:k], self.draws, self.probes[:k], self.cutoff)
 
     def fulfill(self, oracle) -> int:
-        draws, cutoff = repeat(self.draws), repeat(self.cutoff)
-        return sum(map(oracle.count_means_below, self.arms, draws, self.probes, cutoff))
+        arms, draws, probes, cutoff = self.arms, self.draws, self.probes, self.cutoff
+        if draws < 1 or min(probes) < 1:  # refused before any count is drawn
+            raise ValueError("draws and probes must be >= 1")
+        if len(arms) >= TALLY_BATCH:
+            oracle.queue_tallies(arms, draws, probes, cutoff)
+        return sum(map(oracle.count_means_below, arms, repeat(draws), probes, repeat(cutoff)))
 
 
 def split_at_cap(request, room: int):

@@ -18,6 +18,9 @@ class DeterministicOracle(SamplingOracle):
     def queue_normals(self, k: int) -> None:
         pass
 
+    def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> None:
+        pass
+
     def sample_mean(self, arm: int, draws: int) -> float:
         if draws < 1:
             raise ValueError("draws must be >= 1")

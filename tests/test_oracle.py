@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ from scipy import stats
 from bestarm import (
     BudgetExceededError, Instance, MeanRequest, SamplingOracle, complexity_guessing_plan, solve,
 )
-from bestarm.primitives import serve
+from bestarm.primitives import TALLY_BATCH, TallyRequest, serve
 from bestarm.solvers import SolveResult, make_outcome
 from doubles import DeterministicOracle
 
@@ -130,6 +132,99 @@ def test_deterministic_double_serves_mean_requests_without_the_stream():
     assert MeanRequest((2, 0, 1), 11).fulfill(oracle) == [0.4, 0.7, 0.1]
     assert oracle.rng.bit_generator.state == state
     assert oracle.snapshot() == [11, 11, 11]
+
+
+# A tally request of TALLY_BATCH or more arms draws its counts in one array
+# ``binomial`` call; these pin that it is the ints and the stream of one
+# ``rng.binomial`` per arm.  Means 0, -40, 40 and 37.047 at cutoff 0 and one
+# draw give p = 0.5, 1, 0 and about 1e-300; 1.74e17 is the largest probe
+# count a fraction test reaches (see test_solvers).
+TALLY_MEANS = (0.0, -40.0, 40.0, 37.047)
+TALLY_PROBES = (1, 3, 1000, 2**40, 174_000_000_000_000_000)
+
+
+def _tally_p(mean, draws, cutoff):
+    return 0.5 * math.erfc(-((cutoff - mean) * math.sqrt(draws)) / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("k", [TALLY_BATCH - 1, TALLY_BATCH, 100, 1000])
+def test_tally_request_equals_rng_binomial_per_arm(k):
+    means = [TALLY_MEANS[i % 4] for i in range(k)]
+    probes = tuple(TALLY_PROBES[i % 5] for i in range(k))
+    oracle = SamplingOracle(means, seed=k)
+    twin = np.random.default_rng(k)
+    arms = tuple(reversed(range(k)))
+    ps = [_tally_p(means[a], 1, 0.0) for a in arms]
+    assert {0.0, 0.5, 1.0} < set(ps) and 1e-301 < min(p for p in ps if p) < 1e-299
+    counts = [int(twin.binomial(n, p)) for n, p in zip(probes, ps)]
+    assert TallyRequest(arms, 1, probes, 0.0).fulfill(oracle) == sum(counts)
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
+    assert oracle.snapshot() == [TALLY_PROBES[(k - 1 - a) % 5] for a in range(k)]
+    assert oracle._queued == []
+
+
+def test_batched_tally_counts_reach_each_arm():
+    # the queue hands arm i the count drawn for arm i, not a neighbour's
+    oracle = SamplingOracle([0.0] * TALLY_BATCH, seed=1)
+    twin = np.random.default_rng(1)
+    probes = tuple(range(1, TALLY_BATCH + 1))
+    oracle.queue_tallies(range(TALLY_BATCH), 4, probes, 0.3)
+    calls = [oracle.count_means_below(arm, 4, n, 0.3) for arm, n in enumerate(probes)]
+    assert calls == [twin.binomial(n, _tally_p(0.0, 4, 0.3)) for n in probes]
+
+
+def test_budget_split_head_consumes_only_its_binomials():
+    k = TALLY_BATCH + 4
+    oracle = SamplingOracle([0.1] * k, seed=3)
+    twin = np.random.default_rng(3)
+    request = TallyRequest(tuple(range(k)), 2, (5,) * k, 0.2)
+    with pytest.raises(BudgetExceededError):
+        serve(request, oracle, budget=10 * TALLY_BATCH + 9)  # the first TALLY_BATCH arms fit
+    twin.binomial([5] * TALLY_BATCH, _tally_p(0.1, 2, 0.2))
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
+    assert oracle.snapshot() == [10] * TALLY_BATCH + [0] * 4
+    assert oracle._queued == []
+
+
+@pytest.mark.parametrize("draws, last_probe", [(0, 3), (2, 0)])
+def test_refused_tally_request_draws_nothing(draws, last_probe):
+    k = TALLY_BATCH + 1
+    oracle = SamplingOracle([0.1] * k, seed=4)
+    state = oracle.rng.bit_generator.state
+    request = TallyRequest(tuple(range(k)), draws, (3,) * (k - 1) + (last_probe,), 0.2)
+    with pytest.raises(ValueError, match="draws and probes must be >= 1"):
+        request.fulfill(oracle)
+    assert oracle.rng.bit_generator.state == state
+    assert oracle._queued == [] and oracle.total == 0
+
+
+def test_direct_count_means_below_after_a_request_draws_fresh():
+    k = TALLY_BATCH
+    oracle = SamplingOracle([0.1] * k, seed=5)
+    twin = np.random.default_rng(5)
+    TallyRequest(tuple(range(k)), 7, (4,) * k, 0.3).fulfill(oracle)
+    twin.binomial([4] * k, _tally_p(0.1, 7, 0.3))
+    assert oracle.count_means_below(1, 9, 40, 0.3) == twin.binomial(40, _tally_p(0.1, 9, 0.3))
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_batched_tally_rejects_nan_cutoff_before_charging():
+    k = TALLY_BATCH
+    oracle = SamplingOracle([0.5] * k, seed=0)
+    state = oracle.rng.bit_generator.state
+    with pytest.raises(ValueError):
+        TallyRequest(tuple(range(k)), 3, (40,) * k, float("nan")).fulfill(oracle)
+    assert oracle.rng.bit_generator.state == state
+    assert oracle._queued == [] and oracle.total == 0
+
+
+def test_deterministic_double_serves_tally_requests_without_the_stream():
+    k = TALLY_BATCH
+    oracle = DeterministicOracle([0.7, 0.1] * k, seed=5)
+    state = oracle.rng.bit_generator.state
+    assert TallyRequest(tuple(range(2 * k)), 11, (3,) * (2 * k), 0.5).fulfill(oracle) == 3 * k
+    assert oracle.rng.bit_generator.state == state
+    assert oracle.snapshot() == [33] * (2 * k)
 
 
 def test_count_means_below_law_matches_per_probe_simulation():

@@ -1,8 +1,9 @@
 """Tier-1 guard of the benchmark's replay digests.
 
 Runs the benchmark's check grid of ``desk-solvers`` and ``wide-solvers`` at
-seed 0 with the benchmark's own runner (read from ``perfbench/``, not
-copied) and compares the outcome digest with ``perfbench/digests.json``.
+seed 0, and of ``wide-solvers`` also at the held-out seed, with the
+benchmark's own runner (read from ``perfbench/``, not copied) and compares
+the outcome digest with ``perfbench/digests.json``.
 A change that moves any outcome fails here, not only in the benchmark.
 ``desk-ladder`` is guarded by ``GOLDEN_DIGEST`` in ``test_parallel.py``;
 the ``desk-baseline`` grid takes several seconds and stays benchmark-only.
@@ -19,16 +20,20 @@ import bestarm
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 from run import Runner, digest  # noqa: E402
-from workloads import DEFAULT_SEED, WORKLOADS, set_up  # noqa: E402
+from workloads import DEFAULT_SEED, HELD_OUT_SEED, WORKLOADS, set_up  # noqa: E402
 
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("name", ["desk-solvers", "wide-solvers"])
-def test_check_grid_replays_the_stored_digest(name):
+@pytest.mark.parametrize(
+    "name, seed",
+    [("desk-solvers", DEFAULT_SEED), ("wide-solvers", DEFAULT_SEED), ("wide-solvers", HELD_OUT_SEED)],
+    ids=["desk-solvers", "wide-solvers", f"wide-solvers-{HELD_OUT_SEED}"],
+)
+def test_check_grid_replays_the_stored_digest(name, seed):
     _, pairs = set_up(name)
-    runner = Runner(bestarm.bench, WORKLOADS[name], pairs, DEFAULT_SEED)
+    runner = Runner(bestarm.bench, WORKLOADS[name], pairs, seed)
     lines, _, _ = runner.run_grid()
     assert runner.failed == 0 and runner.problems == []
     assert len(lines) == runner.attempted
-    assert digest(lines) == DIGESTS[name][str(DEFAULT_SEED)]
+    assert digest(lines) == DIGESTS[name][str(seed)]
