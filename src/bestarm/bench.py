@@ -94,14 +94,18 @@ def run_trials(
     Trial i uses seed ``base_seed + i``, so a batch replays exactly.  The
     ``known`` algorithm receives the instance complexity computed from the
     gap profile, and ``budget`` is an optional per-trial sample cap.
-    ``workers > 1`` fans trials out over a process pool; results aggregate in trial order.
+    ``workers`` must lie in 1..``os.cpu_count()``; above 1, trials fan out over a
+    pool of at most one process per trial, and results aggregate in trial order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= workers <= (os.cpu_count() or 1):
+        raise ValueError(f"workers must be in 1..{os.cpu_count() or 1}, got {workers}")
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     bound = conjectured_bound(profile(instance), delta)  # refuses a bad instance before any run
     seeds = [base_seed + i for i in range(trials)]
+    workers = min(workers, trials)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -17,8 +18,8 @@ class SamplingOracle:
     bit for bit.  The batched channels return sufficient statistics of
     groups of draws; these have exactly the joint law of drawing reward by
     reward (the mean of n draws is N(mu, 1/n)), while the counters always
-    advance by the true number of underlying draws.  The per-arm counters
-    and the running total are Python ints, exact at any scale.  A Gaussian is
+    advance by the true number of underlying draws.  The counters (per arm, the
+    total and ``draws_by_phase``) are Python ints, exact at any scale.  A Gaussian is
     ``mu + scale * z`` with ``z`` from a bound ``rng.standard_normal``, which is
     how numpy's ``rng.normal(mu, scale)`` computes it from one such ``z``: the
     same float and generator state, at less call overhead.  A request's normals
@@ -36,6 +37,7 @@ class SamplingOracle:
         self._queued = []  # normals or tallies drawn ahead for the next sampler calls, last first
         self.counts = np.zeros(len(self._means), dtype=object)
         self._total = 0
+        self.draws_by_phase = defaultdict(int)
 
     @classmethod
     def for_instance(cls, instance, seed=0) -> "SamplingOracle":
@@ -81,8 +83,8 @@ class SamplingOracle:
         """How many of ``probes`` independent mean-of-``draws`` estimates fall below ``cutoff``.
 
         Counts draws * probes samples against the arm.  The probability needs no clamp:
-        0.5 * erfc(.) lies in [0, 1] for all x, +-inf included; NaN makes binomial raise,
-        in a batched request inside :meth:`queue_tallies`, before any arm is charged.
+        0.5 * erfc(.) lies in [0, 1] for all x, +-inf included; a NaN cutoff makes
+        binomial raise here (``TallyRequest`` refuses one before any arm is charged).
         """
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")

@@ -12,9 +12,10 @@ A plan yields one request per round: per median-elimination round, per
 uniform-sampling call and per fraction test.  A request names an ordered
 tuple of arms, and fulfilling it samples them arm by arm, in that order,
 so the RNG stream and the draw counters advance exactly as one request per
-arm would.  Budget stops stay per arm: :func:`serve`, the one serving
-step of every plan driver, serves a request that would cross the sample
-cap only up to its last arm that fits (see :func:`split_at_cap`).
+arm would; its draws then go to its ``phase`` (``med``, ``anchor``, ``frac``,
+``elim``, ``baseline``) in the oracle's ``draws_by_phase``.  Budget stops stay
+per arm: :func:`serve`, the one serving step of every plan driver, serves a
+request that would cross the sample cap only up to its last arm that fits.
 
 Ties are broken toward the arm listed first, so callers control tie order
 through the member sequence.
@@ -23,7 +24,7 @@ through the member sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 from .instances import _check_delta
@@ -39,12 +40,13 @@ class BudgetExceededError(RuntimeError):
 class MeanRequest:
     """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms``.
 
-    Fulfilled arm by arm, in order, with the normals of two or more arms
-    drawn in one call; the reply lists the means in arm order.
+    Fulfilled arm by arm, in order (two or more arms' normals in one call),
+    then charged to ``phase``; the reply lists the means in arm order.
     """
 
     arms: tuple[int, ...]
     draws: int
+    phase: str = field(default="", kw_only=True)
 
     @property
     def cost(self) -> int:
@@ -56,7 +58,7 @@ class MeanRequest:
 
     def prefix(self, k: int) -> "MeanRequest":
         """The same request over the first ``k`` arms."""
-        return MeanRequest(self.arms[:k], self.draws)
+        return replace(self, arms=self.arms[:k])
 
     def fulfill(self, oracle) -> list[float]:
         sample_mean, draws = oracle.sample_mean, self.draws
@@ -64,7 +66,9 @@ class MeanRequest:
             raise ValueError("draws must be >= 1")
         if len(self.arms) > 1:
             oracle.queue_normals(len(self.arms))
-        return [sample_mean(arm, draws) for arm in self.arms]
+        means = [sample_mean(arm, draws) for arm in self.arms]
+        oracle.draws_by_phase[self.phase] += draws * len(means)
+        return means
 
 
 @dataclass
@@ -72,13 +76,14 @@ class TallyRequest:
     """Ask how many of ``probes[i]`` independent mean-of-``draws`` estimates
     from ``arms[i]`` fall strictly below ``cutoff``, summed over the arms.
 
-    Fulfilled arm by arm, in order; ``TALLY_BATCH`` or more arms in one draw call.
+    Fulfilled arm by arm, in order, then charged to ``phase``; one draw call from ``TALLY_BATCH`` arms.
     """
 
     arms: tuple[int, ...]
     draws: int
     probes: tuple[int, ...]
     cutoff: float
+    phase: str = field(default="", kw_only=True)
 
     @property
     def cost(self) -> int:
@@ -90,15 +95,19 @@ class TallyRequest:
 
     def prefix(self, k: int) -> "TallyRequest":
         """The same request over the first ``k`` arms."""
-        return TallyRequest(self.arms[:k], self.draws, self.probes[:k], self.cutoff)
+        return replace(self, arms=self.arms[:k], probes=self.probes[:k])
 
     def fulfill(self, oracle) -> int:
         arms, draws, probes, cutoff = self.arms, self.draws, self.probes, self.cutoff
         if draws < 1 or min(probes) < 1:  # refused before any count is drawn
             raise ValueError("draws and probes must be >= 1")
+        if math.isnan(cutoff):  # refused before any arm is charged
+            raise ValueError("cutoff must not be NaN")
         if len(arms) >= TALLY_BATCH:
             oracle.queue_tallies(arms, draws, probes, cutoff)
-        return sum(map(oracle.count_means_below, arms, repeat(draws), probes, repeat(cutoff)))
+        below = sum(map(oracle.count_means_below, arms, repeat(draws), probes, repeat(cutoff)))
+        oracle.draws_by_phase[self.phase] += draws * sum(probes)
+        return below
 
 
 def split_at_cap(request, room: int):
@@ -173,7 +182,7 @@ def _check_members(members) -> list[int]:
     return members
 
 
-def unif_sampl_plan(members, eps: float, delta: float):
+def unif_sampl_plan(members, eps: float, delta: float, *, phase: str = "anchor"):
     """Sample every arm in ``members`` ceil(2 eps^-2 ln(2/delta)) times.
 
     Returns each arm's empirical mean, keyed by arm; with probability
@@ -181,7 +190,7 @@ def unif_sampl_plan(members, eps: float, delta: float):
     """
     members = _check_members(members)
     draws = unif_sample_size(eps, delta)
-    means = yield MeanRequest(tuple(members), draws)
+    means = yield MeanRequest(tuple(members), draws, phase=phase)
     return dict(zip(members, means))
 
 
@@ -202,7 +211,7 @@ def med_elim_plan(members, eps: float, delta: float):
     delta_l = delta / 2.0
     while len(active) > 1:
         draws = _count(2.0 * (eps_l / 2.0) ** -2 * math.log(3.0 / delta_l))
-        means = yield MeanRequest(tuple(active), draws)
+        means = yield MeanRequest(tuple(active), draws, phase="med")
         keep = (len(active) + 1) // 2
         # Stable sort, reverse=True included: ties keep the earlier-listed arm in front.
         order = sorted(range(len(active)), key=means.__getitem__, reverse=True)
@@ -225,7 +234,7 @@ def frac_test_probe_counts(c_lo, c_hi, theta_lo, theta_hi, delta) -> tuple[int, 
     return probes, per_probe
 
 
-def frac_test_plan(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta):
+def frac_test_plan(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta, *, phase: str = "frac"):
     """Randomized check whether a large fraction of arms have small means.
 
     Performs m = ceil((spread/6)^-2 ln(2/delta)) probes, spread = theta_hi -
@@ -248,7 +257,7 @@ def frac_test_plan(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta):
     picks = oracle.rng.multinomial(probes, [1.0 / len(members)] * len(members))
     # Arms with no pick are left out of the request.
     arms, counts = zip(*[(arm, n) for arm, n in zip(members, picks.tolist()) if n])
-    below = yield TallyRequest(arms, per_probe, counts, cutoff)
+    below = yield TallyRequest(arms, per_probe, counts, cutoff, phase=phase)
     return below / probes > (theta_lo + theta_hi) / 2.0
 
 
@@ -274,10 +283,12 @@ def elimination_plan(oracle, members, d_lo: float, d_hi: float, delta: float):
         delta_r = delta / (10.0 * 2.0**round_idx)
         if not delta_r:  # underflowed: a float-range error of a tiny delta, not a bad input
             raise OverflowError("elimination delta underflowed to 0")
-        crowded = yield from frac_test_plan(oracle, active, d_lo, d_mid, 0.05, 0.1, delta_r)
+        crowded = yield from frac_test_plan(
+            oracle, active, d_lo, d_mid, 0.05, 0.1, delta_r, phase="elim"
+        )
         if not crowded:
             return active
-        estimates = yield from unif_sampl_plan(active, (d_hi - d_mid) / 2.0, delta_r)
+        estimates = yield from unif_sampl_plan(active, (d_hi - d_mid) / 2.0, delta_r, phase="elim")
         active = [arm for arm in active if estimates[arm] > keep_above]
     return active
 

@@ -76,7 +76,7 @@ class RunOutcome:
 
 @dataclass(frozen=True)
 class RoundEvent:
-    """One row of the structured per-round trace."""
+    """One row of the structured per-round trace; ``draws_*`` come from ``draws_by_phase``."""
 
     solver: str
     guess_t: int | None
@@ -151,48 +151,37 @@ def _shuffled_arms(oracle: SamplingOracle, instance: Instance) -> list[int]:
 # --- the shared elimination round -------------------------------------------
 
 
-_DRAW_FIELDS = ("draws_med", "draws_anchor", "draws_frac", "draws_elim")
-
-
 def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_prime):
     """One round at accuracy ``eps``, shared by both elimination solvers.
 
     Returns ``(survivors, fields)``; ``fields`` holds the round's own
-    ``RoundEvent`` fields, each draw field set to the draws of its phase.
+    ``RoundEvent`` fields, each draw field set to what its phase drew this round.
     """
     if not delta_r:  # underflowed (a subnormal delta): a float-range error, like delta_prime's
         raise OverflowError("delta_r underflowed to 0")
     n_active = len(members)
-    marks = [oracle.total]
+    before = dict(oracle.draws_by_phase)
     try:
         anchor = yield from med_elim_plan(members, 0.125 * eps, 0.01)
     except OverflowError:  # med-elim runs at a fixed confidence: only eps sizes its counts
         raise ValueError(f"gap too small: counts at accuracy {eps!r} left the float range") from None
-    marks.append(oracle.total)
     estimates = yield from unif_sampl_plan([anchor], 0.125 * eps, delta_r)
     mu_hat = estimates[anchor]
-    marks.append(oracle.total)
     c_lo, c_hi = frac_thresholds(mu_hat, eps)
     crowded = yield from frac_test_plan(oracle, members, c_lo, c_hi, theta_lo, theta_hi, delta_r)
-    marks.append(oracle.total)
     if crowded:
         if not delta_prime:  # underflowed: a float-range error, like the overflows of a tiny delta
             raise OverflowError("delta_prime underflowed to 0")
         d_lo, d_hi = elim_thresholds(mu_hat, eps)
-        survivors = yield from elimination_plan(oracle, members, d_lo, d_hi, delta_prime)
-        members = survivors if survivors else [anchor]
-    marks.append(oracle.total)
-    fields = {field: b - a for field, a, b in zip(_DRAW_FIELDS, marks, marks[1:])}
-    fields.update(
-        eps=eps,
-        n_active=n_active,
-        frac_true=crowded,
-        theta_lo=theta_lo,
-        theta_hi=theta_hi,
-        delta_round=delta_r,
-        delta_prime=delta_prime if crowded else None,
+        members = (yield from elimination_plan(oracle, members, d_lo, d_hi, delta_prime)) or [anchor]
+    return members, dict(
+        eps=eps, n_active=n_active, frac_true=crowded, theta_lo=theta_lo, theta_hi=theta_hi,
+        delta_round=delta_r, delta_prime=delta_prime if crowded else None,
+        draws_med=oracle.draws_by_phase.get("med", 0) - before.get("med", 0),
+        draws_anchor=oracle.draws_by_phase.get("anchor", 0) - before.get("anchor", 0),
+        draws_frac=oracle.draws_by_phase.get("frac", 0) - before.get("frac", 0),
+        draws_elim=oracle.draws_by_phase.get("elim", 0) - before.get("elim", 0),
     )
-    return members, fields
 
 
 # --- known complexity ------------------------------------------------------
@@ -312,7 +301,7 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     delta) / r) falls below another arm's estimate minus that radius.
     """
     _check_delta(delta)
-    request = MeanRequest(tuple(_shuffled_arms(oracle, instance)), 1)  # rebuilt when an arm leaves
+    request = MeanRequest(tuple(_shuffled_arms(oracle, instance)), 1, phase="baseline")
     n = instance.n_arms
     sums = [0.0] * n  # aligned with ``request.arms``
     r = 0
@@ -327,7 +316,7 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
         if min(sums) / r + radius < best_lcb:  # float / r > 0 and +- radius keep the sums' order
             kept = [(a, s) for a, s in zip(request.arms, sums) if s / r + radius >= best_lcb]
             arms, sums = zip(*kept)
-            request = MeanRequest(arms, 1)
+            request = MeanRequest(arms, 1, phase="baseline")  # rebuilt when an arm leaves
     return SolveResult(arm=request.arms[0], rounds=r)
 
 

@@ -1,4 +1,4 @@
-"""Test doubles for the sampling oracle."""
+"""Test doubles for the sampling oracle and the process pool."""
 
 from bestarm import SamplingOracle
 
@@ -35,3 +35,27 @@ class DeterministicOracle(SamplingOracle):
         self.counts[arm] += n
         self._total += n
         return probes if self._means[arm] < cutoff else 0
+
+
+class SmallPool:
+    """Stand-in for ``concurrent.futures.ProcessPoolExecutor`` that starts no process.
+
+    Records each requested ``max_workers`` in ``sizes`` (a test sets a fresh
+    list) and fails above 2, so a test of a large worker count can never fork
+    that many; maps in-process.
+    """
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        assert max_workers <= 2, f"asked for {max_workers} worker processes"
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import math
 import os
@@ -27,6 +28,7 @@ from bestarm import (
 )
 from bestarm import bench
 from bestarm.bench import TRIAL_CSV_HEADER
+from doubles import SmallPool
 
 TWO_ARM = Instance.from_means((1.0, 0.5), label="two-arm")
 
@@ -92,6 +94,27 @@ class TestRunTrials:
         pooled = run_trials("guess", TWO_ARM, 0.05, trials=6, base_seed=5, budget=None,
                             workers=2)
         assert serial == pooled
+
+    def test_workers_outside_one_to_cpu_count_are_refused_before_any_pool(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SmallPool)
+        monkeypatch.setattr(SmallPool, "sizes", [])
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        for workers in (0, -3, 65):
+            with pytest.raises(ValueError, match=f"workers must be in 1..64, got {workers}"):
+                run_trials("guess", TWO_ARM, 0.05, trials=2, base_seed=0, workers=workers)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker only
+        with pytest.raises(ValueError, match="workers must be in 1..1, got 2"):
+            run_trials("guess", TWO_ARM, 0.05, trials=2, base_seed=0, workers=2)
+        assert SmallPool.sizes == []
+
+    def test_pool_starts_at_most_one_worker_per_trial(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SmallPool)
+        monkeypatch.setattr(SmallPool, "sizes", [])
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        serial = run_trials("guess", TWO_ARM, 0.05, trials=2, base_seed=0)
+        assert run_trials("guess", TWO_ARM, 0.05, trials=2, base_seed=0, workers=64) == serial
+        run_trials("guess", TWO_ARM, 0.05, trials=1, base_seed=0, workers=64)  # runs in-process
+        assert SmallPool.sizes == [2]
 
     def test_unreconciled_ledger_raises(self, monkeypatch):
         def broken(*args):

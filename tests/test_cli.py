@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import bestarm
 from bestarm.cli import main
+from doubles import SmallPool
 
 TWO_ARM_FILE = "# two arms\n1.0\n0.5\n"
 
@@ -240,6 +242,23 @@ def test_bench_rejects_empty_directory(tmp_path, capsys):
         "bench", "--algo", "guess", "--instances", str(empty),
         "--out", str(out_csv),
     ]) == 1
+
+
+@pytest.mark.parametrize("workers", ["-3", "0", "100000"])
+def test_bench_refuses_workers_outside_one_to_cpu_count(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SmallPool)
+    monkeypatch.setattr(SmallPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    write_instance(tmp_path)
+    out_csv = tmp_path / "report.csv"
+    assert main([
+        "bench", "--algo", "guess", "--instances", str(tmp_path), "--trials", "2",
+        "--workers", workers, "--out", str(out_csv),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert f"error: workers must be in 1..2, got {workers}" in err
+    assert "Traceback" not in err and not out_csv.exists()
+    assert SmallPool.sizes == []
 
 
 def test_signxi_writes_profile(tmp_path, capsys):

@@ -218,6 +218,43 @@ def test_batched_tally_rejects_nan_cutoff_before_charging():
     assert oracle._queued == [] and oracle.total == 0
 
 
+@pytest.mark.parametrize("k", [3, TALLY_BATCH])
+def test_tally_request_refuses_nan_cutoff_before_any_charge(k):
+    # the scalar path would charge arm 0 before its binomial raised
+    oracle = SamplingOracle([0.5] * k, seed=0)
+    state = oracle.rng.bit_generator.state
+    with pytest.raises(ValueError, match="cutoff must not be NaN"):
+        TallyRequest(tuple(range(k)), 3, (40,) * k, float("nan"), phase="frac").fulfill(oracle)
+    assert oracle.snapshot() == [0] * k
+    assert oracle.total == 0 and oracle.draws_by_phase == {}
+    assert oracle.rng.bit_generator.state == state
+
+
+def test_fulfilled_requests_charge_their_phase_once_all_draws_are_taken():
+    oracle = SamplingOracle([0.1, 0.2, 0.3], seed=2)
+    MeanRequest((0, 1), 5, phase="med").fulfill(oracle)
+    TallyRequest((2, 0), 3, (4, 1), 0.2, phase="frac").fulfill(oracle)
+    MeanRequest((1,), 7).fulfill(oracle)  # untagged requests go to ""
+    assert oracle.draws_by_phase == {"med": 10, "frac": 15, "": 7}
+    with pytest.raises(ValueError):
+        MeanRequest((0, 1), 0, phase="med").fulfill(oracle)
+    with pytest.raises(IndexError):  # arm 0 is drawn before arm 3 fails: no charge at all
+        MeanRequest((0, 3), 2, phase="anchor").fulfill(oracle)
+    assert oracle.draws_by_phase == {"med": 10, "frac": 15, "": 7}
+
+
+@pytest.mark.parametrize("request_, budget, head", [
+    (MeanRequest((0, 1, 2, 3), 5, phase="anchor"), 12, 10),
+    (TallyRequest((0, 1, 2, 3), 2, (5, 5, 5, 5), 0.2, phase="elim"), 29, 20),
+])
+def test_budget_split_head_keeps_its_phase(request_, budget, head):
+    oracle = SamplingOracle([0.1, 0.2, 0.3, 0.4], seed=3)
+    assert request_.prefix(2).phase == request_.phase
+    with pytest.raises(BudgetExceededError):
+        serve(request_, oracle, budget=budget)
+    assert oracle.draws_by_phase == {request_.phase: head} and oracle.total == head
+
+
 def test_deterministic_double_serves_tally_requests_without_the_stream():
     k = TALLY_BATCH
     oracle = DeterministicOracle([0.7, 0.1] * k, seed=5)

@@ -291,6 +291,21 @@ def test_golden_replay_of_ladder_outcomes():
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+@pytest.mark.parametrize("budget", [None, 10**6, 10**7])
+def test_every_copy_ledger_sums_to_its_draws(budget):
+    for inst in GOLDEN_INSTANCES:
+        oracles = []
+
+        def inner(oracle, instance, delta_k):
+            oracles.append(oracle)
+            return complexity_guessing_plan(oracle, instance, delta_k)
+
+        parallel_simulation(inst, 0.01, inner, seed=1, budget=budget)
+        assert any(oracle.total for oracle in oracles)
+        for oracle in oracles:
+            assert sum(oracle.draws_by_phase.values()) == oracle.total
+
+
 @given(scripts=toy_scripts, budget=budgets, seed=st.integers(0, 3))
 @example(scripts=SAME_ITERATION, budget=None, seed=0)
 @example(scripts=RETURNS_AT_SPAWN, budget=None, seed=0)

@@ -36,6 +36,7 @@ from bestarm.solvers import (
     theta_step,
 )
 from doubles import DeterministicOracle
+from test_acceptance import DESK_INSTANCES
 
 TWO_ARM = Instance.from_means((1.0, 0.5), label="two-arm")
 
@@ -431,3 +432,58 @@ def test_golden_replay_of_solver_outcomes_and_round_events():
                     record("baseline", inst, seed, budget, lambda o, tr: solve(
                         baseline_successive_elimination_plan, o, inst, 0.01, budget=budget))
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# --- the per-phase draw ledger -------------------------------------------------
+
+LEDGER_INSTANCES = DESK_INSTANCES + GOLDEN_INSTANCES[-1:]  # the ten desk instances and 60 arms
+ROUND_PHASES = ("med", "anchor", "frac", "elim")
+
+
+def ledger_run(algo, inst, seed, budget, trace=None):
+    """Outcome of one seeded run of ``algo`` and the oracle it drew from."""
+    oracle = gauss(inst, seed)
+    if algo == "known":
+        out = solve(known_complexity_plan, oracle, inst, 0.01, profile(inst).H,
+                    budget=budget, trace=trace)
+    elif algo == "guess":
+        out = solve(complexity_guessing_plan, oracle, inst, 0.01, budget=budget, trace=trace)
+    else:
+        out = solve(baseline_successive_elimination_plan, oracle, inst, 0.01, budget=budget)
+    return out, oracle
+
+
+def assert_ledger_balances(algo, out, oracle):
+    ledger = oracle.draws_by_phase
+    assert sum(ledger.values()) == oracle.total == out.total_samples
+    assert set(ledger) <= ({"baseline"} if algo == "baseline" else set(ROUND_PHASES))
+
+
+@pytest.mark.parametrize("budget", [None, 0, 10**6])
+@pytest.mark.parametrize("algo", ["known", "guess", "baseline"])
+def test_phase_ledger_sums_to_total_samples(algo, budget):
+    for inst in LEDGER_INSTANCES:
+        out, oracle = ledger_run(algo, inst, 0, budget)
+        assert_ledger_balances(algo, out, oracle)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["known", "guess", "baseline"]), st.sampled_from(LEDGER_INSTANCES),
+       st.integers(0, 3), st.integers(0, 5000))
+def test_phase_ledger_sums_to_total_samples_at_any_budget(algo, inst, seed, budget):
+    out, oracle = ledger_run(algo, inst, seed, budget)
+    assert_ledger_balances(algo, out, oracle)
+
+
+@pytest.mark.parametrize("algo", ["known", "guess"])
+def test_round_events_split_the_phase_ledger(algo):
+    drawn = set()
+    for inst in LEDGER_INSTANCES:
+        events = []
+        out, oracle = ledger_run(algo, inst, 1, None, trace=events.append)
+        assert out.status == OK
+        for phase in ROUND_PHASES:
+            emitted = sum(getattr(ev, f"draws_{phase}") for ev in events)
+            assert emitted == oracle.draws_by_phase.get(phase, 0), (inst.label, phase)
+        drawn.update(oracle.draws_by_phase)
+    assert drawn == set(ROUND_PHASES)

@@ -9,11 +9,12 @@ only in the benchmark's self-test.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from bestarm import Instance, bench, make_discrete_instance, signxi, solvers
+from bestarm import Instance, SamplingOracle, bench, make_discrete_instance, profile, signxi, solvers
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import Tracer, reconcile  # noqa: E402
@@ -29,6 +30,37 @@ def traced_runs(runs):
     with Tracer() as tracer:
         traced = [run() for run in runs]
     return plain, traced, tracer.count_metrics()
+
+
+# Each request phase and the tracer count its draws land in: the phases name
+# the same split of a round's draws as the tracer's outermost-primitive origins.
+PHASE_COUNTS = {
+    "med": "primitives.draws.med_elim",
+    "anchor": "primitives.draws.unif_sampl",
+    "frac": "primitives.draws.frac_test",
+    "elim": "primitives.draws.elimination",
+    "baseline": "solvers.draws.direct",
+}
+
+
+def test_phase_ledger_matches_the_tracer_attribution():
+    runs = [
+        (WIDE, "known_complexity_plan", (profile(WIDE).H,)),
+        (DISC, "known_complexity_plan", (profile(DISC).H,)),
+        (WIDE, "complexity_guessing_plan", ()),
+        (DISC, "complexity_guessing_plan", ()),
+        (DISC, "baseline_successive_elimination_plan", ()),
+    ]
+    ledger = Counter()
+    with Tracer() as tracer:  # plans are looked up by name here: the tracer rebinds them
+        for inst, plan, args in runs:
+            oracle = SamplingOracle.for_instance(inst, seed=0)
+            solvers.solve(getattr(solvers, plan), oracle, inst, 0.01, *args)
+            ledger.update(oracle.draws_by_phase)
+    counts = tracer.count_metrics()
+    assert set(ledger) == set(PHASE_COUNTS)
+    assert {phase: counts[name] for phase, name in PHASE_COUNTS.items()} == dict(ledger)
+    assert counts["oracle.draws"] == sum(ledger.values())
 
 
 def test_solver_draws_reconcile_under_the_tracer():
