@@ -37,7 +37,7 @@ from .solvers import (
     known_complexity_plan,
     solve,
 )
-from .parallel import copy_seed, parallel_simulation
+from .parallel import parallel_simulation
 from .signxi import LossProfile, measure_loss_profile, sign_instance
 from .bench import (
     ALGORITHMS,

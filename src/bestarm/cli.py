@@ -122,7 +122,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_signxi(args) -> int:
-    if args.m < 1:
+    if not 1 <= args.m <= 4:  # before the list of m probabilities is built
         raise ValueError(f"need 1 <= m <= 4 gap groups, got {args.m}")
     pk = [1.0 / args.m] * args.m
     prof = measure_loss_profile(

@@ -79,6 +79,17 @@ class SamplingOracle:
         z = self._queued.pop() if self._queued else self._normal()
         return self._means[arm] + draws**-0.5 * z
 
+    def refund(self, arms, draws: int) -> None:
+        """Undo a mean request over ``arms`` that failed on an arm out of range: take back
+        ``draws`` from each arm before that one, and drop the normals drawn ahead."""
+        self._queued = []
+        for arm in arms:
+            try:
+                self.counts[arm] -= draws
+            except IndexError:  # the arm ``sample_mean`` failed on
+                return
+            self._total -= draws
+
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
         """How many of ``probes`` independent mean-of-``draws`` estimates fall below ``cutoff``.
 

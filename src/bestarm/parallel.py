@@ -20,16 +20,20 @@ the copy just served cost O(log K) for K copies.  Equal finish iterations
 go to the lower copy index, which is the order in which the per-draw
 schedule serves copies within one iteration.
 
-A request covers several arms, served in order, and the ledger stays per
-draw.  Each copy's oracle is its only draw ledger.  Every request goes
-through :func:`~bestarm.primitives.serve`, so under a budget a copy stops
-at the first arm that crosses its cap.  When the winner finishes, each
-other copy's draws toward its request in flight are attributed arm by arm.
+Copy k's generator is seeded exactly as ``SeedSequence(seed, spawn_key=(k - 1,))``
+seeds it, from seed words derived once per run: the base seed is mixed once, and
+the rest runs on a block of copies at a time as uint32 arrays.  A request covers
+several arms, served in order, and the ledger stays per draw.  Each copy's
+oracle is its only draw ledger.  Every request goes through
+:func:`~bestarm.primitives.serve`, so under a budget a copy stops at the first
+arm that crosses its cap.  When the winner finishes, each other copy's draws
+toward its request in flight are attributed arm by arm.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 
 import numpy as np
 
@@ -39,11 +43,47 @@ from .primitives import BudgetExceededError, serve, split_at_cap
 from .solvers import RunOutcome, complexity_guessing_plan, make_outcome
 
 
-def copy_seed(seed, k: int) -> np.random.SeedSequence:
-    """Deterministic seed material of copy k (stateless spawn-key derivation)."""
-    if k < 1:
-        raise ValueError(f"copy index must be >= 1, got {k}")
-    return np.random.SeedSequence(seed, spawn_key=(k - 1,))
+# numpy's ``SeedSequence`` hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _BLOCK = 0xCA01F9DD, 0x4973F715, 64  # _BLOCK: copies seeded per vectorised pass
+
+
+def _hash(x, init, mult, start):
+    """Hash calls ``start, start + 1, ...`` of numpy's chain on the rows of uint32 array ``x``."""
+    # uint32 arrays wrap mod 2^32 silently, where numpy scalars would warn.
+    c = init * mult ** np.arange(start, start + len(x) + 1, dtype=np.uint32)
+    x = (x ^ c[:-1, None]) * c[1:, None]
+    return x ^ (x >> 16)
+
+
+class _SeedWords:
+    """One copy's seed words, which ``PCG64`` takes as they are: a numpy ``ISeedSequence``,
+    registered at run time, so that ``import bestarm`` leaves ``numpy.random`` unloaded."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=None):
+        return self.words
+
+
+def _copy_seeds(seed):
+    """Yield the seed material of copies 1, 2, ...: copy k's seeds a generator exactly
+    as ``SeedSequence(seed, spawn_key=(k - 1,))`` would.  ``SeedSequence(seed)`` mixes
+    the base seed once (16 hash calls, plus 4 per entropy word past 4); the spawn
+    key's mix and ``generate_state(4, np.uint64)`` run on ``_BLOCK`` keys at a time."""
+    base = np.random.SeedSequence(seed)
+    if not isinstance(base.entropy, (int, np.integer)):
+        raise TypeError(f"seed must be a non-negative int or None, got {seed!r}")
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    pool, past = base.pool[:, None], max(0, -(-int(base.entropy).bit_length() // 32) - 4)
+    for lo in itertools.count(0, _BLOCK):
+        keys = np.tile(np.arange(lo, lo + _BLOCK, dtype=np.uint32), (4, 1))
+        mixed = pool * _MIX_L - _MIX_R * _hash(keys, _INIT_A, _MULT_A, 16 + 4 * past)
+        state = _hash(np.tile(mixed ^ (mixed >> 16), (2, 1)), _INIT_B, _MULT_B, 0)
+        yield from map(_SeedWords, state.T.astype("<u4", order="C").view("<u8").astype(np.uint64))
 
 
 class _Copy:
@@ -103,8 +143,9 @@ def parallel_simulation(
         delta: overall confidence; copy k runs at delta / 2^k.
         inner: plan factory ``(oracle, instance, delta_k) -> generator``;
             defaults to the complexity-guessing solver.
-        seed: base seed; copy k's oracle is seeded from ``copy_seed(seed, k)``
-            and is that copy's only draw ledger.
+        seed: base seed, a non-negative int or None; copy k's oracle is seeded as by
+            ``SeedSequence(seed, spawn_key=(k - 1,))``, from words derived once per
+            run, and is that copy's only draw ledger.
         budget: optional cap on each copy's draws, applied by ``serve``.  A
             copy whose next arm would cross it stops there; if that copy is
             the first to finish, the run is ``budget_exceeded``.
@@ -118,6 +159,7 @@ def parallel_simulation(
     if inner is None:
         inner = complexity_guessing_plan
 
+    seeds = _copy_seeds(seed)  # its first ``next`` refuses a bad seed, before any copy exists
     copies: list[_Copy] = []
     events: list[tuple[int, int]] = []  # heap of (finish_iteration, index)
 
@@ -125,7 +167,7 @@ def parallel_simulation(
         k = len(copies) + 1
         if not (delta_k := delta / 2.0**k):  # underflowed: a float-range error
             raise OverflowError("copy delta underflowed to 0")
-        oracle = SamplingOracle.for_instance(instance, seed=copy_seed(seed, k))
+        oracle = SamplingOracle.for_instance(instance, seed=next(seeds))
         copy = _Copy(k, oracle, inner(oracle, instance, delta_k))
         copies.append(copy)
         heapq.heappush(events, (copy.finish_iteration(budget), k))

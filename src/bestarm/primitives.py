@@ -66,7 +66,11 @@ class MeanRequest:
             raise ValueError("draws must be >= 1")
         if len(self.arms) > 1:
             oracle.queue_normals(len(self.arms))
-        means = [sample_mean(arm, draws) for arm in self.arms]
+        try:
+            means = [sample_mean(arm, draws) for arm in self.arms]
+        except IndexError:  # an arm out of range: its ledger and queue are left as they were
+            oracle.refund(self.arms, draws)
+            raise
         oracle.draws_by_phase[self.phase] += draws * len(means)
         return means
 

@@ -1,6 +1,16 @@
-"""Test doubles for the sampling oracle and the process pool."""
+"""Test doubles for the sampling oracle and the process pool, and the reference ladder copy seed."""
+
+import numpy as np
 
 from bestarm import SamplingOracle
+
+
+def copy_seed(seed, k: int) -> np.random.SeedSequence:
+    """Seed material of ladder copy k, as numpy's stateless spawn-key derivation
+    gives it: the reference that the ladder's block derivation is pinned against."""
+    if k < 1:
+        raise ValueError(f"copy index must be >= 1, got {k}")
+    return np.random.SeedSequence(seed, spawn_key=(k - 1,))
 
 
 class DeterministicOracle(SamplingOracle):

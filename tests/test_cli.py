@@ -1,11 +1,15 @@
 import concurrent.futures
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bestarm
 from bestarm.cli import main
@@ -272,7 +276,7 @@ def test_signxi_writes_profile(tmp_path, capsys):
 
 
 def test_signxi_without_gap_groups_is_a_config_error(tmp_path, capsys):
-    for m in ("0", "-1", "5"):
+    for m in ("0", "-1", "5", str(2**62)):  # 2^62: refused before a list of m floats is built
         assert main(["signxi", "--m", m, "--out", str(tmp_path / "loss.csv")]) == 1
         assert f"error: need 1 <= m <= 4 gap groups, got {m}" in capsys.readouterr().err
 
@@ -325,3 +329,92 @@ def test_gen_equal_h_pair(tmp_path):
     ]) == 0
     files = sorted(p.name for p in gen_dir.glob("*.txt"))
     assert files == ["eqh32-ent0.txt", "eqh32-entmax.txt"]
+
+
+# --- argv fuzz -----------------------------------------------------------------
+
+# Values no flag accepts as valid, plus two ints past every range.
+JUNK = ("0", "-1", "nan", "inf", "-inf", "1e-320", "", "abc")
+HUGE = (str(2**64), "1" + "0" * 400)
+
+
+def flag_values(*valid, huge=True):
+    """A flag's value: a valid one four times in five, else junk."""
+    junk = JUNK + (HUGE if huge else ())
+    return st.integers(0, 4).flatmap(lambda i: st.sampled_from(valid if i else junk))
+
+
+DELTAS = flag_values("0.01", "0.1", "0.5", "1e-300")
+SEEDS = flag_values("0", "7")
+BUDGETS = flag_values("none", "100", "5000", huge=False)
+INSTANCE = st.sampled_from(["pair.txt", "bad.txt", "missing.txt", "insts", ""])
+OUT_FILE = st.sampled_from(["out.csv", "insts", "missing/out.csv", ""])
+# Counts stay small (no HUGE): each one multiplies the work of a case.
+GEN_VALUES = {
+    "gap": flag_values("0.5", "0.25,0.125", "1"), "gaps": flag_values("0.5,0.25"),
+    "count": flag_values("1", "2", huge=False), "k_max": flag_values("1", "3"),
+    "cap": flag_values("1", "3", huge=False), "h": flag_values("32", "20", huge=False),
+    "top_mean": flag_values("1.0", "0.5"), "bogus": flag_values("1"),
+}
+GEN_PARAMS = st.lists(
+    st.sampled_from(sorted(GEN_VALUES)).flatmap(
+        lambda key: GEN_VALUES[key].map(lambda value: f"{key}={value}")) | st.just("novalue"),
+    max_size=3,
+)
+# Each subcommand's flags: a strategy for the value, None for a switch, a list
+# strategy for nargs="*".
+FLAGS = {
+    "stats": {"--instance": INSTANCE, "--delta": DELTAS},
+    "run": {"--instance": INSTANCE, "--algo": flag_values("known", "guess", "parallel", "baseline"),
+            "--delta": DELTAS, "--seed": SEEDS, "--budget": BUDGETS, "--trace": None},
+    "bench": {"--algo": flag_values("known", "guess", "parallel", "baseline"),
+              "--instances": st.sampled_from(["insts", "empty", "missing", ""]), "--delta": DELTAS,
+              "--trials": flag_values("1", "3", huge=False), "--seed": SEEDS,
+              "--budget": BUDGETS, "--workers": flag_values("1", "2"), "--out": OUT_FILE,
+              "--append": None},
+    "signxi": {"--m": flag_values("1", "2", "4"), "--delta": DELTAS,
+               "--trials": flag_values("30", huge=False), "--seed": SEEDS, "--budget": BUDGETS,
+               "--out": OUT_FILE},
+    "gen": {"--kind": flag_values("two-arm", "discrete-random", "equal-h-varying-ent"),
+            "--params": GEN_PARAMS, "--seed": SEEDS,
+            "--out": st.sampled_from(["gen", "pair.txt", "missing/gen"])},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag, values in FLAGS[command].items():
+        if draw(st.integers(0, 5)):  # mostly given; a missing required flag is a usage error
+            value = [] if values is None else draw(values)
+            argv += [flag, *value] if isinstance(value, list) else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "pair.txt").write_text(TWO_ARM_FILE)
+    (root / "bad.txt").write_text("abc\n")
+    (root / "insts").mkdir()
+    (root / "insts" / "pair.txt").write_text(TWO_ARM_FILE)
+    (root / "empty").mkdir()
+    return root
+
+
+@settings(max_examples=150)
+@given(argv=argvs())
+# The list of m gap probabilities was built before m was checked.
+@example(argv=["signxi", "--m", str(2**62), "--out", "out.csv"])
+def test_any_argv_exits_0_1_or_2_without_a_traceback(fuzz_dir, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(fuzz_dir)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", SmallPool)  # no case forks
+        mp.setattr(SmallPool, "sizes", [])
+        mp.setattr(os, "cpu_count", lambda: 2)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -117,6 +117,20 @@ def test_refused_mean_request_draws_nothing():
     assert oracle._queued == [] and oracle.total == 0
 
 
+@pytest.mark.parametrize("arms", [(0, 3), (3,), (1, 0, 3, 2)], ids=str)
+def test_mean_request_on_an_arm_out_of_range_leaves_the_oracle_as_it_was(arms):
+    oracle = SamplingOracle([0.1, 0.2, 0.3])
+    with pytest.raises(IndexError):
+        MeanRequest(arms, 2, phase="med").fulfill(oracle)
+    assert (oracle.snapshot(), oracle.total, dict(oracle.draws_by_phase)) == ([0, 0, 0], 0, {})
+    assert oracle._queued == []
+    # The normals drawn for the refused request stay drawn (none for one arm, which
+    # fails before its draw); the next call takes a fresh one.
+    drawn = len(arms) if len(arms) > 1 else 0
+    z = np.random.default_rng(0).standard_normal(drawn + 1)
+    assert oracle.sample_mean(1, 1) == 0.2 + z[drawn]
+
+
 def test_direct_sample_mean_after_a_request_draws_fresh():
     oracle = SamplingOracle([0.1, 0.2], seed=5)
     twin = np.random.default_rng(5)

@@ -1,6 +1,12 @@
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given
@@ -20,7 +26,7 @@ from bestarm import (
     run_plan,
     solve,
 )
-from bestarm.parallel import copy_seed
+from doubles import copy_seed
 from bestarm.solvers import SolveResult
 
 TWO_ARM = Instance.from_means((1.0, 0.5), label="two-arm")
@@ -265,6 +271,76 @@ class TestParallelSimulation:
         assert len(oracles) == 64
         assert out.per_arm_samples == (2**63 + 3 * 2**61 - 63, 2**62, 0)
         assert out.total_samples == 2**63 + 2**62 + 3 * 2**61 - 63
+
+
+PINNED_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 5, 2**128, 2**200 + 1, 1_000_003,
+                np.uint64(2**64 - 1)]
+DISC_10 = Instance.from_means((1.0,) + (0.5,) * 5 + (0.75,) * 2 + (0.875,) * 2, "disc-10")
+
+
+def spawn_states(seed, states):
+    """Plan factory recording each copy's generator state at spawn; copy 1 asks for
+    2^130 draws, so copies 1 ... 131 spawn before it finishes."""
+    toy = toy_inner([[((0,), 2**130)]], [])
+
+    def inner(oracle, instance, delta_k):
+        states.append(oracle.rng.bit_generator.state)
+        return toy(oracle, instance, delta_k)
+
+    return inner
+
+
+class TestCopySeeds:
+    @pytest.mark.parametrize("seed", PINNED_SEEDS, ids=str)
+    def test_each_copy_is_seeded_as_by_its_spawn_key(self, seed):
+        # Past the first block of 64 copies and the second; seeds of 1 to 7 entropy words.
+        states = []
+        parallel_simulation(TOY, 0.1, spawn_states(seed, states), seed=seed, budget=None)
+        assert len(states) == 131
+        for k, state in enumerate(states, start=1):
+            assert state == np.random.default_rng(copy_seed(seed, k)).bit_generator.state
+
+    def test_seed_none_draws_fresh_entropy_for_each_run(self):
+        runs = [[], []]
+        for states in runs:
+            parallel_simulation(TOY, 0.1, spawn_states(None, states), seed=None, budget=None)
+        assert runs[0][0] != runs[1][0]
+        assert len({str(state) for state in runs[0]}) == len(runs[0])
+
+    @pytest.mark.parametrize("seed", [[1, 2], (3,), np.arange(2)], ids=["list", "tuple", "array"])
+    def test_a_sequence_seed_is_refused_by_name_before_any_copy_spawns(self, seed):
+        spawned = []
+        with pytest.raises(TypeError, match="seed must be a non-negative int or None"):
+            parallel_simulation(TOY, 0.1, toy_inner([[((0,), 1)]], spawned), seed=seed)
+        assert spawned == []
+
+    def test_a_run_mixes_its_base_seed_once(self, monkeypatch):
+        """One ``SeedSequence`` per ladder run, not one per copy."""
+        built, oracles = [], []
+
+        class Counted(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        def inner(oracle, instance, delta_k):
+            oracles.append(oracle)
+            return complexity_guessing_plan(oracle, instance, delta_k)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counted)
+        assert parallel_simulation(DISC_10, 0.01, inner, seed=0).status == OK
+        assert len(oracles) > 20
+        assert built == [(0,)]
+
+    def test_importing_bestarm_leaves_numpy_random_unloaded(self):
+        # numpy loads numpy.random lazily; the ladder reaches it only at run time, so
+        # an import of it at module level would show in every workload's set-up time.
+        src = Path(inspect.getfile(parallel_simulation)).resolve().parents[1]
+        code = "import sys, bestarm; print('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, timeout=60)
+        assert (child.returncode, child.stdout.strip()) == (0, "False")
 
 
 # Three desk instances of tests/test_acceptance.py.
