@@ -29,8 +29,11 @@ from .solvers import BUDGET_EXCEEDED
 
 
 def _seed(value: str, name: str = "seed") -> int:
-    """Parse an integer flag that must be >= 0; the refusal names it."""
-    n = int(value)
+    """Parse an integer flag that must be >= 0; every refusal names it."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {name} value: {value!r}") from None
     if n < 0:
         raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {n}")
     return n

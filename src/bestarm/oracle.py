@@ -13,19 +13,18 @@ _SQRT2 = math.sqrt(2.0)
 class SamplingOracle:
     """Draws unit-variance Gaussian rewards for one solver run and counts every draw per arm.
 
-    Both the reward draws and the algorithm-internal randomness (arm picks,
-    shuffles) consume ``self.rng``, so a single seed replays an entire run
-    bit for bit.  The batched channels return sufficient statistics of
-    groups of draws; these have exactly the joint law of drawing reward by
-    reward (the mean of n draws is N(mu, 1/n)), while the counters always
-    advance by the true number of underlying draws.  The counters (per arm, the
-    total and ``draws_by_phase``) are Python ints, exact at any scale.  A Gaussian is
-    ``mu + scale * z`` with ``z`` from a bound ``rng.standard_normal``, which is
-    how numpy's ``rng.normal(mu, scale)`` computes it from one such ``z``: the
-    same float and generator state, at less call overhead.  A request's normals
-    (two or more arms, :meth:`queue_normals`) or counts (``primitives.TALLY_BATCH``
-    or more arms, :meth:`queue_tallies`) come from one array call, in arm order,
-    with the values and the stream of one scalar call per arm.
+    Both the reward draws and the algorithm-internal randomness (arm picks, shuffles)
+    consume ``self.rng``, so a single seed replays an entire run bit for bit.  The batched
+    channels return sufficient statistics of groups of draws, with exactly the joint law of
+    drawing reward by reward (the mean of n draws is N(mu, 1/n)), while the ledger advances
+    by the true number of underlying draws.  The ledger is one list of Python ints, exact
+    at any scale: ``total`` is its sum, ``draws_by_phase`` splits it by phase, and
+    ``counts`` is a read-only array copy of it, kept for the benchmark's tracer.  A Gaussian
+    is ``mu + scale * z`` with ``z`` from a bound ``rng.standard_normal``, as numpy's
+    ``rng.normal(mu, scale)`` computes it: the same float and generator state, at less call
+    overhead.  A request's normals (two or more arms, :meth:`queue_normals`) or counts
+    (``primitives.TALLY_BATCH`` or more arms, :meth:`queue_tallies`) come from one array
+    call, in arm order, with the values and the stream of one scalar call per arm.
     """
 
     def __init__(self, means, seed=0):
@@ -35,8 +34,7 @@ class SamplingOracle:
         self.rng = np.random.default_rng(seed)
         self._normal = self.rng.standard_normal
         self._queued = []  # normals or tallies drawn ahead for the next sampler calls, last first
-        self.counts = np.zeros(len(self._means), dtype=object)
-        self._total = 0
+        self._counts = [0] * len(self._means)  # the draw ledger, per arm
         self.draws_by_phase = defaultdict(int)
 
     @classmethod
@@ -49,12 +47,18 @@ class SamplingOracle:
 
     @property
     def total(self) -> int:
-        """Total draws taken so far, over all arms."""
-        return self._total
+        """Total draws taken so far, over all arms: the sum of the ledger."""
+        return sum(self._counts)
+
+    @property
+    def counts(self) -> np.ndarray:  # the tracer reads its ``sum()``
+        view = np.array(self._counts, dtype=object)
+        view.flags.writeable = False
+        return view
 
     def snapshot(self) -> list[int]:
-        """The per-arm draw counters, as Python ints."""
-        return self.counts.tolist()
+        """The per-arm draw counters, as a fresh list of Python ints."""
+        return self._counts.copy()
 
     def draw(self, arm: int) -> float:
         """One reward from one arm; increments that arm's counter by one."""
@@ -74,8 +78,7 @@ class SamplingOracle:
         """Empirical mean of ``draws`` fresh rewards from one arm."""
         if draws < 1:
             raise ValueError("draws must be >= 1")
-        self.counts[arm] += draws
-        self._total += draws
+        self._counts[arm] += draws
         z = self._queued.pop() if self._queued else self._normal()
         return self._means[arm] + draws**-0.5 * z
 
@@ -85,23 +88,20 @@ class SamplingOracle:
         self._queued = []
         for arm in arms:
             try:
-                self.counts[arm] -= draws
+                self._counts[arm] -= draws
             except IndexError:  # the arm ``sample_mean`` failed on
                 return
-            self._total -= draws
 
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
         """How many of ``probes`` independent mean-of-``draws`` estimates fall below ``cutoff``.
 
-        Counts draws * probes samples against the arm.  The probability needs no clamp:
-        0.5 * erfc(.) lies in [0, 1] for all x, +-inf included; a NaN cutoff makes
-        binomial raise here (``TallyRequest`` refuses one before any arm is charged).
+        Charges draws * probes samples to the arm.  The probability needs no clamp: 0.5 *
+        erfc(.) lies in [0, 1] for all x, +-inf included; a NaN cutoff makes binomial raise
+        here (``TallyRequest`` refuses one before any arm is charged).
         """
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")
-        n = draws * probes
-        self.counts[arm] += n
-        self._total += n
+        self._counts[arm] += draws * probes
         if self._queued:
             return self._queued.pop()
         x = (cutoff - self._means[arm]) * math.sqrt(draws)

@@ -74,9 +74,11 @@ def _copy_seeds(seed):
     as ``SeedSequence(seed, spawn_key=(k - 1,))`` would.  ``SeedSequence(seed)`` mixes
     the base seed once (16 hash calls, plus 4 per entropy word past 4); the spawn
     key's mix and ``generate_state(4, np.uint64)`` run on ``_BLOCK`` keys at a time."""
-    base = np.random.SeedSequence(seed)
-    if not isinstance(base.entropy, (int, np.integer)):
+    if not (seed is None or isinstance(seed, (int, np.integer))):
         raise TypeError(f"seed must be a non-negative int or None, got {seed!r}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be a non-negative int or None, got {seed!r}")
+    base = np.random.SeedSequence(seed)
     np.random.bit_generator.ISeedSequence.register(_SeedWords)
     pool, past = base.pool[:, None], max(0, -(-int(base.entropy).bit_length() // 32) - 4)
     for lo in itertools.count(0, _BLOCK):

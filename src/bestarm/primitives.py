@@ -107,6 +107,9 @@ class TallyRequest:
             raise ValueError("draws and probes must be >= 1")
         if math.isnan(cutoff):  # refused before any arm is charged
             raise ValueError("cutoff must not be NaN")
+        if not 0 <= min(arms) <= max(arms) < oracle.n_arms:  # likewise
+            bad = next(arm for arm in arms if not 0 <= arm < oracle.n_arms)
+            raise IndexError(f"arm {bad} out of range for {oracle.n_arms} arms")
         if len(arms) >= TALLY_BATCH:
             oracle.queue_tallies(arms, draws, probes, cutoff)
         below = sum(map(oracle.count_means_below, arms, repeat(draws), probes, repeat(cutoff)))

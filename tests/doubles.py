@@ -21,8 +21,7 @@ class DeterministicOracle(SamplingOracle):
     """
 
     def draw(self, arm: int) -> float:
-        self.counts[arm] += 1
-        self._total += 1
+        self._counts[arm] += 1
         return self._means[arm]
 
     def queue_normals(self, k: int) -> None:
@@ -34,16 +33,13 @@ class DeterministicOracle(SamplingOracle):
     def sample_mean(self, arm: int, draws: int) -> float:
         if draws < 1:
             raise ValueError("draws must be >= 1")
-        self.counts[arm] += draws
-        self._total += draws
+        self._counts[arm] += draws
         return self._means[arm]
 
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")
-        n = draws * probes
-        self.counts[arm] += n
-        self._total += n
+        self._counts[arm] += draws * probes
         return probes if self._means[arm] < cutoff else 0
 
 

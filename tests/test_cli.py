@@ -130,6 +130,15 @@ def test_negative_seed_is_refused_by_name(capsys, command):
     assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--budget"])
+@pytest.mark.parametrize("value", ["", "1.5", "x"])
+def test_a_non_integer_is_refused_by_the_flag_name(capsys, flag, value):
+    assert main(["run", "--instance", "x", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid {flag[2:]} value: {value!r}" in err
+    assert "_seed" not in err and "_budget" not in err
+
+
 def test_help_exits_0(capsys):
     assert main(["run", "--help"]) == 0
     assert "usage:" in capsys.readouterr().out

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -242,6 +242,93 @@ def test_tally_request_refuses_nan_cutoff_before_any_charge(k):
     assert oracle.snapshot() == [0] * k
     assert oracle.total == 0 and oracle.draws_by_phase == {}
     assert oracle.rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("means, arms, bad", [
+    ([0.1, 0.2, 0.3], (0, 3), 3),
+    ([0.1, 0.2, 0.3], (-1, 0), -1),  # would wrap to the last arm
+    ([0.5] * TALLY_BATCH, tuple(range(TALLY_BATCH)) + (-1,), -1),
+], ids=["past-the-end", "negative", "batched"])
+def test_tally_request_refuses_an_arm_out_of_range_before_any_charge(means, arms, bad):
+    oracle = SamplingOracle(means)
+    state = oracle.rng.bit_generator.state
+    with pytest.raises(IndexError, match=f"arm {bad} out of range for {len(means)} arms"):
+        TallyRequest(arms, 2, (5,) * len(arms), 0.5, phase="frac").fulfill(oracle)
+    assert oracle.snapshot() == [0] * len(means)
+    assert oracle.total == 0 and oracle.draws_by_phase == {}
+    assert oracle.rng.bit_generator.state == state
+
+
+def test_snapshot_is_a_fresh_list():
+    oracle = SamplingOracle([0.1, 0.2], seed=1)
+    oracle.sample_mean(1, 4)
+    taken = oracle.snapshot()
+    assert taken == [0, 4] and taken is not oracle.snapshot()
+    taken[0] = 99
+    taken.append(1)
+    assert oracle.snapshot() == [0, 4] and oracle.total == 4
+
+
+def test_counts_is_a_read_only_copy_of_the_ledger():
+    oracle = SamplingOracle([0.1, 0.2, 0.3], seed=1)
+    MeanRequest((2, 0), 2**70).fulfill(oracle)
+    counts = oracle.counts
+    assert counts.tolist() == oracle.snapshot() == [2**70, 0, 2**70]
+    assert counts.sum() == oracle.total == 2**71
+    with pytest.raises(ValueError, match="read-only"):
+        counts[1] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        counts += 1
+    assert oracle.snapshot() == [2**70, 0, 2**70]
+
+
+# Requests of every kind over LEDGER_ARMS arms: tallies fall below and at TALLY_BATCH.
+LEDGER_ARMS = TALLY_BATCH + 4
+_ledger_arms = st.lists(st.integers(0, LEDGER_ARMS - 1), min_size=1, max_size=LEDGER_ARMS).map(tuple)
+_mean_requests = st.builds(
+    MeanRequest, _ledger_arms, st.integers(1, 2**70), phase=st.sampled_from(["med", "anchor"])
+)
+_tally_requests = _ledger_arms.flatmap(lambda arms: st.builds(
+    TallyRequest,
+    st.just(arms),
+    st.integers(1, 2**30),
+    st.lists(st.integers(1, 2**20), min_size=len(arms), max_size=len(arms)).map(tuple),
+    st.floats(-2.0, 2.0),
+    phase=st.sampled_from(["frac", "elim"]),
+))
+REFUSED_REQUESTS = [
+    MeanRequest((0, LEDGER_ARMS), 3, phase="med"),  # the arm past the last one: refunded
+    MeanRequest((1, 2), 0, phase="med"),
+    TallyRequest((0, LEDGER_ARMS), 2, (5, 5), 0.5, phase="frac"),
+    TallyRequest((-1, 0), 2, (5, 5), 0.5, phase="frac"),
+    TallyRequest(tuple(range(LEDGER_ARMS)) + (LEDGER_ARMS,), 2, (5,) * (LEDGER_ARMS + 1), 0.5),
+    TallyRequest((0, 1), 2, (5, 0), 0.5, phase="elim"),
+    TallyRequest((0, 1), 2, (5, 5), float("nan"), phase="elim"),
+]
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32),
+    steps=st.lists(st.one_of(
+        st.tuples(st.one_of(_mean_requests, _tally_requests), st.sampled_from(["whole", "head"])),
+        st.tuples(st.sampled_from(REFUSED_REQUESTS), st.just("refused")),
+    ), max_size=12),
+)
+def test_total_phases_and_ledger_agree_after_any_mix_of_requests(seed, steps):
+    oracle = SamplingOracle([arm / LEDGER_ARMS for arm in range(LEDGER_ARMS)], seed=seed)
+    for request, how in steps:
+        if how == "whole":
+            request.fulfill(oracle)
+        elif how == "head":  # the cap stops the request one draw short
+            with pytest.raises(BudgetExceededError):
+                serve(request, oracle, budget=oracle.total + request.cost - 1)
+        else:
+            with pytest.raises((ValueError, IndexError)):
+                request.fulfill(oracle)
+    ledger, phases = oracle.snapshot(), list(oracle.draws_by_phase.values())
+    assert oracle.total == sum(ledger) == sum(phases)
+    assert all(type(n) is int for n in ledger + phases)
 
 
 def test_fulfilled_requests_charge_their_phase_once_all_draws_are_taken():

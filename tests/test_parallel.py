@@ -314,6 +314,17 @@ class TestCopySeeds:
             parallel_simulation(TOY, 0.1, toy_inner([[((0,), 1)]], spawned), seed=seed)
         assert spawned == []
 
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (np.int64(-1), ValueError), (1.5, TypeError), ("3", TypeError),
+    ], ids=str)
+    def test_a_negative_or_non_integer_seed_is_refused_by_name_before_any_copy_spawns(
+        self, seed, error
+    ):
+        spawned = []
+        with pytest.raises(error, match="seed must be a non-negative int or None"):
+            parallel_simulation(TOY, 0.1, toy_inner([[((0,), 1)]], spawned), seed=seed)
+        assert spawned == []
+
     def test_a_run_mixes_its_base_seed_once(self, monkeypatch):
         """One ``SeedSequence`` per ladder run, not one per copy."""
         built, oracles = [], []
