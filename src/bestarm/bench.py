@@ -79,6 +79,12 @@ def run_one_trial(
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
+def _quantile(xs: list[int], a: int, b: int) -> float:
+    """Quantile a/b of sorted ints, numpy's linear method computed exactly and rounded once."""
+    j, r = divmod((len(xs) - 1) * a, b)
+    return (xs[j] * (b - r) + xs[j + 1] * r) / b if r else float(xs[j])
+
+
 def run_trials(
     algo: str,
     instance: Instance,
@@ -99,7 +105,7 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 1 <= workers <= (os.cpu_count() or 1):
+    if workers != 1 and not 1 <= workers <= (os.cpu_count() or 1):  # serial needs no probe
         raise ValueError(f"workers must be in 1..{os.cpu_count() or 1}, got {workers}")
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
@@ -136,6 +142,7 @@ def run_trials(
         if outcome.accepted_guess_t is not None:
             accepted.append(outcome.accepted_guess_t)
 
+    totals.sort()
     mean_samples = math.fsum(totals) / len(totals) if totals else math.nan
     return TrialReport(
         algo=algo,
@@ -146,8 +153,8 @@ def run_trials(
         budget_exceeded=capped,
         empirical_error=errors / trials,
         mean_samples=mean_samples,
-        median_samples=float(np.median(totals)) if totals else math.nan,
-        p95_samples=float(np.percentile(totals, 95)) if totals else math.nan,
+        median_samples=_quantile(totals, 1, 2) if totals else math.nan,
+        p95_samples=_quantile(totals, 19, 20) if totals else math.nan,
         mean_accepted_guess_t=math.fsum(accepted) / len(accepted) if accepted else math.nan,
         conjectured_bound=bound,
         sample_to_bound_ratio=mean_samples / bound,

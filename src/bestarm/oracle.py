@@ -28,7 +28,7 @@ class SamplingOracle:
     """
 
     def __init__(self, means, seed=0):
-        self._means = tuple(float(m) for m in means)
+        self._means = tuple(map(float, means))
         if not self._means:
             raise ValueError("oracle needs at least one arm")
         self.rng = np.random.default_rng(seed)

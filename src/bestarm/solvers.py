@@ -74,9 +74,10 @@ class RunOutcome:
     accepted_guess_t: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoundEvent:
-    """One row of the structured per-round trace; ``draws_*`` come from ``draws_by_phase``."""
+    """One row of the structured per-round trace; ``draws_*`` come from ``draws_by_phase``.
+    A slotted record, not frozen: a frozen init pays one ``object.__setattr__`` per field."""
 
     solver: str
     guess_t: int | None
@@ -97,7 +98,7 @@ class RoundEvent:
     draws_elim: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SolveResult:
     """Internal plan return value, before RunOutcome packaging."""
 
@@ -145,7 +146,9 @@ def _shuffled_arms(oracle: SamplingOracle, instance: Instance) -> list[int]:
         raise ValueError(
             f"oracle has {oracle.n_arms} arms but instance {instance.label!r} has {instance.n_arms}"
         )
-    return oracle.rng.permutation(instance.n_arms).tolist()
+    arms = list(range(instance.n_arms))
+    oracle.rng.shuffle(arms)  # the draws and the order of ``rng.permutation(n).tolist()``
+    return arms
 
 
 # --- the shared elimination round -------------------------------------------

@@ -4,9 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bestarm import (
     OK,
@@ -69,6 +73,7 @@ class TestRunTrials:
         assert report.budget_exceeded == 6
         assert report.errors == 0
         assert math.isnan(report.mean_samples)
+        assert math.isnan(report.median_samples) and math.isnan(report.p95_samples)
 
     def test_baseline_algorithm(self):
         inst = Instance.from_means((1.0, 0.25), label="easy")
@@ -107,6 +112,14 @@ class TestRunTrials:
             run_trials("guess", TWO_ARM, 0.05, trials=2, base_seed=0, workers=2)
         assert SmallPool.sizes == []
 
+    def test_serial_batches_never_probe_the_cpu_count(self, monkeypatch):
+        def unavailable():
+            raise AssertionError("os.cpu_count called for a serial batch")
+
+        monkeypatch.setattr(os, "cpu_count", unavailable)
+        report = run_trials("guess", TWO_ARM, 0.05, trials=2, base_seed=0, workers=1)
+        assert report.trials == 2 and report.errors == 0
+
     def test_pool_starts_at_most_one_worker_per_trial(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SmallPool)
         monkeypatch.setattr(SmallPool, "sizes", [])
@@ -137,6 +150,47 @@ class TestRunTrials:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
             run_trials("lilucb", TWO_ARM, 0.05, trials=1, base_seed=0)
+
+
+def report_of_totals(monkeypatch, totals) -> TrialReport:
+    """``run_trials`` over runs that report the given totals, one per trial, all correct."""
+
+    def fixed(algo, instance, delta, seed, budget):
+        return RunOutcome(status=OK, arm=0, total_samples=totals[seed],
+                          per_arm_samples=(totals[seed],), rounds_executed=1)
+
+    monkeypatch.setattr(bench, "run_one_trial", fixed)
+    return run_trials("guess", TWO_ARM, 0.05, trials=len(totals), base_seed=0)
+
+
+def exact_quantile(totals, q: Fraction) -> float:
+    """numpy's linear method in exact arithmetic, rounded once to a float."""
+    xs = sorted(totals)
+    h = (len(xs) - 1) * q
+    j = math.floor(h)
+    low = Fraction(xs[j])
+    return float(low if h == j else low + (h - j) * (xs[j + 1] - low))
+
+
+class TestQuantiles:
+    @given(st.lists(st.integers(0, 2**70), min_size=1, max_size=40))
+    def test_median_and_p95_are_exact_linear_interpolations(self, totals):
+        with pytest.MonkeyPatch.context() as mp:
+            report = report_of_totals(mp, totals)
+        assert report.median_samples == exact_quantile(totals, Fraction(1, 2))
+        assert report.p95_samples == exact_quantile(totals, Fraction(19, 20))
+
+    @given(st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=40))
+    def test_median_matches_numpy_below_two_to_the_53(self, totals):
+        with pytest.MonkeyPatch.context() as mp:
+            report = report_of_totals(mp, totals)
+        assert report.median_samples == float(np.median(totals))
+
+    def test_p95_can_differ_from_numpy_in_the_last_ulp(self, monkeypatch):
+        # The totals of `parallel` on stair-6 at delta 0.01, seeds 0 and 1.
+        totals = [3808794209718, 364286646202]
+        assert float(np.percentile(totals, 95)) == 3636568831542.1997
+        assert report_of_totals(monkeypatch, totals).p95_samples == 3636568831542.2
 
 
 class TestWriteReports:
@@ -237,6 +291,16 @@ def test_import_leaves_the_process_pool_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.stdout.strip() == "False", out.stderr
+
+
+def test_import_leaves_statistics_fractions_and_decimal_unloaded():
+    # ``statistics`` pulls in ``fractions`` and ``decimal``, a few ms of every
+    # workload's set-up time; the bench's quantiles need none of them.
+    src = str(Path(bench.__file__).resolve().parent.parent)
+    code = "import sys, bestarm; print([m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]", out.stderr
 
 
 def test_trial_report_is_a_value_object():

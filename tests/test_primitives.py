@@ -166,6 +166,33 @@ class TestFracTest:
             hits += run_plan(frac_test_plan(oracle, range(20), 0.4, 0.6, 0.3, 0.5, delta), oracle)
         assert hits >= binomial_pass_floor(trials, 1 - delta)
 
+    @pytest.mark.parametrize("means", [
+        [0.52, 0.54, 0.55, 0.56, 0.58],  # fewer arms than a batched tally
+        [0.52 + 0.003 * i for i in range(20)],  # most requests take the batched path
+    ])
+    def test_tally_at_a_small_m_follows_the_binomial_of_the_mean_probability(self, means):
+        # Each probe picks an arm uniformly, then lands below the cutoff with that
+        # arm's probability, so the tally is Binomial(m, mean p) exactly.
+        stats = pytest.importorskip("scipy.stats")
+        c_lo, c_hi, delta = 0.4, 0.6, 0.5
+        probes, per_probe = frac_test_probe_counts(c_lo, c_hi, 0.0, 1.0, delta)
+        assert probes == 50
+        p = np.mean(stats.norm.cdf(((c_lo + c_hi) / 2 - np.array(means)) * math.sqrt(per_probe)))
+        tallies = []
+        for seed in range(3000):
+            oracle = gaussian(means, seed=seed)
+            request = next(frac_test_plan(oracle, range(len(means)), c_lo, c_hi, 0.0, 1.0, delta))
+            tallies.append(request.fulfill(oracle))
+        observed = np.bincount(tallies, minlength=probes + 1)
+        expected = len(tallies) * stats.binom.pmf(np.arange(probes + 1), probes, p)
+        # Pool each tail into its neighbour until every bin expects at least 5.
+        keep = np.flatnonzero(expected >= 5)
+        lo, hi = keep[0], keep[-1]
+        observed = np.r_[observed[:lo + 1].sum(), observed[lo + 1:hi], observed[hi:].sum()]
+        expected = np.r_[expected[:lo + 1].sum(), expected[lo + 1:hi], expected[hi:].sum()]
+        expected *= observed.sum() / expected.sum()
+        assert stats.chisquare(observed, expected).pvalue > 1e-3  # 0.043 and 0.68 at these seeds
+
     def test_false_side_guarantee(self):
         # 6 of 20 arms below c_hi: fraction 0.3 <= theta_lo
         means = [0.1] * 6 + [0.9] * 14

@@ -4,6 +4,7 @@ import math
 import sys
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from bestarm.cli import main
 from bestarm.primitives import frac_test_probe_counts
 from bestarm.solvers import (
     C_ROUNDS,
+    _shuffled_arms,
     ee_round_delta,
     elim_thresholds,
     frac_thresholds,
@@ -35,7 +37,7 @@ from bestarm.solvers import (
     se_radius,
     theta_step,
 )
-from doubles import DeterministicOracle
+from doubles import DeterministicOracle, copy_seed
 from test_acceptance import DESK_INSTANCES
 
 TWO_ARM = Instance.from_means((1.0, 0.5), label="two-arm")
@@ -393,6 +395,21 @@ def test_shuffle_makes_storage_order_irrelevant_on_average():
         for s in range(30)
     )
     assert fwd_hits >= 28 and rev_hits >= 28
+
+
+SHUFFLE_SEEDS = [0, 1, 2**32, 1000003] + [copy_seed(0, k) for k in range(1, 41)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 10, 16, 300, 1000])
+def test_shuffled_arms_take_the_draws_and_order_of_a_permutation(n):
+    # The list shuffle stands in for ``rng.permutation(n).tolist()``: every
+    # solver's arm order, and each ladder copy's, must not move.
+    instance = Instance.from_means([1.0] + [0.0] * (n - 1), f"n{n}")
+    for seed in SHUFFLE_SEEDS:
+        oracle = SamplingOracle.for_instance(instance, seed=seed)
+        twin = np.random.default_rng(seed)
+        assert _shuffled_arms(oracle, instance) == twin.permutation(n).tolist(), (n, seed)
+        assert oracle.rng.bit_generator.state == twin.bit_generator.state, (n, seed)
 
 
 GOLDEN_INSTANCES = [
