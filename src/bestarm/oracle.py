@@ -25,6 +25,7 @@ class SamplingOracle:
     overhead.  A request's normals (two or more arms, :meth:`queue_normals`) or counts
     (``primitives.TALLY_BATCH`` or more arms, :meth:`queue_tallies`) come from one array
     call, in arm order, with the values and the stream of one scalar call per arm.
+    :meth:`preview` shows the rewards of rounds not yet drawn, without drawing them.
     """
 
     def __init__(self, means, seed=0):
@@ -67,6 +68,19 @@ class SamplingOracle:
     def queue_normals(self, k: int) -> None:
         """Draw the ``z`` of the next ``k`` ``sample_mean`` calls in one call."""
         self._queued = self._normal(k)[::-1].tolist()
+
+    def preview(self, arms, rounds: int) -> np.ndarray:
+        """The rewards that the next ``rounds`` one-draw rounds over ``arms`` would give.
+
+        A ``(rounds, len(arms))`` array, row r being what ``MeanRequest(arms, 1)``
+        would return at its r-th fulfilment.  Nothing is charged and the stream does
+        not move: the generator's state is restored after the draw.
+        """
+        bit_generator = self.rng.bit_generator
+        state = bit_generator.state
+        z = self._normal((rounds, len(arms)))
+        bit_generator.state = state
+        return np.array([self._means[arm] for arm in arms]) + z
 
     def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> None:
         """Draw the counts of the next ``count_means_below`` calls, one per arm, in one call."""

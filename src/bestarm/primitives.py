@@ -4,18 +4,23 @@ fraction testing and batch elimination.
 Every subroutine is a *plan*: a generator that yields sampling requests,
 so callers may suspend execution at each draw batch, and returns its
 result.  :func:`run_plan` drives a plan against an oracle.  Plans receive
-the oracle only for its RNG stream; all reward draws flow through the
-yielded requests, which is what lets an outer scheduler interleave several
-runs.
+the oracle only for its RNG stream (and the baseline for its preview, which
+draws nothing); all reward draws flow through the yielded requests, which
+is what lets an outer scheduler interleave several runs.
 
 A plan yields one request per round: per median-elimination round, per
-uniform-sampling call and per fraction test.  A request names an ordered
-tuple of arms, and fulfilling it samples them arm by arm, in that order,
-so the RNG stream and the draw counters advance exactly as one request per
-arm would; its draws then go to its ``phase`` (``med``, ``anchor``, ``frac``,
-``elim``, ``baseline``) in the oracle's ``draws_by_phase``.  Budget stops stay
-per arm: :func:`serve`, the one serving step of every plan driver, serves a
-request that would cross the sample cap only up to its last arm that fits.
+uniform-sampling call and per fraction test.  The successive-elimination
+baseline yields one request per block of rounds: it reads the block's
+rewards ahead with ``oracle.preview``, which charges nothing and leaves the
+stream where it was, and asks for the rounds up to the first at which an
+arm drops, its survivors listed round after round.  A request names an
+ordered tuple of arms, and fulfilling it samples them arm by arm, in that
+order, so the RNG stream and the draw counters advance exactly as one
+request per arm would; its draws then go to its ``phase`` (``med``,
+``anchor``, ``frac``, ``elim``, ``baseline``) in the oracle's
+``draws_by_phase``.  Budget stops stay per arm: :func:`serve`, the one
+serving step of every plan driver, serves a request that would cross the
+sample cap only up to its last arm that fits.
 
 Ties are broken toward the arm listed first, so callers control tie order
 through the member sequence.

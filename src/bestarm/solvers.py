@@ -12,7 +12,7 @@ a *plan* generator that suspends at every sampling request (see
 * ``complexity_guessing_plan`` -- tries guesses t = 1, 2, ... until one is
   accepted.
 * ``baseline_successive_elimination_plan`` -- textbook confidence-radius
-  racing, for benchmarking only.
+  racing, for benchmarking only; it asks for a block of rounds per request.
 
 :func:`solve` drives any of them against an oracle and packages the result
 as a :class:`RunOutcome`.  ``known_complexity_plan`` and each guess of
@@ -31,8 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import count
 from operator import add
+
+import numpy as np
 
 from .instances import Instance, _check_delta
 from .oracle import SamplingOracle
@@ -291,6 +294,10 @@ def complexity_guessing_plan(oracle, instance, delta, emit=None):
 # --- baseline ----------------------------------------------------------------
 
 
+#: Most rounds the baseline previews, and asks for, in one request.
+BASELINE_BLOCK = 256
+
+
 def se_radius(r: int, n_arms: int, delta: float) -> float:
     """Confidence radius of the baseline after r draws per surviving arm."""
     return math.sqrt(2.0 * math.log(4.0 * n_arms * r * r / delta) / r)
@@ -302,25 +309,48 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     Draws one sample per surviving arm per round; after r rounds an arm is
     dropped when its mean estimate plus the radius sqrt(2 ln(4 n r^2 /
     delta) / r) falls below another arm's estimate minus that radius.
+
+    The rounds are raced in blocks with a lookahead.  ``oracle.preview``
+    shows the rewards of the next ``block`` rounds without drawing them; their
+    running sums (a sequential ``np.cumsum``, the same floats as adding round
+    by round) and each round's ``se_radius`` give the first round of the block
+    at which an arm drops.  One request then asks for every round up to that
+    one, listing the survivors round after round, and the drop rule is applied
+    to the sums of the rewards it returns.  The block doubles, up to
+    ``BASELINE_BLOCK`` rounds, while no arm drops, and starts again at one
+    round after a drop.  The oracle serves the rounds arm by arm, in order, so
+    the draws, budget stops and stream are those of one request per round.
     """
     _check_delta(delta)
-    request = MeanRequest(tuple(_shuffled_arms(oracle, instance)), 1, phase="baseline")
+    arms = tuple(_shuffled_arms(oracle, instance))
     n = instance.n_arms
-    sums = [0.0] * n  # aligned with ``request.arms``
-    r = 0
-    while len(request.arms) > 1:
-        r += 1
-        rewards = yield request
-        sums = list(map(add, sums, rewards))
+    sums = [0.0] * n  # aligned with ``arms``
+    r, block = 0, 1
+    while len(arms) > 1:
+        # Row i of ``ahead`` is the running sums after round r + 1 + i.
+        ahead = oracle.preview(arms, block)
+        ahead[0] += sums
+        np.cumsum(ahead, axis=0, out=ahead)
+        qs = range(r + 1, r + block + 1)
+        rs = np.array(qs, dtype=float)
+        radii = np.array([se_radius(q, n, delta) for q in qs])
+        drops = ahead.min(axis=1) / rs + radii < ahead.max(axis=1) / rs - radii
+        ends = drops | (radii == math.inf)
+        rounds = int(ends.argmax()) + 1 if ends.any() else block
+        rewards = yield MeanRequest(arms * rounds, 1, phase="baseline")
+        k = len(arms)
+        sums = [reduce(add, rewards[i::k], s) for i, s in enumerate(sums)]  # in round order
+        r += rounds
         radius = se_radius(r, n, delta)
         if radius == math.inf:  # no arm could ever be eliminated
             raise ValueError(f"delta {delta!r} too small: the confidence radius left the float range")
         best_lcb = max(sums) / r - radius
         if min(sums) / r + radius < best_lcb:  # float / r > 0 and +- radius keep the sums' order
-            kept = [(a, s) for a, s in zip(request.arms, sums) if s / r + radius >= best_lcb]
-            arms, sums = zip(*kept)
-            request = MeanRequest(arms, 1, phase="baseline")  # rebuilt when an arm leaves
-    return SolveResult(arm=request.arms[0], rounds=r)
+            arms, sums = zip(*[(a, s) for a, s in zip(arms, sums) if s / r + radius >= best_lcb])
+            block = 1
+        else:
+            block = min(2 * block, BASELINE_BLOCK)
+    return SolveResult(arm=arms[0], rounds=r)
 
 
 # --- the driver ----------------------------------------------------------------

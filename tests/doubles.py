@@ -24,6 +24,9 @@ class DeterministicOracle(SamplingOracle):
         self._counts[arm] += 1
         return self._means[arm]
 
+    def preview(self, arms, rounds: int) -> np.ndarray:
+        return np.tile([self._means[arm] for arm in arms], (rounds, 1))
+
     def queue_normals(self, k: int) -> None:
         pass
 

@@ -148,6 +148,31 @@ def test_deterministic_double_serves_mean_requests_without_the_stream():
     assert oracle.snapshot() == [11, 11, 11]
 
 
+# The baseline races on ``preview`` and then asks for the rounds it saw; these pin
+# that a preview shows exactly what that request returns, and moves nothing.
+@settings(max_examples=150)
+@given(
+    kind=st.sampled_from([SamplingOracle, DeterministicOracle]),
+    means=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12),
+    order=st.randoms(),
+    k=st.integers(1, 12),
+    rounds=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_preview_shows_the_rounds_a_request_returns(kind, means, order, k, rounds, seed):
+    arms = list(range(len(means)))
+    order.shuffle(arms)
+    arms = tuple(arms[:k])
+    oracle = kind(means, seed=seed)
+    state, ledger = oracle.rng.bit_generator.state, oracle.snapshot()
+    ahead = oracle.preview(arms, rounds)
+    assert ahead.shape == (rounds, len(arms))
+    assert oracle.rng.bit_generator.state == state
+    assert (oracle.snapshot(), oracle.total, dict(oracle.draws_by_phase)) == (ledger, 0, {})
+    reply = MeanRequest(arms * rounds, 1).fulfill(oracle)
+    assert [x.hex() for x in ahead.ravel().tolist()] == [x.hex() for x in reply]
+
+
 # A tally request of TALLY_BATCH or more arms draws its counts in one array
 # ``binomial`` call; these pin that it is the ints and the stream of one
 # ``rng.binomial`` per arm.  Means 0, -40, 40 and 37.047 at cutoff 0 and one

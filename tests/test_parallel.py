@@ -378,6 +378,30 @@ def test_golden_replay_of_ladder_outcomes():
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+GOLDEN_BASELINE_DIGEST = "8d488e579de1ced474c1519c98c06806077f7b9307ebfb4f909ab2d67ca04368"
+
+
+def test_golden_replay_of_baseline_ladder_outcomes():
+    """The baseline raced on the ladder replays bit for bit, budget stops included.
+
+    The digest was recorded with one request per baseline round.  The
+    baseline now asks for a block of rounds at once, so the other copies'
+    requests in flight span several rounds when the winner finishes, and
+    their grants must still land on the same arms.
+    """
+    digest = hashlib.sha256()
+    for inst in GOLDEN_INSTANCES:
+        for seed in range(4):
+            for budget in (None, 0, 2000):
+                out = parallel_simulation(inst, 0.01, baseline_successive_elimination_plan,
+                                          seed=seed, budget=budget)
+                line = json.dumps([inst.label, seed, budget, out.status, out.arm,
+                                   out.total_samples, list(out.per_arm_samples),
+                                   out.rounds_executed, out.accepted_guess_t])
+                digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_BASELINE_DIGEST
+
+
 @pytest.mark.parametrize("budget", [None, 10**6, 10**7])
 def test_every_copy_ledger_sums_to_its_draws(budget):
     for inst in GOLDEN_INSTANCES:

@@ -2,15 +2,19 @@
 
 The references are the straightforward forms of the two loops: a dict of
 estimates sorted with a lambda key, and per-arm dict sums with a
-per-arm lower bound.  The library's forms sort positions with
-``reverse=True`` and keep the baseline's sums in a list aligned with the
-active arms; they must give the same outcome, the same per-arm draws and
-leave the same generator state, tied means included.
+per-arm lower bound, one request per baseline round.  The library's forms
+sort positions with ``reverse=True``, and race the baseline in blocks of
+rounds previewed ahead, one request up to the first drop, with its sums in
+a list aligned with the active arms; they must give the same outcome, the
+same per-arm draws and leave the same generator state, tied means and
+budget stops inside a block included.
 """
 
 import math
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +28,9 @@ from bestarm import (
     solve,
 )
 from bestarm.primitives import MeanRequest, _check_members, _count, med_elim_plan
-from bestarm.solvers import SolveResult, se_radius
+from bestarm.solvers import BASELINE_BLOCK, SolveResult, se_radius
 from doubles import DeterministicOracle
+from test_acceptance import DESK_INSTANCES
 
 
 def reference_med_elim_plan(members, eps, delta):
@@ -123,3 +128,61 @@ def test_baseline_keeps_an_arm_exactly_at_the_bound():
         assert outcome == solve(reference_baseline_plan, ref, instance, delta)
         assert outcome.arm == 0 and outcome.rounds_executed == 2
         assert outcome.per_arm_samples == (2, 2) + (1,) * len(extra)
+
+
+def recorded(requests):
+    """The baseline plan, appending every request it yields to ``requests``."""
+    def plan(oracle, instance, delta, emit=None):
+        inner = baseline_successive_elimination_plan(oracle, instance, delta)
+        reply = None
+        while True:
+            try:
+                request = inner.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            requests.append(request)
+            reply = yield request
+    return plan
+
+
+@pytest.mark.parametrize("instance", DESK_INSTANCES, ids=lambda inst: inst.label)
+def test_baseline_blocks_match_reference_on_the_desk(instance):
+    """Budget stops land inside blocks of many rounds, and stop where the reference stops."""
+    rng = np.random.default_rng(0)
+    stops = inside = 0
+    for seed in range(5):
+        oracle = SamplingOracle.for_instance(instance, seed)
+        free = solve(baseline_successive_elimination_plan, oracle, instance, 0.01)
+        for budget in (None, int(rng.integers(min(free.total_samples, 200_000)))):
+            requests = []
+            ours, ref = (SamplingOracle.for_instance(instance, seed) for _ in range(2))
+            outcome = solve(recorded(requests), ours, instance, 0.01, budget=budget)
+            assert outcome == solve(reference_baseline_plan, ref, instance, 0.01, budget=budget)
+            assert state(ours) == state(ref)
+            if outcome.status == "budget_exceeded":
+                stops += 1
+                inside += len(requests[-1].arms) > len(set(requests[-1].arms))
+    assert stops >= 5 and inside >= stops // 2
+
+
+@pytest.mark.parametrize("instance", DESK_INSTANCES, ids=lambda inst: inst.label)
+def test_baseline_asks_for_few_requests_of_bounded_length(instance):
+    """Each stretch of rounds between two drops takes at most log2(cap) + 1
+    doubling blocks plus one per ``BASELINE_BLOCK`` rounds, and a run has at
+    most n - 1 such stretches."""
+    n = instance.n_arms
+    for seed in range(5):
+        requests = []
+        oracle = SamplingOracle.for_instance(instance, seed)
+        outcome = solve(recorded(requests), oracle, instance, 0.01)
+        rounds = outcome.rounds_executed
+        assert len(requests) <= (n - 1) * (math.log2(BASELINE_BLOCK) + 1) + rounds / BASELINE_BLOCK
+        assert len(requests) < rounds
+        assert max(len(request.arms) for request in requests) <= BASELINE_BLOCK * n
+        survivors = ()
+        for request in requests:  # whole rounds over the survivors, each in the same order
+            k = len(set(request.arms))
+            assert request.arms == request.arms[:k] * (len(request.arms) // k)
+            if request.arms[:k] != survivors:  # the first block, and the first after a drop
+                survivors = request.arms[:k]
+                assert len(request.arms) == k

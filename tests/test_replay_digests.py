@@ -1,13 +1,12 @@
 """Tier-1 guard of the benchmark's replay digests.
 
-Runs the benchmark's check grid of ``desk-solvers``, ``wide-solvers`` and
-``desk-ladder`` at seed 0, and of ``wide-solvers`` and ``desk-ladder`` also at
-the held-out seed, with the benchmark's own runner (read from ``perfbench/``,
+Runs the benchmark's check grid of ``desk-solvers`` at seed 0, and of
+``wide-solvers``, ``desk-ladder`` and ``desk-baseline`` at seed 0 and at the
+held-out seed, with the benchmark's own runner (read from ``perfbench/``,
 not copied) and compares the outcome digest with ``perfbench/digests.json``.
 A change that moves any outcome fails here, not only in the benchmark.
 ``GOLDEN_DIGEST`` in ``test_parallel.py`` guards the ladder on other grids,
-budget stops included; the ``desk-baseline`` grid takes several seconds and
-stays benchmark-only.
+budget stops included.
 """
 
 import json
@@ -29,9 +28,11 @@ DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
 @pytest.mark.parametrize(
     "name, seed",
     [("desk-solvers", DEFAULT_SEED), ("wide-solvers", DEFAULT_SEED), ("wide-solvers", HELD_OUT_SEED),
-     ("desk-ladder", DEFAULT_SEED), ("desk-ladder", HELD_OUT_SEED)],
+     ("desk-ladder", DEFAULT_SEED), ("desk-ladder", HELD_OUT_SEED),
+     ("desk-baseline", DEFAULT_SEED), ("desk-baseline", HELD_OUT_SEED)],
     ids=["desk-solvers", "wide-solvers", f"wide-solvers-{HELD_OUT_SEED}",
-         "desk-ladder", f"desk-ladder-{HELD_OUT_SEED}"],
+         "desk-ladder", f"desk-ladder-{HELD_OUT_SEED}",
+         "desk-baseline", f"desk-baseline-{HELD_OUT_SEED}"],
 )
 def test_check_grid_replays_the_stored_digest(name, seed):
     _, pairs = set_up(name)
