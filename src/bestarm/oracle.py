@@ -74,8 +74,11 @@ class SamplingOracle:
 
         A ``(rounds, len(arms))`` array, row r being what ``MeanRequest(arms, 1)``
         would return at its r-th fulfilment.  Nothing is charged and the stream does
-        not move: the generator's state is restored after the draw.
+        not move: the generator's state is restored after the draw.  An arm out of
+        range, negative included, raises ``IndexError`` before anything is drawn.
         """
+        if not all(0 <= arm < len(self._means) for arm in arms):
+            raise IndexError(f"preview of arms {tuple(arms)} out of range")
         bit_generator = self.rng.bit_generator
         state = bit_generator.state
         z = self._normal((rounds, len(arms)))

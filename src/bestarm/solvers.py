@@ -30,6 +30,7 @@ any delta in (0, 1) so cheaper exploratory runs are possible.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count
@@ -299,8 +300,30 @@ BASELINE_BLOCK = 256
 
 
 def se_radius(r: int, n_arms: int, delta: float) -> float:
-    """Confidence radius of the baseline after r draws per surviving arm."""
+    """Confidence radius of the baseline after r draws per surviving arm.
+
+    For n_arms >= 2 and delta < 1 it strictly decreases in r while finite (ln(4 n r^2 / delta)
+    >= ln 8 > 2); it is infinite where 4 n r^2 / delta overflows, which is a suffix of r."""
     return math.sqrt(2.0 * math.log(4.0 * n_arms * r * r / delta) / r)
+
+
+def _block_end(ahead, r: int, n: int, delta: float) -> int:
+    """Rounds of the block ``ahead`` (running sums, row i after round r + 1 + i) up to its
+    first row at which an arm drops or whose radius is infinite, else all of them.  The last
+    finite radius, less 1e-9 for rounding, is a floor under the earlier ones; ``x + radius``
+    and ``y - radius`` are monotone, so only rows that drop at the floor get ``se_radius``."""
+    block = finite = len(ahead)
+    if se_radius(r + block, n, delta) == math.inf:  # bisect for the first infinite row
+        finite = bisect_left(range(r + 1, r + block), True, key=lambda q: se_radius(q, n, delta) == math.inf)
+        if not finite:
+            return 1
+    rs = np.arange(r + 1, r + finite + 1, dtype=float)
+    lo, hi = (reduce(f, ahead[:finite].T) / rs for f in (np.minimum, np.maximum))  # beats min(axis=1)
+    floor = se_radius(r + finite, n, delta) * (1.0 - 1e-9)
+    for i in (lo + floor < hi - floor).nonzero()[0].tolist():
+        if lo[i] + (radius := se_radius(r + 1 + i, n, delta)) < hi[i] - radius:
+            return i + 1
+    return min(finite + 1, block)
 
 
 def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
@@ -310,16 +333,15 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     dropped when its mean estimate plus the radius sqrt(2 ln(4 n r^2 /
     delta) / r) falls below another arm's estimate minus that radius.
 
-    The rounds are raced in blocks with a lookahead.  ``oracle.preview``
-    shows the rewards of the next ``block`` rounds without drawing them; their
-    running sums (a sequential ``np.cumsum``, the same floats as adding round
-    by round) and each round's ``se_radius`` give the first round of the block
-    at which an arm drops.  One request then asks for every round up to that
-    one, listing the survivors round after round, and the drop rule is applied
-    to the sums of the rewards it returns.  The block doubles, up to
-    ``BASELINE_BLOCK`` rounds, while no arm drops, and starts again at one
-    round after a drop.  The oracle serves the rounds arm by arm, in order, so
-    the draws, budget stops and stream are those of one request per round.
+    Rounds are raced in blocks: ``oracle.preview`` shows the rewards of the next ``block``
+    rounds without drawing them, and their running sums (a sequential ``np.cumsum``, the
+    same floats as adding round by round) give the block's first round at which an arm
+    drops, with ``se_radius`` computed only for rounds that could drop (:func:`_block_end`).
+    One request asks for every round up to that one, the survivors listed round after round,
+    and the drop rule is applied to the sums of the rewards it returns.  The block doubles,
+    up to ``BASELINE_BLOCK`` rounds, while no arm drops, and restarts at one round after a
+    drop.  The oracle serves the rounds arm by arm, in order, so the draws, budget stops and
+    stream are those of one request per round.
     """
     _check_delta(delta)
     arms = tuple(_shuffled_arms(oracle, instance))
@@ -331,12 +353,7 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
         ahead = oracle.preview(arms, block)
         ahead[0] += sums
         np.cumsum(ahead, axis=0, out=ahead)
-        qs = range(r + 1, r + block + 1)
-        rs = np.array(qs, dtype=float)
-        radii = np.array([se_radius(q, n, delta) for q in qs])
-        drops = ahead.min(axis=1) / rs + radii < ahead.max(axis=1) / rs - radii
-        ends = drops | (radii == math.inf)
-        rounds = int(ends.argmax()) + 1 if ends.any() else block
+        rounds = _block_end(ahead, r, n, delta)
         rewards = yield MeanRequest(arms * rounds, 1, phase="baseline")
         k = len(arms)
         sums = [reduce(add, rewards[i::k], s) for i, s in enumerate(sums)]  # in round order

@@ -25,6 +25,8 @@ class DeterministicOracle(SamplingOracle):
         return self._means[arm]
 
     def preview(self, arms, rounds: int) -> np.ndarray:
+        if not all(0 <= arm < len(self._means) for arm in arms):
+            raise IndexError(f"preview of arms {tuple(arms)} out of range")
         return np.tile([self._means[arm] for arm in arms], (rounds, 1))
 
     def queue_normals(self, k: int) -> None:

@@ -173,6 +173,17 @@ def test_preview_shows_the_rounds_a_request_returns(kind, means, order, k, round
     assert [x.hex() for x in ahead.ravel().tolist()] == [x.hex() for x in reply]
 
 
+@pytest.mark.parametrize("kind", [SamplingOracle, DeterministicOracle])
+@pytest.mark.parametrize("arms", [(-1,), (0, -3), (3,), (1, 2, 7)])
+def test_preview_refuses_an_arm_out_of_range_and_moves_nothing(kind, arms):
+    oracle = kind([0.1, 0.2, 0.3], seed=4)
+    MeanRequest((0, 1, 2), 1, phase="baseline").fulfill(oracle)
+    before = (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase))
+    with pytest.raises(IndexError):
+        oracle.preview(arms, 2)
+    assert (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase)) == before
+
+
 # A tally request of TALLY_BATCH or more arms draws its counts in one array
 # ``binomial`` call; these pin that it is the ints and the stream of one
 # ``rng.binomial`` per arm.  Means 0, -40, 40 and 37.047 at cutoff 0 and one

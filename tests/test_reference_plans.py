@@ -7,15 +7,18 @@ sort positions with ``reverse=True``, and race the baseline in blocks of
 rounds previewed ahead, one request up to the first drop, with its sums in
 a list aligned with the active arms; they must give the same outcome, the
 same per-arm draws and leave the same generator state, tied means and
-budget stops inside a block included.
+budget stops inside a block included.  The block's end, found with radii only
+for the rows that could drop, must be the row that scanning every row's
+radius finds.
 """
 
+import bisect
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bestarm import (
@@ -28,7 +31,7 @@ from bestarm import (
     solve,
 )
 from bestarm.primitives import MeanRequest, _check_members, _count, med_elim_plan
-from bestarm.solvers import BASELINE_BLOCK, SolveResult, se_radius
+from bestarm.solvers import BASELINE_BLOCK, SolveResult, _block_end, se_radius
 from doubles import DeterministicOracle
 from test_acceptance import DESK_INSTANCES
 
@@ -64,6 +67,18 @@ def reference_baseline_plan(oracle, instance, delta, emit=None):
         best_lcb = max(means[arm] - radius for arm in active)
         active = [arm for arm in active if means[arm] + radius >= best_lcb]
     return SolveResult(arm=active[0], rounds=r)
+
+
+def reference_block_end(ahead, r, n, delta):
+    """The first row of the block at which an arm drops or the radius is infinite,
+    from every row's radius."""
+    block = len(ahead)
+    qs = range(r + 1, r + block + 1)
+    rs = np.array(qs, dtype=float)
+    radii = np.array([se_radius(q, n, delta) for q in qs])
+    drops = ahead.min(axis=1) / rs + radii < ahead.max(axis=1) / rs - radii
+    ends = drops | (radii == math.inf)
+    return int(ends.argmax()) + 1 if ends.any() else block
 
 
 # Sub-optimal arms share few gap values, so tied means are common.
@@ -128,6 +143,90 @@ def test_baseline_keeps_an_arm_exactly_at_the_bound():
         assert outcome == solve(reference_baseline_plan, ref, instance, delta)
         assert outcome.arm == 0 and outcome.rounds_executed == 2
         assert outcome.per_arm_samples == (2, 2) + (1,) * len(extra)
+
+
+# Two arms at delta = 1e-299: the radius overflows from round 14,991 on.
+EDGE_N, EDGE_DELTA, EDGE_OVERFLOW = 2, 1e-299, 14_991
+# Near the bound: exactly at it, an ulp or a rounding margin either side, or well off.
+BOUND_OFFSETS = (0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 0.5, -0.5)
+
+
+def first_infinite_round(n, delta):
+    return bisect.bisect_left(range(1, 10**13), True, key=lambda q: se_radius(q, n, delta) == math.inf) + 1
+
+
+@st.composite
+def previewed_blocks(draw):
+    """``(ahead, r, n, delta)``: running sums whose spread in each row lies near twice
+    that row's radius, some blocks straddling the round where the radius overflows."""
+    n = draw(st.integers(2, 10**4))
+    delta = 10 ** draw(st.floats(-300, math.log10(0.999)))
+    block = draw(st.integers(1, BASELINE_BLOCK))
+    overflow = first_infinite_round(n, delta)
+    if draw(st.booleans()) and overflow < 10**12:
+        r = max(0, overflow - draw(st.integers(1, block + 1)))
+    else:
+        r = draw(st.integers(0, 10**12))
+    base = draw(st.floats(-1e6, 1e6))
+    offsets = draw(st.lists(st.one_of(st.sampled_from(BOUND_OFFSETS), st.floats(-1.0, 1.0)),
+                            min_size=block, max_size=block))
+    rows = []
+    for q, offset in zip(range(r + 1, r + block + 1), offsets):
+        radius = min(se_radius(q, n, delta), 1.0)
+        spread = 2.0 * radius * (1.0 + offset)
+        rows.append([base * q, (base + spread / 2.0) * q, (base + spread) * q])
+    return np.array(rows), r, n, delta
+
+
+def _edge_block(r, rows, drops):
+    """A block after round r at the overflow edge, with no spread but at ``drops``."""
+    ahead = np.zeros((rows, 2))
+    ahead[drops, 1] = 1.0e5
+    return ahead, r, EDGE_N, EDGE_DELTA
+
+
+def _bound_block():
+    """Round 1 sits exactly at the bound (spread 2 * radius, which keeps the arm), rounds
+    2 to 4 have no spread."""
+    ahead = np.zeros((4, 2))
+    ahead[0, 1] = 2.0 * se_radius(1, 2, 0.1)
+    return ahead, 0, 2, 0.1
+
+
+@settings(max_examples=150, deadline=None)
+@given(previewed_blocks())
+@example(_edge_block(EDGE_OVERFLOW - 11, 32, [5, 20]))  # straddles the overflow, drops before it
+@example(_edge_block(EDGE_OVERFLOW - 11, 32, [20]))  # ends at the first infinite row
+@example(_edge_block(EDGE_OVERFLOW - 1, 8, [0, 3]))  # the first row is already infinite
+@example((np.zeros((4, 2)), 0, 2, 5e-324))  # a run's first row is already infinite
+@example(_bound_block())  # a spread of exactly twice the radius does not drop
+def test_block_end_matches_the_full_scan(case):
+    ahead, r, n, delta = case
+    assert _block_end(ahead, r, n, delta) == reference_block_end(ahead, r, n, delta)
+
+
+def test_block_end_examples_end_where_they_should():
+    assert se_radius(EDGE_OVERFLOW - 1, EDGE_N, EDGE_DELTA) < math.inf
+    assert first_infinite_round(EDGE_N, EDGE_DELTA) == EDGE_OVERFLOW
+    assert _block_end(*_edge_block(EDGE_OVERFLOW - 11, 32, [5, 20])) == 6
+    assert _block_end(*_edge_block(EDGE_OVERFLOW - 11, 32, [20])) == 11
+    assert _block_end(*_edge_block(EDGE_OVERFLOW - 1, 8, [0, 3])) == 1
+    assert _block_end(*_bound_block()) == 4
+    assert _block_end(np.zeros((4, 2)), 0, 2, 5e-324) == 1
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_baseline_matches_reference_where_the_radius_overflows_inside_a_block(seed):
+    """Arm 1 leaves the race a few dozen rounds before the radius overflows, inside a
+    block that reaches past that round.  Taking the block's infinite last radius as
+    the floor would find no row that could drop, run past the drop and refuse the run."""
+    instance = Instance.from_means((1.0, 0.385), label="overflow edge")
+    ours, ref = (SamplingOracle.for_instance(instance, seed) for _ in range(2))
+    outcome = solve(baseline_successive_elimination_plan, ours, instance, EDGE_DELTA)
+    assert outcome == solve(reference_baseline_plan, ref, instance, EDGE_DELTA)
+    assert outcome.status == "ok" and outcome.arm == 0
+    assert outcome.rounds_executed < EDGE_OVERFLOW
+    assert state(ours) == state(ref)
 
 
 def recorded(requests):
