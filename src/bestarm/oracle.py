@@ -10,6 +10,12 @@ import numpy as np
 _SQRT2 = math.sqrt(2.0)
 
 
+def _past_float_range(draws: int) -> ValueError:
+    """The refusal of a ``draws`` count past the float range, which has no scale
+    ``draws**-0.5`` or ``sqrt(draws)``; raised before anything is charged or drawn."""
+    return ValueError(f"draws must be within the float range, got a {draws.bit_length()}-bit count")
+
+
 class SamplingOracle:
     """Draws unit-variance Gaussian rewards for one solver run and counts every draw per arm.
 
@@ -24,7 +30,8 @@ class SamplingOracle:
     ``rng.normal(mu, scale)`` computes it: the same float and generator state, at less call
     overhead.  A request's normals (two or more arms, :meth:`queue_normals`) or counts
     (``primitives.TALLY_BATCH`` or more arms, :meth:`queue_tallies`) come from one array
-    call, in arm order, with the values and the stream of one scalar call per arm.
+    call, in arm order, with the values and the stream of one scalar call per arm; the
+    scale of queued normals is computed once per request, not once per arm.
     :meth:`preview` shows the rewards of rounds not yet drawn, without drawing them.
     """
 
@@ -35,6 +42,7 @@ class SamplingOracle:
         self.rng = np.random.default_rng(seed)
         self._normal = self.rng.standard_normal
         self._queued = []  # normals or tallies drawn ahead for the next sampler calls, last first
+        self._scale = 1.0  # the scale ``draws**-0.5`` of the queued normals
         self._counts = [0] * len(self._means)  # the draw ledger, per arm
         self.draws_by_phase = defaultdict(int)
 
@@ -65,8 +73,13 @@ class SamplingOracle:
         """One reward from one arm; increments that arm's counter by one."""
         return self.sample_mean(arm, 1)
 
-    def queue_normals(self, k: int) -> None:
-        """Draw the ``z`` of the next ``k`` ``sample_mean`` calls in one call."""
+    def queue_normals(self, k: int, draws: int) -> None:
+        """Draw the ``z`` of the next ``k`` ``sample_mean(arm, draws)`` calls in one call,
+        with their scale ``draws**-0.5``; a count past the float range is refused first."""
+        try:
+            self._scale = draws**-0.5
+        except OverflowError:
+            raise _past_float_range(draws) from None
         self._queued = self._normal(k)[::-1].tolist()
 
     def preview(self, arms, rounds: int) -> np.ndarray:
@@ -87,7 +100,11 @@ class SamplingOracle:
 
     def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> None:
         """Draw the counts of the next ``count_means_below`` calls, one per arm, in one call."""
-        scale, means = math.sqrt(draws), self._means
+        try:
+            scale = math.sqrt(draws)
+        except OverflowError:
+            raise _past_float_range(draws) from None
+        means = self._means
         ps = [0.5 * math.erfc(-((cutoff - means[arm]) * scale) / _SQRT2) for arm in arms]
         self._queued = self.rng.binomial(probes, ps)[::-1].tolist()
 
@@ -95,9 +112,15 @@ class SamplingOracle:
         """Empirical mean of ``draws`` fresh rewards from one arm."""
         if draws < 1:
             raise ValueError("draws must be >= 1")
+        if self._queued:  # a normal of this request, queued with its scale
+            self._counts[arm] += draws
+            return self._means[arm] + self._scale * self._queued.pop()
+        try:
+            scale = draws**-0.5
+        except OverflowError:
+            raise _past_float_range(draws) from None
         self._counts[arm] += draws
-        z = self._queued.pop() if self._queued else self._normal()
-        return self._means[arm] + draws**-0.5 * z
+        return self._means[arm] + scale * self._normal()
 
     def refund(self, arms, draws: int) -> None:
         """Undo a mean request over ``arms`` that failed on an arm out of range: take back
@@ -118,8 +141,13 @@ class SamplingOracle:
         """
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")
-        self._counts[arm] += draws * probes
         if self._queued:
+            self._counts[arm] += draws * probes
             return self._queued.pop()
-        x = (cutoff - self._means[arm]) * math.sqrt(draws)
+        try:
+            scale = math.sqrt(draws)
+        except OverflowError:
+            raise _past_float_range(draws) from None
+        self._counts[arm] += draws * probes
+        x = (cutoff - self._means[arm]) * scale
         return self.rng.binomial(probes, 0.5 * math.erfc(-x / _SQRT2))

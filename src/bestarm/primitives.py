@@ -70,7 +70,7 @@ class MeanRequest:
         if draws < 1:  # refused before any normal is drawn
             raise ValueError("draws must be >= 1")
         if len(self.arms) > 1:
-            oracle.queue_normals(len(self.arms))
+            oracle.queue_normals(len(self.arms), draws)
         try:
             means = [sample_mean(arm, draws) for arm in self.arms]
         except IndexError:  # an arm out of range: its ledger and queue are left as they were

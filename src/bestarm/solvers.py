@@ -34,7 +34,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count
-from operator import add
 
 import numpy as np
 
@@ -337,11 +336,11 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     rounds without drawing them, and their running sums (a sequential ``np.cumsum``, the
     same floats as adding round by round) give the block's first round at which an arm
     drops, with ``se_radius`` computed only for rounds that could drop (:func:`_block_end`).
-    One request asks for every round up to that one, the survivors listed round after round,
-    and the drop rule is applied to the sums of the rewards it returns.  The block doubles,
-    up to ``BASELINE_BLOCK`` rounds, while no arm drops, and restarts at one round after a
-    drop.  The oracle serves the rounds arm by arm, in order, so the draws, budget stops and
-    stream are those of one request per round.
+    One request asks for every round up to that one, the survivors listed round after round.
+    It returns the rewards previewed, so the drop rule takes its sums from the preview's row
+    for that round.  The block doubles, up to ``BASELINE_BLOCK`` rounds, while no arm drops,
+    and restarts at one round after a drop.  The oracle serves the rounds arm by arm, in
+    order, so the draws, budget stops and stream are those of one request per round.
     """
     _check_delta(delta)
     arms = tuple(_shuffled_arms(oracle, instance))
@@ -354,9 +353,8 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
         ahead[0] += sums
         np.cumsum(ahead, axis=0, out=ahead)
         rounds = _block_end(ahead, r, n, delta)
-        rewards = yield MeanRequest(arms * rounds, 1, phase="baseline")
-        k = len(arms)
-        sums = [reduce(add, rewards[i::k], s) for i, s in enumerate(sums)]  # in round order
+        yield MeanRequest(arms * rounds, 1, phase="baseline")  # returns the rows previewed
+        sums = ahead[rounds - 1].tolist()
         r += rounds
         radius = se_radius(r, n, delta)
         if radius == math.inf:  # no arm could ever be eliminated

@@ -29,7 +29,7 @@ class DeterministicOracle(SamplingOracle):
             raise IndexError(f"preview of arms {tuple(arms)} out of range")
         return np.tile([self._means[arm] for arm in arms], (rounds, 1))
 
-    def queue_normals(self, k: int) -> None:
+    def queue_normals(self, k: int, draws: int) -> None:
         pass
 
     def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> None:

@@ -81,10 +81,11 @@ def test_sample_mean_equals_rng_normal_on_any_mean_and_count(seed, calls):
     assert oracle.rng.bit_generator.state == twin.bit_generator.state
 
 
-# A mean request draws its arms' normals in one ``standard_normal(k)`` call;
-# these pin that it is the float and the stream of one ``rng.normal`` per arm.
+# A mean request draws its arms' normals in one ``standard_normal(k)`` call and
+# computes their scale once; these pin that it is the float and the stream of
+# one ``rng.normal`` per arm.
 @pytest.mark.parametrize("k", [1, 2, 3, 1000])
-@pytest.mark.parametrize("draws", [1, 3, 2**40, 2**62])
+@pytest.mark.parametrize("draws", [1, 2, 3, 2**40, 2**62, 10**30, 2**100])
 def test_mean_request_equals_rng_normal_per_arm(k, draws):
     means = [i / k for i in range(k)]
     oracle = SamplingOracle(means, seed=k)
@@ -131,6 +132,31 @@ def test_mean_request_on_an_arm_out_of_range_leaves_the_oracle_as_it_was(arms):
     assert oracle.sample_mean(1, 1) == 0.2 + z[drawn]
 
 
+# A count past the float range has no scale (``draws**-0.5``, ``sqrt(draws)``): it is
+# refused by name before any arm is charged or any normal or count is drawn.
+HUGE = 2**1100
+
+
+@pytest.mark.parametrize("refused", [
+    lambda oracle: MeanRequest((0, 1, 2), HUGE, phase="med").fulfill(oracle),
+    lambda oracle: MeanRequest((1,), HUGE, phase="med").fulfill(oracle),
+    lambda oracle: MeanRequest((0, 1), 2**1024 - 1, phase="med").fulfill(oracle),  # rounds up
+    lambda oracle: TallyRequest((0, 1), HUGE, (3, 4), 0.0, phase="frac").fulfill(oracle),
+    lambda oracle: TallyRequest(tuple(range(TALLY_BATCH)), HUGE, (3,) * TALLY_BATCH, 0.0).fulfill(oracle),
+    lambda oracle: oracle.sample_mean(0, HUGE),
+    lambda oracle: oracle.count_means_below(0, HUGE, 3, 0.0),
+], ids=["mean", "mean-one-arm", "mean-rounding-to-2**1024", "tally", "tally-batched",
+        "sample_mean", "count_means_below"])
+def test_a_count_past_the_float_range_is_refused_before_any_charge(refused):
+    oracle = SamplingOracle([0.1 * arm for arm in range(TALLY_BATCH)], seed=8)
+    MeanRequest((0, 1), 2**1023, phase="anchor").fulfill(oracle)  # the largest power that fits
+    before = (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase))
+    with pytest.raises(ValueError, match="draws must be within the float range"):
+        refused(oracle)
+    assert (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase)) == before
+    assert oracle._queued == []
+
+
 def test_direct_sample_mean_after_a_request_draws_fresh():
     oracle = SamplingOracle([0.1, 0.2], seed=5)
     twin = np.random.default_rng(5)
@@ -171,6 +197,31 @@ def test_preview_shows_the_rounds_a_request_returns(kind, means, order, k, round
     assert (oracle.snapshot(), oracle.total, dict(oracle.draws_by_phase)) == (ledger, 0, {})
     reply = MeanRequest(arms * rounds, 1).fulfill(oracle)
     assert [x.hex() for x in ahead.ravel().tolist()] == [x.hex() for x in reply]
+
+
+# The baseline takes a block's sums from the preview's running sums, not from the reply:
+# this pins that they are the floats of folding the reply round by round from any start.
+@settings(max_examples=100)
+@given(
+    kind=st.sampled_from([SamplingOracle, DeterministicOracle]),
+    means=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+    start=st.lists(st.floats(-1e9, 1e9), min_size=8, max_size=8),
+    rounds=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_preview_running_sums_equal_the_fold_of_the_reply(kind, means, start, rounds, seed):
+    arms = tuple(reversed(range(len(means))))
+    start = start[: len(arms)]
+    oracle = kind(means, seed=seed)
+    ahead = oracle.preview(arms, rounds)
+    ahead[0] += start
+    np.cumsum(ahead, axis=0, out=ahead)
+    reply = MeanRequest(arms * rounds, 1).fulfill(oracle)
+    k = len(arms)
+    sums = list(start)
+    for r in range(rounds):
+        sums = [s + x for s, x in zip(sums, reply[r * k:(r + 1) * k])]
+        assert [x.hex() for x in ahead[r].tolist()] == [x.hex() for x in sums]
 
 
 @pytest.mark.parametrize("kind", [SamplingOracle, DeterministicOracle])
@@ -340,6 +391,8 @@ REFUSED_REQUESTS = [
     TallyRequest(tuple(range(LEDGER_ARMS)) + (LEDGER_ARMS,), 2, (5,) * (LEDGER_ARMS + 1), 0.5),
     TallyRequest((0, 1), 2, (5, 0), 0.5, phase="elim"),
     TallyRequest((0, 1), 2, (5, 5), float("nan"), phase="elim"),
+    MeanRequest((0, 1), 2**1100, phase="anchor"),
+    TallyRequest((0, 1), 2**1100, (3, 4), 0.0, phase="frac"),
 ]
 
 

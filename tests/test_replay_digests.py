@@ -1,7 +1,6 @@
 """Tier-1 guard of the benchmark's replay digests.
 
-Runs the benchmark's check grid of ``desk-solvers`` at seed 0, and of
-``wide-solvers``, ``desk-ladder`` and ``desk-baseline`` at seed 0 and at the
+Runs the benchmark's check grid of every workload at seed 0 and at the
 held-out seed, with the benchmark's own runner (read from ``perfbench/``,
 not copied) and compares the outcome digest with ``perfbench/digests.json``.
 A change that moves any outcome fails here, not only in the benchmark.
@@ -27,10 +26,11 @@ DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
 
 @pytest.mark.parametrize(
     "name, seed",
-    [("desk-solvers", DEFAULT_SEED), ("wide-solvers", DEFAULT_SEED), ("wide-solvers", HELD_OUT_SEED),
+    [("desk-solvers", DEFAULT_SEED), ("desk-solvers", HELD_OUT_SEED),
+     ("wide-solvers", DEFAULT_SEED), ("wide-solvers", HELD_OUT_SEED),
      ("desk-ladder", DEFAULT_SEED), ("desk-ladder", HELD_OUT_SEED),
      ("desk-baseline", DEFAULT_SEED), ("desk-baseline", HELD_OUT_SEED)],
-    ids=["desk-solvers", "wide-solvers", f"wide-solvers-{HELD_OUT_SEED}",
+    ids=["desk-solvers", f"desk-solvers-{HELD_OUT_SEED}", "wide-solvers", f"wide-solvers-{HELD_OUT_SEED}",
          "desk-ladder", f"desk-ladder-{HELD_OUT_SEED}",
          "desk-baseline", f"desk-baseline-{HELD_OUT_SEED}"],
 )
