@@ -135,9 +135,9 @@ class SamplingOracle:
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
         """How many of ``probes`` independent mean-of-``draws`` estimates fall below ``cutoff``.
 
-        Charges draws * probes samples to the arm.  The probability needs no clamp: 0.5 *
-        erfc(.) lies in [0, 1] for all x, +-inf included; a NaN cutoff makes binomial raise
-        here (``TallyRequest`` refuses one before any arm is charged).
+        Charges draws * probes samples to the arm, once the count is drawn.  The probability
+        needs no clamp: 0.5 * erfc(.) lies in [0, 1] for all x, +-inf included; a NaN cutoff
+        makes binomial raise, and so does a probe count past int64, refused here by name.
         """
         if draws < 1 or probes < 1:
             raise ValueError("draws and probes must be >= 1")
@@ -148,6 +148,10 @@ class SamplingOracle:
             scale = math.sqrt(draws)
         except OverflowError:
             raise _past_float_range(draws) from None
-        self._counts[arm] += draws * probes
         x = (cutoff - self._means[arm]) * scale
-        return self.rng.binomial(probes, 0.5 * math.erfc(-x / _SQRT2))
+        try:
+            below = self.rng.binomial(probes, 0.5 * math.erfc(-x / _SQRT2))
+        except OverflowError:
+            raise ValueError(f"probes must be within the int64 range, got {probes}") from None
+        self._counts[arm] += draws * probes
+        return below

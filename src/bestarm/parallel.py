@@ -24,10 +24,10 @@ Copy k's generator is seeded exactly as ``SeedSequence(seed, spawn_key=(k - 1,))
 seeds it, from seed words derived once per run: the base seed is mixed once, and
 the rest runs on a block of copies at a time as uint32 arrays.  A request covers
 several arms, served in order, and the ledger stays per draw.  Each copy's
-oracle is its only draw ledger.  Every request goes through
-:func:`~bestarm.primitives.serve`, so under a budget a copy stops at the first
-arm that crosses its cap.  When the winner finishes, each other copy's draws
-toward its request in flight are attributed arm by arm.
+oracle is its only draw ledger.  A copy is a :class:`~bestarm.primitives.PlanRun`,
+whose ``advance`` serves every request, so under a budget a copy stops at the
+first arm that crosses its cap.  When the winner finishes, each other copy's
+draws toward its request in flight are attributed arm by arm.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .instances import Instance, _check_delta
 from .oracle import SamplingOracle
-from .primitives import BudgetExceededError, serve, split_at_cap
+from .primitives import BudgetExceededError, PlanRun, split_at_cap
 from .solvers import RunOutcome, complexity_guessing_plan, make_outcome
 
 
@@ -88,27 +88,14 @@ def _copy_seeds(seed):
         yield from map(_SeedWords, state.T.astype("<u4", order="C").view("<u8").astype(np.uint64))
 
 
-class _Copy:
-    __slots__ = ("index", "step", "oracle", "plan", "pending", "result")
+class _Copy(PlanRun):
+    __slots__ = ("index", "step")
 
-    def __init__(self, index, oracle, plan):
-        self.index = index
-        self.step = 1 << (index - 1)  # iterations between two draw grants
-        self.oracle = oracle
-        self.plan = plan
-        self.result = None
-        self.resume(None)  # a plan may terminate without sampling
+    def __init__(self, index, oracle, plan, budget):
+        self.index, self.step = index, 1 << (index - 1)  # step: iterations between two draw grants
+        super().__init__(plan, oracle, budget)
 
-    def resume(self, reply) -> bool:
-        """Send ``reply`` to the plan; True once it has returned its result."""
-        try:
-            self.pending = self.plan.send(reply)
-            return False
-        except StopIteration as stop:
-            self.pending, self.result = None, stop.value
-            return True
-
-    def finish_iteration(self, budget) -> int:
+    def finish_iteration(self) -> int:
         """Iteration at which the pending request (or termination) falls due.
 
         A request that would cross the budget falls due at the end of its
@@ -116,7 +103,7 @@ class _Copy:
         """
         if self.pending is None:  # returned at spawn, before any draw
             return self.step
-        consumed = self.oracle.total
+        consumed, budget = self.oracle.total, self.budget
         due = self.pending.cost if budget is None else split_at_cap(self.pending, budget - consumed)[1]
         return (consumed + due) * self.step
 
@@ -148,7 +135,7 @@ def parallel_simulation(
         seed: base seed, a non-negative int or None; copy k's oracle is seeded as by
             ``SeedSequence(seed, spawn_key=(k - 1,))``, from words derived once per
             run, and is that copy's only draw ledger.
-        budget: optional cap on each copy's draws, applied by ``serve``.  A
+        budget: optional cap on each copy's draws, applied by ``PlanRun.advance``.  A
             copy whose next arm would cross it stops there; if that copy is
             the first to finish, the run is ``budget_exceeded``.
 
@@ -170,9 +157,9 @@ def parallel_simulation(
         if not (delta_k := delta / 2.0**k):  # underflowed: a float-range error
             raise OverflowError("copy delta underflowed to 0")
         oracle = SamplingOracle.for_instance(instance, seed=next(seeds))
-        copy = _Copy(k, oracle, inner(oracle, instance, delta_k))
+        copy = _Copy(k, oracle, inner(oracle, instance, delta_k), budget)
         copies.append(copy)
-        heapq.heappush(events, (copy.finish_iteration(budget), k))
+        heapq.heappush(events, (copy.finish_iteration(), k))
 
     try:
         spawn()
@@ -184,21 +171,19 @@ def parallel_simulation(
             stop_iter, index = events[0]
             stale = stop_iter  # where grants to the other copies end; see below
             live = copies[index - 1]
-            if live.result is not None:
+            if (request := live.pending) is None:
                 break
-            request = live.pending
             try:
-                reply = serve(request, live.oracle, budget)
+                live.advance()
             except BudgetExceededError:
-                live.plan.close()
                 break
-            if live.resume(reply):
+            if live.pending is None:
                 # Known over-count, kept so that ladder outcomes replay: the
                 # other copies are granted draws up to one more serving of the
                 # winner's last arm.
                 stale = (live.oracle.total + request.arm_costs()[-1]) * live.step
                 break
-            heapq.heapreplace(events, (live.finish_iteration(budget), live.index))
+            heapq.heapreplace(events, (live.finish_iteration(), live.index))
     except OverflowError:  # as in ``solve``: a delta's float-range failure, named as given
         raise ValueError(f"delta {delta!r} too small: a derived value left the float range") from None
     winner = live

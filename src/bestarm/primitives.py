@@ -3,10 +3,11 @@ fraction testing and batch elimination.
 
 Every subroutine is a *plan*: a generator that yields sampling requests,
 so callers may suspend execution at each draw batch, and returns its
-result.  :func:`run_plan` drives a plan against an oracle.  Plans receive
-the oracle only for its RNG stream (and the baseline for its preview, which
-draws nothing); all reward draws flow through the yielded requests, which
-is what lets an outer scheduler interleave several runs.
+result.  :class:`PlanRun` drives a plan against an oracle, one request at
+a time, and :func:`run_plan` runs one to its end.  Plans receive the oracle
+only for its RNG stream (and the baseline for its preview, which draws
+nothing); all reward draws flow through the yielded requests, which is what
+lets an outer scheduler interleave several runs.
 
 A plan yields one request per round: per median-elimination round, per
 uniform-sampling call and per fraction test.  The successive-elimination
@@ -18,9 +19,9 @@ ordered tuple of arms, and fulfilling it samples them arm by arm, in that
 order, so the RNG stream and the draw counters advance exactly as one
 request per arm would; its draws then go to its ``phase`` (``med``,
 ``anchor``, ``frac``, ``elim``, ``baseline``) in the oracle's
-``draws_by_phase``.  Budget stops stay per arm: :func:`serve`, the one
-serving step of every plan driver, serves a request that would cross the
-sample cap only up to its last arm that fits.
+``draws_by_phase``.  Budget stops stay per arm: :meth:`PlanRun.advance`, the
+one serving step of every plan driver, serves a request that would cross
+the sample cap only up to its last arm that fits.
 
 Ties are broken toward the arm listed first, so callers control tie order
 through the member sequence.
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import repeat
+from numbers import Integral
 
 from .instances import _check_delta
 
@@ -115,10 +117,12 @@ class TallyRequest:
         if not 0 <= min(arms) <= max(arms) < oracle.n_arms:  # likewise
             bad = next(arm for arm in arms if not 0 <= arm < oracle.n_arms)
             raise IndexError(f"arm {bad} out of range for {oracle.n_arms} arms")
+        if (n := sum(probes)) >= 2**63 and max(probes) >= 2**63:  # past int64: likewise
+            raise ValueError(f"probes must be within the int64 range, got {max(probes)}")
         if len(arms) >= TALLY_BATCH:
             oracle.queue_tallies(arms, draws, probes, cutoff)
         below = sum(map(oracle.count_means_below, arms, repeat(draws), probes, repeat(cutoff)))
-        oracle.draws_by_phase[self.phase] += draws * sum(probes)
+        oracle.draws_by_phase[self.phase] += draws * n
         return below
 
 
@@ -137,40 +141,44 @@ def split_at_cap(request, room: int):
     return len(request.arms), through
 
 
-def serve(request, oracle, budget: int | None):
-    """Fulfil ``request`` against ``oracle`` and return the reply.
+class PlanRun:
+    """One plan driven against one oracle, its draws capped at ``budget`` (None: no cap).
+    ``pending`` is the request the plan waits on, None once ``result`` holds its return value."""
 
-    If that would push the oracle's total past ``budget`` (None lifts the
-    cap), only the leading arms that fit are served and BudgetExceededError
-    is raised; the arm that crosses is never drawn.
-    """
-    if budget is not None and oracle.total + request.cost > budget:
-        fit, _ = split_at_cap(request, budget - oracle.total)
-        if fit:
-            request.prefix(fit).fulfill(oracle)
-        raise BudgetExceededError(
-            f"next request ({request.cost} draws) would exceed the cap of {budget}"
-        )
-    return request.fulfill(oracle)
+    __slots__ = ("plan", "oracle", "budget", "pending", "result")
+
+    def __init__(self, plan, oracle, budget: int | None = None):
+        if budget is not None and (type(budget) is bool or not isinstance(budget, Integral) or budget < 0):
+            raise ValueError(f"budget must be None or an integer >= 0, got {budget!r}")
+        self.plan, self.oracle, self.budget, self.result = plan, oracle, budget, None
+        self._resume(None)  # a plan may return before it samples anything
+
+    def advance(self) -> None:
+        """Fulfil ``pending`` and resume the plan with the reply.  A request that would take the
+        oracle's total past ``budget`` is served up to its last arm that fits; the plan is then
+        closed and BudgetExceededError raised."""
+        request, oracle, budget = self.pending, self.oracle, self.budget
+        if budget is not None and oracle.total + request.cost > budget:
+            fit, _ = split_at_cap(request, budget - oracle.total)
+            if fit:
+                request.prefix(fit).fulfill(oracle)
+            self.plan.close()
+            raise BudgetExceededError(f"next request ({request.cost} draws) would exceed the cap of {budget}")
+        self._resume(request.fulfill(oracle))
+
+    def _resume(self, reply) -> None:
+        try:
+            self.pending = self.plan.send(reply)
+        except StopIteration as stop:
+            self.pending, self.result = None, stop.value
 
 
 def run_plan(plan, oracle, budget: int | None = None):
-    """Drive a sampling plan to completion against an oracle.
-
-    Each request goes through :func:`serve`; on a budget stop the plan is
-    closed and BudgetExceededError re-raised.
-    """
-    reply = None
-    while True:
-        try:
-            request = plan.send(reply)
-        except StopIteration as stop:
-            return stop.value
-        try:
-            reply = serve(request, oracle, budget)
-        except BudgetExceededError:
-            plan.close()
-            raise
+    """Drive a sampling plan to its result; a budget stop raises BudgetExceededError."""
+    run = PlanRun(plan, oracle, budget)
+    while run.pending is not None:
+        run.advance()
+    return run.result
 
 
 def _count(value: float) -> int:

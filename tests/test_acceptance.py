@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from bestarm import (
     OK,
@@ -31,8 +32,8 @@ from bestarm import (
     unif_sample_size,
 )
 from bestarm.bench import equal_h_pair, run_one_trial
-from bestarm.primitives import elimination_plan, frac_test_plan, unif_sampl_plan
-from bestarm.solvers import C_ROUNDS
+from bestarm.primitives import elimination_plan, frac_test_plan, frac_test_probe_counts, unif_sampl_plan
+from bestarm.solvers import C_ROUNDS, frac_thresholds
 from doubles import DeterministicOracle
 from test_instances import brute_force_profile
 
@@ -286,6 +287,38 @@ def test_round_schedule_matches_the_paper_formulas():
                     rounds += 1
     print(f"round schedule: {rounds} sampled rounds match the formulas")
     assert rounds > 0
+
+
+def test_anchor_and_fraction_test_meet_their_delta_at_the_exact_tail():
+    # Each sampled round's anchor estimate and fraction test, at the counts the library
+    # sized, must fail with probability at most delta_r at the edge of its contract:
+    # exact Gaussian and binomial tails, so a constant change passes if and only if it
+    # keeps the contract, whatever formula sized the counts.
+    worst = {"anchor": 0.0, "frac False side": 0.0, "frac True side": 0.0}
+    for algo in ("known", "guess"):
+        for inst in DESK_INSTANCES:
+            for seed in range(5):
+                for e in desk_round_events(algo, inst, seed):
+                    if e.rejected:
+                        continue
+                    # |mean of n draws - mu| >= eps/8: two-sided, at the anchor's draws
+                    anchor = math.erfc(e.eps / 8 * math.sqrt(e.draws_anchor / 2))
+                    c_lo, c_hi = frac_thresholds(0.0, e.eps)  # the band's width is what counts
+                    m, per_probe = frac_test_probe_counts(c_lo, c_hi, e.theta_lo, e.theta_hi, e.delta_round)
+                    assert m * per_probe == e.draws_frac
+                    # A probe's estimate lands on the wrong side of the cutoff, half the band away.
+                    q = 0.5 * math.erfc((c_hi - c_lo) / 2 * math.sqrt(per_probe / 2))
+                    # The fraction test answers True iff more than m * theta_mid probes count.
+                    k = math.floor(m * (e.theta_lo + e.theta_hi) / 2)
+                    # A theta_hi fraction of arms below c_lo, yet False; at most theta_lo
+                    # below c_hi, yet True.
+                    false_side = binom.cdf(k, m, e.theta_hi * (1 - q))
+                    true_side = binom.sf(k, m, e.theta_lo + (1 - e.theta_lo) * q)
+                    for step, tail in zip(worst, (anchor, false_side, true_side)):
+                        worst[step] = max(worst[step], tail / e.delta_round)
+    detail = ", ".join(f"{step} {ratio:.3g}" for step, ratio in worst.items())
+    print(f"exact tails: worst failure probability / delta_r: {detail} (each <= 1)")
+    assert all(ratio <= 1.0 for ratio in worst.values()), detail
 
 
 def test_criterion_6_deterministic_rejection():

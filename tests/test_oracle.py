@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bestarm import (
-    BudgetExceededError, Instance, MeanRequest, SamplingOracle, complexity_guessing_plan, solve,
+    BudgetExceededError, Instance, MeanRequest, SamplingOracle, complexity_guessing_plan, run_plan,
+    solve,
 )
-from bestarm.primitives import TALLY_BATCH, TallyRequest, serve
+from bestarm.primitives import TALLY_BATCH, TallyRequest
 from bestarm.solvers import SolveResult, make_outcome
 from doubles import DeterministicOracle
 
@@ -98,11 +99,18 @@ def test_mean_request_equals_rng_normal_per_arm(k, draws):
     assert oracle._queued == []
 
 
+def run_one_request(request, oracle, budget):
+    """Serve ``request`` under ``budget`` as the one request of a plan driven by ``run_plan``."""
+    def plan():
+        return (yield request)
+    return run_plan(plan(), oracle, budget)
+
+
 def test_budget_split_head_consumes_only_its_normals():
     oracle = SamplingOracle([0.1, 0.2, 0.3, 0.4], seed=3)
     twin = np.random.default_rng(3)
     with pytest.raises(BudgetExceededError):
-        serve(MeanRequest((0, 1, 2, 3), 5), oracle, budget=12)  # arms 0 and 1 fit
+        run_one_request(MeanRequest((0, 1, 2, 3), 5), oracle, budget=12)  # arms 0 and 1 fit
     twin.standard_normal(2)
     assert oracle.rng.bit_generator.state == twin.bit_generator.state
     assert oracle.snapshot() == [5, 5, 0, 0]
@@ -132,26 +140,40 @@ def test_mean_request_on_an_arm_out_of_range_leaves_the_oracle_as_it_was(arms):
     assert oracle.sample_mean(1, 1) == 0.2 + z[drawn]
 
 
-# A count past the float range has no scale (``draws**-0.5``, ``sqrt(draws)``): it is
-# refused by name before any arm is charged or any normal or count is drawn.
+# A count past the float range has no scale (``draws**-0.5``, ``sqrt(draws)``), and a
+# probe count past int64 has no binomial: each is refused by name before any arm is
+# charged or any normal or count is drawn.
 HUGE = 2**1100
+FLOAT_RANGE, INT64_RANGE = "draws must be within the float range", "probes must be within the int64 range"
+BATCH_PAST_INT64 = (3,) * (TALLY_BATCH - 1) + (2**64,)
 
 
-@pytest.mark.parametrize("refused", [
-    lambda oracle: MeanRequest((0, 1, 2), HUGE, phase="med").fulfill(oracle),
-    lambda oracle: MeanRequest((1,), HUGE, phase="med").fulfill(oracle),
-    lambda oracle: MeanRequest((0, 1), 2**1024 - 1, phase="med").fulfill(oracle),  # rounds up
-    lambda oracle: TallyRequest((0, 1), HUGE, (3, 4), 0.0, phase="frac").fulfill(oracle),
-    lambda oracle: TallyRequest(tuple(range(TALLY_BATCH)), HUGE, (3,) * TALLY_BATCH, 0.0).fulfill(oracle),
-    lambda oracle: oracle.sample_mean(0, HUGE),
-    lambda oracle: oracle.count_means_below(0, HUGE, 3, 0.0),
-], ids=["mean", "mean-one-arm", "mean-rounding-to-2**1024", "tally", "tally-batched",
-        "sample_mean", "count_means_below"])
-def test_a_count_past_the_float_range_is_refused_before_any_charge(refused):
+@pytest.mark.parametrize("refused, message", [
+    pytest.param(lambda oracle: MeanRequest((0, 1, 2), HUGE, phase="med").fulfill(oracle),
+                 FLOAT_RANGE, id="mean"),
+    pytest.param(lambda oracle: MeanRequest((1,), HUGE, phase="med").fulfill(oracle),
+                 FLOAT_RANGE, id="mean-one-arm"),
+    pytest.param(lambda oracle: MeanRequest((0, 1), 2**1024 - 1, phase="med").fulfill(oracle),
+                 FLOAT_RANGE, id="mean-rounding-to-2**1024"),
+    pytest.param(lambda oracle: TallyRequest((0, 1), HUGE, (3, 4), 0.0, phase="frac").fulfill(oracle),
+                 FLOAT_RANGE, id="tally"),
+    pytest.param(lambda oracle: TallyRequest(tuple(range(TALLY_BATCH)), HUGE, (3,) * TALLY_BATCH, 0.0)
+                 .fulfill(oracle), FLOAT_RANGE, id="tally-batched"),
+    pytest.param(lambda oracle: oracle.sample_mean(0, HUGE), FLOAT_RANGE, id="sample_mean"),
+    pytest.param(lambda oracle: oracle.count_means_below(0, HUGE, 3, 0.0),
+                 FLOAT_RANGE, id="count_means_below"),
+    pytest.param(lambda oracle: TallyRequest((0, 1), 1, (3, 2**64), 0.0, phase="frac").fulfill(oracle),
+                 INT64_RANGE, id="tally-probes-past-int64"),
+    pytest.param(lambda oracle: TallyRequest(tuple(range(TALLY_BATCH)), 1, BATCH_PAST_INT64, 0.0)
+                 .fulfill(oracle), INT64_RANGE, id="tally-batched-probes-past-int64"),
+    pytest.param(lambda oracle: oracle.count_means_below(0, 1, 2**64, 0.0),
+                 INT64_RANGE, id="count_means_below-probes-past-int64"),
+])
+def test_a_count_past_the_float_range_is_refused_before_any_charge(refused, message):
     oracle = SamplingOracle([0.1 * arm for arm in range(TALLY_BATCH)], seed=8)
     MeanRequest((0, 1), 2**1023, phase="anchor").fulfill(oracle)  # the largest power that fits
     before = (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase))
-    with pytest.raises(ValueError, match="draws must be within the float range"):
+    with pytest.raises(ValueError, match=message):
         refused(oracle)
     assert (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase)) == before
     assert oracle._queued == []
@@ -280,7 +302,7 @@ def test_budget_split_head_consumes_only_its_binomials():
     twin = np.random.default_rng(3)
     request = TallyRequest(tuple(range(k)), 2, (5,) * k, 0.2)
     with pytest.raises(BudgetExceededError):
-        serve(request, oracle, budget=10 * TALLY_BATCH + 9)  # the first TALLY_BATCH arms fit
+        run_one_request(request, oracle, budget=10 * TALLY_BATCH + 9)  # the first TALLY_BATCH arms fit
     twin.binomial([5] * TALLY_BATCH, _tally_p(0.1, 2, 0.2))
     assert oracle.rng.bit_generator.state == twin.bit_generator.state
     assert oracle.snapshot() == [10] * TALLY_BATCH + [0] * 4
@@ -393,6 +415,8 @@ REFUSED_REQUESTS = [
     TallyRequest((0, 1), 2, (5, 5), float("nan"), phase="elim"),
     MeanRequest((0, 1), 2**1100, phase="anchor"),
     TallyRequest((0, 1), 2**1100, (3, 4), 0.0, phase="frac"),
+    TallyRequest((0, 1), 1, (3, 2**64), 0.0, phase="frac"),
+    TallyRequest(tuple(range(LEDGER_ARMS)), 1, (3,) * (LEDGER_ARMS - 1) + (2**64,), 0.0, phase="elim"),
 ]
 
 
@@ -411,7 +435,7 @@ def test_total_phases_and_ledger_agree_after_any_mix_of_requests(seed, steps):
             request.fulfill(oracle)
         elif how == "head":  # the cap stops the request one draw short
             with pytest.raises(BudgetExceededError):
-                serve(request, oracle, budget=oracle.total + request.cost - 1)
+                run_one_request(request, oracle, budget=oracle.total + request.cost - 1)
         else:
             with pytest.raises((ValueError, IndexError)):
                 request.fulfill(oracle)
@@ -441,7 +465,7 @@ def test_budget_split_head_keeps_its_phase(request_, budget, head):
     oracle = SamplingOracle([0.1, 0.2, 0.3, 0.4], seed=3)
     assert request_.prefix(2).phase == request_.phase
     with pytest.raises(BudgetExceededError):
-        serve(request_, oracle, budget=budget)
+        run_one_request(request_, oracle, budget=budget)
     assert oracle.draws_by_phase == {request_.phase: head} and oracle.total == head
 
 

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from bestarm import (
     known_complexity_plan,
     parallel_simulation,
     run_plan,
+    run_trials,
     solve,
 )
 from doubles import copy_seed
@@ -463,6 +465,44 @@ def test_budget_stop_closes_the_plan():
     # copy 1 stops at t = 6, when copies 2 and 3 wait inside the request
     assert [inspect.getgeneratorstate(p) for p in plans] == [
         "GEN_CLOSED", "GEN_SUSPENDED", "GEN_SUSPENDED"]
+
+
+@pytest.mark.parametrize("budget", [float("nan"), 10.0, -1, True], ids=repr)
+@pytest.mark.parametrize("driver", ["run_plan", "solve", "parallel_simulation", "run_trials"])
+def test_a_bad_budget_is_refused_before_the_plan_resumes(driver, budget, monkeypatch):
+    # A NaN would lift the cap, since ``total + cost > nan`` is never true.
+    made = []
+    for_instance = SamplingOracle.for_instance.__func__
+
+    def recording(cls, instance, seed=0):
+        oracle = for_instance(cls, instance, seed)
+        made.append((oracle, oracle.rng.bit_generator.state))
+        return oracle
+
+    monkeypatch.setattr(SamplingOracle, "for_instance", classmethod(recording))
+    oracle = SamplingOracle.for_instance(TWO_ARM)
+    refusal = re.escape(f"budget must be None or an integer >= 0, got {budget!r}")
+    with pytest.raises(ValueError, match=refusal):
+        if driver == "run_plan":
+            run_plan(known_complexity_plan(oracle, TWO_ARM, 0.01, 4.0), oracle, budget)
+        elif driver == "solve":
+            solve(known_complexity_plan, oracle, TWO_ARM, 0.01, 4.0, budget=budget)
+        elif driver == "parallel_simulation":
+            parallel_simulation(TWO_ARM, 0.01, seed=0, budget=budget)
+        else:
+            run_trials("guess", TWO_ARM, 0.01, 2, 0, budget=budget)
+    # one oracle made here, and the first one of a ladder or trial batch
+    assert len(made) == (1 if driver in ("run_plan", "solve") else 2)
+    for oracle, state in made:
+        assert oracle.rng.bit_generator.state == state
+        assert (oracle.snapshot(), dict(oracle.draws_by_phase)) == ([0, 0], {})
+
+
+def test_a_numpy_integer_budget_caps_the_run():
+    budget = np.int64(10)
+    oracle = SamplingOracle.for_instance(TWO_ARM)
+    assert solve(known_complexity_plan, oracle, TWO_ARM, 0.01, 4.0, budget=budget).status == BUDGET_EXCEEDED
+    assert parallel_simulation(TWO_ARM, 0.01, seed=0, budget=budget).status == BUDGET_EXCEEDED
 
 
 @pytest.mark.xfail(strict=True, reason="the stop iteration counts the winner's last "
