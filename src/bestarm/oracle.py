@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from operator import index
 
 import numpy as np
 
@@ -28,11 +29,15 @@ class SamplingOracle:
     ``counts`` is a read-only array copy of it, kept for the benchmark's tracer.  A Gaussian
     is ``mu + scale * z`` with ``z`` from a bound ``rng.standard_normal``, as numpy's
     ``rng.normal(mu, scale)`` computes it: the same float and generator state, at less call
-    overhead.  A request's normals (two or more arms, :meth:`queue_normals`) or counts
-    (``primitives.TALLY_BATCH`` or more arms, :meth:`queue_tallies`) come from one array
-    call, in arm order, with the values and the stream of one scalar call per arm; the
-    scale of queued normals is computed once per request, not once per arm.
-    :meth:`preview` shows the rewards of rounds not yet drawn, without drawing them.
+    overhead.  A request's normals (more than one arm or round, :meth:`queue_normals`) or
+    counts (``primitives.TALLY_BATCH`` or more arms, :meth:`queue_tallies`) come from one
+    array call, in serving order, with the values and the stream of one scalar call per
+    arm and round; the scale of queued normals is computed once per request, not once
+    per arm.  A request of several rounds queues one sum per arm, so that each arm takes
+    all its rounds' draws in one ``sample_mean`` call.  Counts given as numpy integers are
+    taken as Python ints once per request (by the requests, and by an unqueued
+    ``sample_mean``), never per arm.  :meth:`preview` shows the rewards of rounds not yet
+    drawn, without drawing them.
     """
 
     def __init__(self, means, seed=0):
@@ -44,6 +49,7 @@ class SamplingOracle:
         self._queued = []  # normals or tallies drawn ahead for the next sampler calls, last first
         self._scale = 1.0  # the scale ``draws**-0.5`` of the queued normals
         self._counts = [0] * len(self._means)  # the draw ledger, per arm
+        self.arms = frozenset(range(len(self._means)))  # the valid arm indices, for range checks
         self.draws_by_phase = defaultdict(int)
 
     @classmethod
@@ -73,14 +79,20 @@ class SamplingOracle:
         """One reward from one arm; increments that arm's counter by one."""
         return self.sample_mean(arm, 1)
 
-    def queue_normals(self, k: int, draws: int) -> None:
-        """Draw the ``z`` of the next ``k`` ``sample_mean(arm, draws)`` calls in one call,
-        with their scale ``draws**-0.5``; a count past the float range is refused first."""
+    def queue_normals(self, k: int, draws: int, rounds: int = 1) -> None:
+        """Draw the ``z`` of ``rounds`` rounds of ``k`` ``sample_mean(arm, draws)`` calls in
+        one call, with their scale ``draws**-0.5``; a count past the float range is refused
+        first.  Over several rounds, the next ``k`` calls, ``sample_mean(arm, rounds * draws)``,
+        take the sum of their arm's ``z`` at ``1 / rounds`` of the scale: the mean of its rounds."""
         try:
             self._scale = draws**-0.5
         except OverflowError:
             raise _past_float_range(draws) from None
-        self._queued = self._normal(k)[::-1].tolist()
+        if rounds == 1:
+            self._queued = self._normal(k)[::-1].tolist()
+        else:
+            self._scale /= rounds
+            self._queued = self._normal((rounds, k)).sum(axis=0)[::-1].tolist()
 
     def preview(self, arms, rounds: int) -> np.ndarray:
         """The rewards that the next ``rounds`` one-draw rounds over ``arms`` would give.
@@ -90,7 +102,7 @@ class SamplingOracle:
         not move: the generator's state is restored after the draw.  An arm out of
         range, negative included, raises ``IndexError`` before anything is drawn.
         """
-        if not all(0 <= arm < len(self._means) for arm in arms):
+        if not self.arms.issuperset(arms):
             raise IndexError(f"preview of arms {tuple(arms)} out of range")
         bit_generator = self.rng.bit_generator
         state = bit_generator.state
@@ -115,22 +127,14 @@ class SamplingOracle:
         if self._queued:  # a normal of this request, queued with its scale
             self._counts[arm] += draws
             return self._means[arm] + self._scale * self._queued.pop()
+        if type(draws) is not int:  # a numpy int would make the ledger wrap
+            draws = index(draws)
         try:
             scale = draws**-0.5
         except OverflowError:
             raise _past_float_range(draws) from None
         self._counts[arm] += draws
         return self._means[arm] + scale * self._normal()
-
-    def refund(self, arms, draws: int) -> None:
-        """Undo a mean request over ``arms`` that failed on an arm out of range: take back
-        ``draws`` from each arm before that one, and drop the normals drawn ahead."""
-        self._queued = []
-        for arm in arms:
-            try:
-                self._counts[arm] -= draws
-            except IndexError:  # the arm ``sample_mean`` failed on
-                return
 
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
         """How many of ``probes`` independent mean-of-``draws`` estimates fall below ``cutoff``.

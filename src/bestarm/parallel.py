@@ -23,11 +23,12 @@ schedule serves copies within one iteration.
 Copy k's generator is seeded exactly as ``SeedSequence(seed, spawn_key=(k - 1,))``
 seeds it, from seed words derived once per run: the base seed is mixed once, and
 the rest runs on a block of copies at a time as uint32 arrays.  A request covers
-several arms, served in order, and the ledger stays per draw.  Each copy's
-oracle is its only draw ledger.  A copy is a :class:`~bestarm.primitives.PlanRun`,
-whose ``advance`` serves every request, so under a budget a copy stops at the
-first arm that crosses its cap.  When the winner finishes, each other copy's
-draws toward its request in flight are attributed arm by arm.
+several arms (a mean request, several rounds of them), served in order, and the
+ledger stays per draw.  Each copy's oracle is its only draw ledger.  A copy is a
+:class:`~bestarm.primitives.PlanRun`, whose ``advance`` serves every request, so
+under a budget a copy stops at the first arm that crosses its cap.  When the
+winner finishes, each other copy's draws toward its request in flight are
+attributed arm by arm.
 """
 
 from __future__ import annotations
@@ -192,12 +193,14 @@ def parallel_simulation(
     for copy in copies:
         if copy is winner or copy.pending is None:
             continue
-        # The in-flight request's arms through the first one still open at
-        # the stop are granted their draws in order, up to ``stale``.
+        # The in-flight request's arms through the first one still open at the
+        # stop are granted their draws in serving order (a mean request repeats
+        # its arms round after round), up to ``stale``.
         consumed = copy.oracle.total
         fit, through = split_at_cap(copy.pending, copy.grants(stop_iter, winner.index) - consumed)
         granted = min(copy.grants(stale, winner.index) - consumed, through)
-        for arm, cost in zip(copy.pending.arms[:fit + 1], copy.pending.arm_costs()):
+        served = itertools.islice(itertools.cycle(copy.pending.arms), fit + 1)
+        for arm, cost in zip(served, copy.pending.arm_costs()):
             per_arm[arm] += min(max(granted, 0), cost)
             granted -= cost
     # A winner stopped by its budget never returned, so its result is None.

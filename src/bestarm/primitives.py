@@ -14,14 +14,16 @@ uniform-sampling call and per fraction test.  The successive-elimination
 baseline yields one request per block of rounds: it reads the block's
 rewards ahead with ``oracle.preview``, which charges nothing and leaves the
 stream where it was, and asks for the rounds up to the first at which an
-arm drops, its survivors listed round after round.  A request names an
-ordered tuple of arms, and fulfilling it samples them arm by arm, in that
-order, so the RNG stream and the draw counters advance exactly as one
-request per arm would; its draws then go to its ``phase`` (``med``,
-``anchor``, ``frac``, ``elim``, ``baseline``) in the oracle's
-``draws_by_phase``.  Budget stops stay per arm: :meth:`PlanRun.advance`, the
-one serving step of every plan driver, serves a request that would cross
-the sample cap only up to its last arm that fits.
+arm drops, as one ``MeanRequest`` over its survivors with ``rounds`` set.
+A request names an ordered tuple of arms and is served in order, round
+after round, so the RNG stream and the draw counters advance exactly as one
+request per arm and round would.  Fulfilling it makes one sampler call per
+listed arm, which takes that arm's draws of every round at once; its draws
+then go to its ``phase`` (``med``, ``anchor``, ``frac``, ``elim``,
+``baseline``) in the oracle's ``draws_by_phase``.  Budget stops stay per arm
+and round: :meth:`PlanRun.advance`, the one serving step of every plan
+driver, serves a request that would cross the sample cap only up to its
+last arm that fits, in serving order.
 
 Ties are broken toward the arm listed first, so callers control tie order
 through the member sequence.
@@ -33,6 +35,7 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from numbers import Integral
+from operator import index
 
 from .instances import _check_delta
 
@@ -45,41 +48,58 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class MeanRequest:
-    """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms``.
+    """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms`` in
+    each of ``rounds`` rounds, served round after round: the serving order ``arms * rounds``.
 
-    Fulfilled arm by arm, in order (two or more arms' normals in one call),
-    then charged to ``phase``; the reply lists the means in arm order.
+    An arm out of range, negative included, is refused before anything is drawn or
+    charged.  The normals of every round come from one call, in serving order (none
+    ahead for one arm in one round); each arm then takes its ``rounds * draws`` draws in
+    one sampler call, and the reply lists its mean over its rounds, in arm order.  The
+    draws are charged to ``phase``.  Costs, budget stops and ``prefix`` follow the
+    serving order.
     """
 
     arms: tuple[int, ...]
     draws: int
     phase: str = field(default="", kw_only=True)
+    rounds: int = field(default=1, kw_only=True)
 
     @property
     def cost(self) -> int:
-        return self.draws * len(self.arms)
+        return self.draws * len(self.arms) * self.rounds
 
     def arm_costs(self) -> list[int]:
-        """Draws of each arm, in arm order."""
-        return [self.draws] * len(self.arms)
+        """Draws of each arm, in serving order."""
+        return [self.draws] * (len(self.arms) * self.rounds)
 
     def prefix(self, k: int) -> "MeanRequest":
-        """The same request over the first ``k`` arms."""
-        return replace(self, arms=self.arms[:k])
+        """The one-round request over the first ``k`` arms served."""
+        return replace(self, arms=(self.arms * self.rounds)[:k], rounds=1)
 
     def fulfill(self, oracle) -> list[float]:
-        sample_mean, draws = oracle.sample_mean, self.draws
+        arms, draws = self.arms, self.draws
+        if type(draws) is not int:  # a numpy int: the ledger takes exact ints
+            draws = index(draws)
         if draws < 1:  # refused before any normal is drawn
             raise ValueError("draws must be >= 1")
-        if len(self.arms) > 1:
-            oracle.queue_normals(len(self.arms), draws)
-        try:
-            means = [sample_mean(arm, draws) for arm in self.arms]
-        except IndexError:  # an arm out of range: its ledger and queue are left as they were
-            oracle.refund(self.arms, draws)
-            raise
+        if not oracle.arms.issuperset(arms):  # likewise
+            raise _out_of_range(arms, oracle)
+        if self.rounds != 1:  # each arm then takes the draws of all its rounds at once
+            if (rounds := index(self.rounds)) < 1:  # likewise
+                raise ValueError("rounds must be >= 1")
+            oracle.queue_normals(len(arms), draws, rounds)
+            draws *= rounds
+        elif len(arms) > 1:
+            oracle.queue_normals(len(arms), draws)
+        sample_mean = oracle.sample_mean
+        means = [sample_mean(arm, draws) for arm in arms]
         oracle.draws_by_phase[self.phase] += draws * len(means)
         return means
+
+
+def _out_of_range(arms, oracle) -> IndexError:
+    bad = next(arm for arm in arms if arm not in oracle.arms)
+    return IndexError(f"arm {bad} out of range for {oracle.n_arms} arms")
 
 
 @dataclass
@@ -110,14 +130,20 @@ class TallyRequest:
 
     def fulfill(self, oracle) -> int:
         arms, draws, probes, cutoff = self.arms, self.draws, self.probes, self.cutoff
+        try:  # numpy ints add up to a numpy float here, where an int sum of them could wrap
+            numpy_ints = type(draws) is not int or type(sum(probes, 0.0)) is not float
+        except OverflowError:  # a probe count past the float range, refused below
+            numpy_ints = False
+        if numpy_ints or type(n := sum(probes)) is not int:  # the ledger takes exact ints
+            draws, probes = index(draws), tuple(map(index, probes))
+            n = sum(probes)
         if draws < 1 or min(probes) < 1:  # refused before any count is drawn
             raise ValueError("draws and probes must be >= 1")
         if math.isnan(cutoff):  # refused before any arm is charged
             raise ValueError("cutoff must not be NaN")
-        if not 0 <= min(arms) <= max(arms) < oracle.n_arms:  # likewise
-            bad = next(arm for arm in arms if not 0 <= arm < oracle.n_arms)
-            raise IndexError(f"arm {bad} out of range for {oracle.n_arms} arms")
-        if (n := sum(probes)) >= 2**63 and max(probes) >= 2**63:  # past int64: likewise
+        if not oracle.arms.issuperset(arms):  # likewise
+            raise _out_of_range(arms, oracle)
+        if n >= 2**63 and max(probes) >= 2**63:  # past int64: likewise
             raise ValueError(f"probes must be within the int64 range, got {max(probes)}")
         if len(arms) >= TALLY_BATCH:
             oracle.queue_tallies(arms, draws, probes, cutoff)
@@ -127,18 +153,18 @@ class TallyRequest:
 
 
 def split_at_cap(request, room: int):
-    """Split ``request`` where its arms, served in order, first pass ``room`` draws.
+    """Split ``request`` where its arms, in serving order, first pass ``room`` draws.
 
     Returns ``(fit, through)``: the number of leading arms that fit, and
     the draws up to and including the first arm that does not.  A request
-    that fits as a whole gives all its arms and its cost.
+    that fits as a whole gives the length of its serving order and its cost.
     """
-    through = 0
-    for k, cost in enumerate(request.arm_costs()):
+    through, costs = 0, request.arm_costs()
+    for k, cost in enumerate(costs):
         through += cost
         if through > room:
             return k, through
-    return len(request.arms), through
+    return len(costs), through
 
 
 class PlanRun:

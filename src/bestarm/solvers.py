@@ -336,11 +336,12 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     rounds without drawing them, and their running sums (a sequential ``np.cumsum``, the
     same floats as adding round by round) give the block's first round at which an arm
     drops, with ``se_radius`` computed only for rounds that could drop (:func:`_block_end`).
-    One request asks for every round up to that one, the survivors listed round after round.
-    It returns the rewards previewed, so the drop rule takes its sums from the preview's row
-    for that round.  The block doubles, up to ``BASELINE_BLOCK`` rounds, while no arm drops,
-    and restarts at one round after a drop.  The oracle serves the rounds arm by arm, in
-    order, so the draws, budget stops and stream are those of one request per round.
+    One request, ``MeanRequest(survivors, 1, rounds=...)``, asks for every round up to that
+    one.  It draws the rewards previewed, so the drop rule takes its sums from the preview's
+    row for that round and ignores the reply.  The block doubles, up to ``BASELINE_BLOCK``
+    rounds, while no arm drops, and restarts at one round after a drop.  The oracle serves
+    the rounds in order and charges each survivor once with its draws of the block, so the
+    draws, budget stops and stream are those of one request per round.
     """
     _check_delta(delta)
     arms = tuple(_shuffled_arms(oracle, instance))
@@ -353,7 +354,7 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
         ahead[0] += sums
         np.cumsum(ahead, axis=0, out=ahead)
         rounds = _block_end(ahead, r, n, delta)
-        yield MeanRequest(arms * rounds, 1, phase="baseline")  # returns the rows previewed
+        yield MeanRequest(arms, 1, rounds=rounds, phase="baseline")  # draws the rows previewed
         sums = ahead[rounds - 1].tolist()
         r += rounds
         radius = se_radius(r, n, delta)

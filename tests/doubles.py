@@ -25,11 +25,11 @@ class DeterministicOracle(SamplingOracle):
         return self._means[arm]
 
     def preview(self, arms, rounds: int) -> np.ndarray:
-        if not all(0 <= arm < len(self._means) for arm in arms):
+        if not self.arms.issuperset(arms):
             raise IndexError(f"preview of arms {tuple(arms)} out of range")
         return np.tile([self._means[arm] for arm in arms], (rounds, 1))
 
-    def queue_normals(self, k: int, draws: int) -> None:
+    def queue_normals(self, k: int, draws: int, rounds: int = 1) -> None:
         pass
 
     def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> None:

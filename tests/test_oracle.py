@@ -10,7 +10,7 @@ from bestarm import (
     BudgetExceededError, Instance, MeanRequest, SamplingOracle, complexity_guessing_plan, run_plan,
     solve,
 )
-from bestarm.primitives import TALLY_BATCH, TallyRequest
+from bestarm.primitives import TALLY_BATCH, TallyRequest, split_at_cap
 from bestarm.solvers import SolveResult, make_outcome
 from doubles import DeterministicOracle
 
@@ -126,18 +126,17 @@ def test_refused_mean_request_draws_nothing():
     assert oracle._queued == [] and oracle.total == 0
 
 
-@pytest.mark.parametrize("arms", [(0, 3), (3,), (1, 0, 3, 2)], ids=str)
+@pytest.mark.parametrize("arms", [(0, 3), (3,), (1, 0, 3, 2), (-1,), (-1, 0), (0, -3), (2, 1, -4)], ids=str)
 def test_mean_request_on_an_arm_out_of_range_leaves_the_oracle_as_it_was(arms):
-    oracle = SamplingOracle([0.1, 0.2, 0.3])
-    with pytest.raises(IndexError):
-        MeanRequest(arms, 2, phase="med").fulfill(oracle)
-    assert (oracle.snapshot(), oracle.total, dict(oracle.draws_by_phase)) == ([0, 0, 0], 0, {})
-    assert oracle._queued == []
-    # The normals drawn for the refused request stay drawn (none for one arm, which
-    # fails before its draw); the next call takes a fresh one.
-    drawn = len(arms) if len(arms) > 1 else 0
-    z = np.random.default_rng(0).standard_normal(drawn + 1)
-    assert oracle.sample_mean(1, 1) == 0.2 + z[drawn]
+    for rounds in (1, 3):
+        oracle = SamplingOracle([0.1, 0.2, 0.3])
+        with pytest.raises(IndexError, match=r"arm -?\d+ out of range for 3 arms"):
+            MeanRequest(arms, 2, phase="med", rounds=rounds).fulfill(oracle)
+        assert oracle.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+        assert (oracle.snapshot(), oracle.total, dict(oracle.draws_by_phase)) == ([0, 0, 0], 0, {})
+        assert oracle._queued == []
+        # Refused before any normal is drawn: the next call takes the stream's first.
+        assert oracle.sample_mean(1, 1) == 0.2 + np.random.default_rng(0).standard_normal()
 
 
 # A count past the float range has no scale (``draws**-0.5``, ``sqrt(draws)``), and a
@@ -244,6 +243,47 @@ def test_preview_running_sums_equal_the_fold_of_the_reply(kind, means, start, ro
     for r in range(rounds):
         sums = [s + x for s, x in zip(sums, reply[r * k:(r + 1) * k])]
         assert [x.hex() for x in ahead[r].tolist()] == [x.hex() for x in sums]
+
+
+# The baseline asks for a block of rounds as ``MeanRequest(arms, 1, rounds=R)``: it must
+# be served as its flat request over ``arms * R`` is, but with one sampler call per arm.
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from([SamplingOracle, DeterministicOracle]),
+    means=st.lists(st.floats(-1e6, 1e6), min_size=10, max_size=10),
+    order=st.randoms(),
+    k=st.integers(1, 10),
+    rounds=st.integers(1, 300),
+    draws=st.sampled_from([1, 3, 2**40]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_a_request_of_several_rounds_is_served_as_its_flat_request(
+    kind, means, order, k, rounds, draws, seed
+):
+    arms = list(range(len(means)))
+    order.shuffle(arms)
+    arms = tuple(arms[:k])
+    block = MeanRequest(arms, draws, rounds=rounds, phase="baseline")
+    flat = MeanRequest(arms * rounds, draws, phase="baseline")
+    assert (block.cost, block.arm_costs()) == (flat.cost, flat.arm_costs())
+    n = len(flat.arms)
+    for fit in range(n + 2):  # every head a budget stop can serve
+        assert block.prefix(fit) == flat.prefix(fit)
+    # split_at_cap reads only arm_costs (equal above) and takes O(fit) time: every fit of
+    # a request under 64 entries, else about 64 spread evenly, and the ends; each room
+    # from fit * draws to (fit + 1) * draws - 1 splits as fit * draws does
+    for fit in {*range(0, n + 2, 1 + n // 64), n - 1, n, n + 1}:
+        assert split_at_cap(block, fit * draws) == split_at_cap(flat, fit * draws)
+    ours, theirs = kind(means, seed=seed), kind(means, seed=seed)
+    reply, rewards = block.fulfill(ours), flat.fulfill(theirs)
+    assert ours.rng.bit_generator.state == theirs.rng.bit_generator.state
+    assert (ours.snapshot(), dict(ours.draws_by_phase)) == (theirs.snapshot(), dict(theirs.draws_by_phase))
+    assert ours._queued == theirs._queued == []
+    assert len(reply) == k
+    for i, mean in enumerate(reply):
+        own = rewards[i::k]
+        # relative to the rewards' size too: a mean near 0 is a difference of large terms
+        assert math.isclose(mean, math.fsum(own) / rounds, rel_tol=1e-12, abs_tol=1e-12 * max(map(abs, own)))
 
 
 @pytest.mark.parametrize("kind", [SamplingOracle, DeterministicOracle])
@@ -395,7 +435,8 @@ def test_counts_is_a_read_only_copy_of_the_ledger():
 LEDGER_ARMS = TALLY_BATCH + 4
 _ledger_arms = st.lists(st.integers(0, LEDGER_ARMS - 1), min_size=1, max_size=LEDGER_ARMS).map(tuple)
 _mean_requests = st.builds(
-    MeanRequest, _ledger_arms, st.integers(1, 2**70), phase=st.sampled_from(["med", "anchor"])
+    MeanRequest, _ledger_arms, st.integers(1, 2**70), phase=st.sampled_from(["med", "anchor"]),
+    rounds=st.integers(1, 4),
 )
 _tally_requests = _ledger_arms.flatmap(lambda arms: st.builds(
     TallyRequest,
@@ -406,7 +447,8 @@ _tally_requests = _ledger_arms.flatmap(lambda arms: st.builds(
     phase=st.sampled_from(["frac", "elim"]),
 ))
 REFUSED_REQUESTS = [
-    MeanRequest((0, LEDGER_ARMS), 3, phase="med"),  # the arm past the last one: refunded
+    MeanRequest((0, LEDGER_ARMS), 3, phase="med"),  # the arm past the last one
+    MeanRequest((1, -1), 3, phase="med", rounds=2),
     MeanRequest((1, 2), 0, phase="med"),
     TallyRequest((0, LEDGER_ARMS), 2, (5, 5), 0.5, phase="frac"),
     TallyRequest((-1, 0), 2, (5, 5), 0.5, phase="frac"),
@@ -452,7 +494,7 @@ def test_fulfilled_requests_charge_their_phase_once_all_draws_are_taken():
     assert oracle.draws_by_phase == {"med": 10, "frac": 15, "": 7}
     with pytest.raises(ValueError):
         MeanRequest((0, 1), 0, phase="med").fulfill(oracle)
-    with pytest.raises(IndexError):  # arm 0 is drawn before arm 3 fails: no charge at all
+    with pytest.raises(IndexError):  # arm 3 is refused before arm 0 is drawn: no charge at all
         MeanRequest((0, 3), 2, phase="anchor").fulfill(oracle)
     assert oracle.draws_by_phase == {"med": 10, "frac": 15, "": 7}
 
@@ -559,3 +601,47 @@ def test_totals_are_exact_past_int64():
         outcome = make_outcome(SolveResult(arm=0, rounds=1), oracle.snapshot())
         assert outcome.total_samples == 2**63
         assert outcome.per_arm_samples == (2**62, 2**62)
+
+
+def test_numpy_integer_counts_keep_the_ledger_exact_past_int64():
+    # two charges of 2^62 (or more) per arm: a ledger entry of numpy ints would wrap;
+    # tallies past TALLY_BATCH arms are queued, those below are served arm by arm
+    big = np.int64(2**62)
+    served = [
+        lambda oracle: oracle.sample_mean(0, big),
+        lambda oracle: MeanRequest((0, 1), big, phase="med").fulfill(oracle),
+        lambda oracle: MeanRequest((2, 0), np.int64(2**60), phase="med", rounds=np.int64(4)).fulfill(oracle),
+        lambda oracle: TallyRequest((0, 1), 1, (big, big), 0.0, phase="frac").fulfill(oracle),
+        lambda oracle: TallyRequest((1, 2), np.int64(2**31), (2**31, np.int64(2**31)), 0.0).fulfill(oracle),
+        lambda oracle: TallyRequest((0, 1, 2) * 6, 1, (np.int64(2**60),) * 18, 0.0).fulfill(oracle),
+    ]
+    exact = [
+        lambda oracle: oracle.sample_mean(0, 2**62),
+        lambda oracle: MeanRequest((0, 1), 2**62, phase="med").fulfill(oracle),
+        lambda oracle: MeanRequest((2, 0), 2**60, phase="med", rounds=4).fulfill(oracle),
+        lambda oracle: TallyRequest((0, 1), 1, (2**62, 2**62), 0.0, phase="frac").fulfill(oracle),
+        lambda oracle: TallyRequest((1, 2), 2**31, (2**31, 2**31), 0.0).fulfill(oracle),
+        lambda oracle: TallyRequest((0, 1, 2) * 6, 1, (2**60,) * 18, 0.0).fulfill(oracle),
+    ]
+    for serve, twin_serve in zip(served, exact):
+        oracle, twin = SamplingOracle([0.1, 0.2, 0.3], seed=9), SamplingOracle([0.1, 0.2, 0.3], seed=9)
+        assert [serve(oracle) for _ in range(2)] == [twin_serve(twin) for _ in range(2)]
+        ledger, phases = oracle.snapshot(), dict(oracle.draws_by_phase)
+        assert (ledger, phases) == (twin.snapshot(), dict(twin.draws_by_phase))
+        assert oracle.rng.bit_generator.state == twin.rng.bit_generator.state
+        assert all(type(n) is int for n in ledger + list(phases.values()))
+        assert max(ledger) >= 2**63 and oracle.total == sum(phases.values() or ledger)
+
+
+@pytest.mark.parametrize("refused", [
+    lambda oracle: MeanRequest((0,), 2.0).fulfill(oracle),
+    lambda oracle: MeanRequest((0, 1), 1, rounds=1.5).fulfill(oracle),
+    lambda oracle: TallyRequest((0, 1), 1, (2, 3.0), 0.0).fulfill(oracle),
+    lambda oracle: oracle.sample_mean(0, 2.0),
+])
+def test_a_count_that_is_not_an_integer_is_refused_before_any_charge(refused):
+    oracle = SamplingOracle([0.1, 0.2], seed=3)
+    with pytest.raises(TypeError):
+        refused(oracle)
+    assert (oracle.snapshot(), dict(oracle.draws_by_phase), oracle._queued) == ([0, 0], {}, [])
+    assert oracle.rng.bit_generator.state == np.random.default_rng(3).bit_generator.state

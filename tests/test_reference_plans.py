@@ -260,7 +260,7 @@ def test_baseline_blocks_match_reference_on_the_desk(instance):
             assert state(ours) == state(ref)
             if outcome.status == "budget_exceeded":
                 stops += 1
-                inside += len(requests[-1].arms) > len(set(requests[-1].arms))
+                inside += requests[-1].rounds > 1
     assert stops >= 5 and inside >= stops // 2
 
 
@@ -276,12 +276,17 @@ def test_baseline_asks_for_few_requests_of_bounded_length(instance):
         outcome = solve(recorded(requests), oracle, instance, 0.01)
         rounds = outcome.rounds_executed
         assert len(requests) <= (n - 1) * (math.log2(BASELINE_BLOCK) + 1) + rounds / BASELINE_BLOCK
-        assert len(requests) < rounds
-        assert max(len(request.arms) for request in requests) <= BASELINE_BLOCK * n
+        assert len(requests) < rounds == sum(request.rounds for request in requests)
+        assert max(request.rounds for request in requests) <= BASELINE_BLOCK
         survivors = ()
-        for request in requests:  # whole rounds over the survivors, each in the same order
-            k = len(set(request.arms))
-            assert request.arms == request.arms[:k] * (len(request.arms) // k)
-            if request.arms[:k] != survivors:  # the first block, and the first after a drop
-                survivors = request.arms[:k]
-                assert len(request.arms) == k
+        for request in requests:  # whole rounds over the distinct survivors, in a fixed order
+            assert (request.draws, request.phase) == (1, "baseline")
+            assert len(set(request.arms)) == len(request.arms) > 1
+            if request.arms != survivors:  # the first block, and the first after a drop
+                if survivors:  # fewer arms, in their order before the drop
+                    assert request.arms == tuple(arm for arm in survivors if arm in request.arms)
+                    assert len(request.arms) < len(survivors)
+                else:
+                    assert sorted(request.arms) == list(range(n))
+                survivors = request.arms
+                assert request.rounds == 1

@@ -77,6 +77,34 @@ def test_solver_draws_reconcile_under_the_tracer():
     assert reconcile(counts, sum(out.total_samples for out in traced)) == []
 
 
+def test_a_traced_baseline_run_makes_one_sampler_call_per_listed_arm():
+    # a block of rounds is one request and one sampler call per survivor, not one per round
+    requests = []
+
+    def recording(oracle, instance, delta, emit=None):
+        # looked up by name: the tracer rebinds the plan, so its requests are tagged
+        inner = solvers.baseline_successive_elimination_plan(oracle, instance, delta, emit=emit)
+        reply = None
+        while True:
+            try:
+                request = inner.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            requests.append(request)
+            reply = yield request
+
+    with Tracer() as tracer:
+        oracle = SamplingOracle.for_instance(DISC, seed=0)
+        outcome = solvers.solve(recording, oracle, DISC, 0.01)
+    counts = tracer.count_metrics()
+    assert outcome.status == "ok" and max(request.rounds for request in requests) > 1
+    assert counts["primitives.requests"] == len(requests)
+    assert counts["oracle.calls"] == sum(len(request.arms) for request in requests)
+    assert counts["oracle.draws"] == counts["solvers.draws.direct"] == outcome.total_samples
+    assert outcome.total_samples == sum(request.cost for request in requests)
+    assert reconcile(counts, outcome.total_samples) == []
+
+
 def test_sign_reduction_draws_reconcile_under_the_tracer():
     runs = [
         lambda mu=mu, seed=seed: bench.run_one_trial(
