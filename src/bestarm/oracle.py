@@ -9,35 +9,52 @@ from operator import index
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+TALLY_BATCH = 16  # fewest arms of a tally drawn in one array call: the measured break-even
 
 
 def _past_float_range(draws: int) -> ValueError:
     """The refusal of a ``draws`` count past the float range, which has no scale
-    ``draws**-0.5`` or ``sqrt(draws)``; raised before anything is charged or drawn."""
+    ``draws**-0.5`` or ``sqrt(draws)``."""
     return ValueError(f"draws must be within the float range, got a {draws.bit_length()}-bit count")
+
+
+def _out_of_range(arms, oracle) -> IndexError:
+    bad = next(arm for arm in arms if arm not in oracle.arms)
+    return IndexError(f"arm {bad} out of range for {oracle.n_arms} arms")
+
+
+def _exact_counts(draws, probes) -> tuple[int, tuple[int, ...], int]:
+    """``draws``, ``probes`` and the probes' sum as Python ints, which never wrap; a count
+    that is not an integer raises ``TypeError``."""
+    try:  # numpy ints add up to a numpy float here, where an int sum of them could wrap
+        exact = type(draws) is int and type(sum(probes, 0.0)) is float and type(n := sum(probes)) is int
+    except OverflowError:  # a count past the float range: taken one by one
+        exact = False
+    if not exact:
+        draws, probes = index(draws), tuple(map(index, probes))
+        n = sum(probes)
+    return draws, probes, n
 
 
 class SamplingOracle:
     """Draws unit-variance Gaussian rewards for one solver run and counts every draw per arm.
 
     Both the reward draws and the algorithm-internal randomness (arm picks, shuffles)
-    consume ``self.rng``, so a single seed replays an entire run bit for bit.  The batched
-    channels return sufficient statistics of groups of draws, with exactly the joint law of
-    drawing reward by reward (the mean of n draws is N(mu, 1/n)), while the ledger advances
-    by the true number of underlying draws.  The ledger is one list of Python ints, exact
-    at any scale: ``total`` is its sum, ``draws_by_phase`` splits it by phase, and
-    ``counts`` is a read-only array copy of it, kept for the benchmark's tracer.  A Gaussian
-    is ``mu + scale * z`` with ``z`` from a bound ``rng.standard_normal``, as numpy's
-    ``rng.normal(mu, scale)`` computes it: the same float and generator state, at less call
-    overhead.  A request's normals (more than one arm or round, :meth:`queue_normals`) or
-    counts (``primitives.TALLY_BATCH`` or more arms, :meth:`queue_tallies`) come from one
-    array call, in serving order, with the values and the stream of one scalar call per
-    arm and round; the scale of queued normals is computed once per request, not once
-    per arm.  A request of several rounds queues one sum per arm, so that each arm takes
-    all its rounds' draws in one ``sample_mean`` call.  Counts given as numpy integers are
-    taken as Python ints once per request (by the requests, and by an unqueued
-    ``sample_mean``), never per arm.  :meth:`preview` shows the rewards of rounds not yet
-    drawn, without drawing them.
+    consume ``self.rng``, so a single seed replays an entire run bit for bit.  The ledger
+    is one list of Python ints, exact at any scale: ``total`` is its sum, ``draws_by_phase``
+    splits it by phase, and ``counts`` is a read-only array copy of it.
+
+    Each request passes one gate, :meth:`queue_normals` or :meth:`queue_tallies`.  It takes
+    numpy-int counts as Python ints once; refuses a count below 1, a NaN cutoff, an arm out
+    of range (negative included), ``draws`` past the float range or probes past int64
+    before anything is charged, drawn or queued; and draws the whole request in serving
+    order: the values and the stream of one scalar call per arm and round, with the joint
+    law of drawing reward by reward (the mean of n draws is N(mu, 1/n)).  One sampler call
+    per arm then pops its value and charges the ledger; a sampler called on its own is
+    served as a one-arm request, through the same gate.  A Gaussian is ``mu + scale * z``
+    with ``z`` from a bound ``rng.standard_normal``, as ``rng.normal(mu, scale)`` computes
+    it, bit for bit.  :meth:`preview` shows the rewards of rounds not yet drawn, without
+    drawing them.
     """
 
     def __init__(self, means, seed=0):
@@ -79,20 +96,32 @@ class SamplingOracle:
         """One reward from one arm; increments that arm's counter by one."""
         return self.sample_mean(arm, 1)
 
-    def queue_normals(self, k: int, draws: int, rounds: int = 1) -> None:
-        """Draw the ``z`` of ``rounds`` rounds of ``k`` ``sample_mean(arm, draws)`` calls in
-        one call, with their scale ``draws**-0.5``; a count past the float range is refused
-        first.  Over several rounds, the next ``k`` calls, ``sample_mean(arm, rounds * draws)``,
-        take the sum of their arm's ``z`` at ``1 / rounds`` of the scale: the mean of its rounds."""
+    def queue_normals(self, arms, draws: int, rounds: int = 1) -> int:
+        """The gate of ``rounds`` rounds of ``sample_mean(arm, draws)`` over ``arms``: queues
+        their ``z`` at the scale ``draws**-0.5`` (one scalar call for one arm in one round),
+        or each arm's sum over its rounds at ``1 / rounds`` of it.  Returns the draws each
+        arm takes, ``rounds * draws``, as a Python int."""
+        if type(draws) is not int or type(rounds) is not int:  # the ledger takes exact ints
+            draws, rounds = index(draws), index(rounds)
+        if draws < 1:
+            raise ValueError("draws must be >= 1")
+        if rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if not self.arms.issuperset(arms):
+            raise _out_of_range(arms, self)
         try:
-            self._scale = draws**-0.5
+            scale = draws**-0.5
         except OverflowError:
             raise _past_float_range(draws) from None
-        if rounds == 1:
-            self._queued = self._normal(k)[::-1].tolist()
+        if rounds != 1:
+            self._queued = self._normal((rounds, len(arms))).sum(axis=0)[::-1].tolist()
+            scale /= rounds
+        elif len(arms) == 1:
+            self._queued = [self._normal()]
         else:
-            self._scale /= rounds
-            self._queued = self._normal((rounds, k)).sum(axis=0)[::-1].tolist()
+            self._queued = self._normal(len(arms))[::-1].tolist()
+        self._scale = scale
+        return draws * rounds
 
     def preview(self, arms, rounds: int) -> np.ndarray:
         """The rewards that the next ``rounds`` one-draw rounds over ``arms`` would give.
@@ -110,52 +139,43 @@ class SamplingOracle:
         bit_generator.state = state
         return np.array([self._means[arm] for arm in arms]) + z
 
-    def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> None:
-        """Draw the counts of the next ``count_means_below`` calls, one per arm, in one call."""
+    def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> tuple[int, tuple[int, ...], int]:
+        """The gate of one ``count_means_below(arm, draws, n, cutoff)`` per arm and its probes
+        ``n``: queues the counts, drawn in one array call from ``TALLY_BATCH`` arms, else one
+        scalar call per arm.  Returns ``draws``, ``probes`` and their sum as Python ints."""
+        draws, probes, n = _exact_counts(draws, probes)
+        if draws < 1 or min(probes) < 1:
+            raise ValueError("draws and probes must be >= 1")
+        if math.isnan(cutoff):
+            raise ValueError("cutoff must not be NaN")
+        if not self.arms.issuperset(arms):
+            raise _out_of_range(arms, self)
+        if n >= 2**63 and max(probes) >= 2**63:
+            raise ValueError(f"probes must be within the int64 range, got {max(probes)}")
         try:
             scale = math.sqrt(draws)
         except OverflowError:
             raise _past_float_range(draws) from None
         means = self._means
+        # No clamp: 0.5 * erfc(.) lies in [0, 1] for all x, +-inf included.
         ps = [0.5 * math.erfc(-((cutoff - means[arm]) * scale) / _SQRT2) for arm in arms]
-        self._queued = self.rng.binomial(probes, ps)[::-1].tolist()
+        if len(arms) >= TALLY_BATCH:
+            self._queued = self.rng.binomial(probes, ps)[::-1].tolist()
+        else:
+            self._queued = [*map(self.rng.binomial, probes, ps)][::-1]
+        return draws, probes, n
 
     def sample_mean(self, arm: int, draws: int) -> float:
-        """Empirical mean of ``draws`` fresh rewards from one arm."""
-        if draws < 1:
-            raise ValueError("draws must be >= 1")
-        if self._queued:  # a normal of this request, queued with its scale
-            self._counts[arm] += draws
-            return self._means[arm] + self._scale * self._queued.pop()
-        if type(draws) is not int:  # a numpy int would make the ledger wrap
-            draws = index(draws)
-        try:
-            scale = draws**-0.5
-        except OverflowError:
-            raise _past_float_range(draws) from None
+        """Empirical mean of ``draws`` fresh rewards from one arm: the next queued normal."""
+        if not self._queued:  # called on its own: a one-arm request
+            draws = self.queue_normals((arm,), draws)
         self._counts[arm] += draws
-        return self._means[arm] + scale * self._normal()
+        return self._means[arm] + self._scale * self._queued.pop()
 
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
-        """How many of ``probes`` independent mean-of-``draws`` estimates fall below ``cutoff``.
-
-        Charges draws * probes samples to the arm, once the count is drawn.  The probability
-        needs no clamp: 0.5 * erfc(.) lies in [0, 1] for all x, +-inf included; a NaN cutoff
-        makes binomial raise, and so does a probe count past int64, refused here by name.
-        """
-        if draws < 1 or probes < 1:
-            raise ValueError("draws and probes must be >= 1")
-        if self._queued:
-            self._counts[arm] += draws * probes
-            return self._queued.pop()
-        try:
-            scale = math.sqrt(draws)
-        except OverflowError:
-            raise _past_float_range(draws) from None
-        x = (cutoff - self._means[arm]) * scale
-        try:
-            below = self.rng.binomial(probes, 0.5 * math.erfc(-x / _SQRT2))
-        except OverflowError:
-            raise ValueError(f"probes must be within the int64 range, got {probes}") from None
+        """How many of ``probes`` independent mean-of-``draws`` estimates fall below
+        ``cutoff``: the next queued count.  Charges ``draws * probes`` samples to the arm."""
+        if not self._queued:  # called on its own: a one-arm request
+            draws, (probes,), _ = self.queue_tallies((arm,), draws, (probes,), cutoff)
         self._counts[arm] += draws * probes
-        return below
+        return self._queued.pop()

@@ -17,10 +17,12 @@ stream where it was, and asks for the rounds up to the first at which an
 arm drops, as one ``MeanRequest`` over its survivors with ``rounds`` set.
 A request names an ordered tuple of arms and is served in order, round
 after round, so the RNG stream and the draw counters advance exactly as one
-request per arm and round would.  Fulfilling it makes one sampler call per
-listed arm, which takes that arm's draws of every round at once; its draws
-then go to its ``phase`` (``med``, ``anchor``, ``frac``, ``elim``,
-``baseline``) in the oracle's ``draws_by_phase``.  Budget stops stay per arm
+request per arm and round would.  Fulfilling it takes three steps: the
+oracle's gate (``queue_normals`` or ``queue_tallies``) checks the request
+once and draws it whole; one sampler call per listed arm takes that arm's
+draws of every round at once; the draws go to the request's ``phase``
+(``med``, ``anchor``, ``frac``, ``elim``, ``baseline``) in the oracle's
+``draws_by_phase``.  Budget stops stay per arm
 and round: :meth:`PlanRun.advance`, the one serving step of every plan
 driver, serves a request that would cross the sample cap only up to its
 last arm that fits, in serving order.
@@ -38,8 +40,7 @@ from numbers import Integral
 from operator import index
 
 from .instances import _check_delta
-
-TALLY_BATCH = 16  # fewest arms of a tally drawn in one array call: the measured break-even
+from .oracle import _exact_counts
 
 
 class BudgetExceededError(RuntimeError):
@@ -51,12 +52,10 @@ class MeanRequest:
     """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms`` in
     each of ``rounds`` rounds, served round after round: the serving order ``arms * rounds``.
 
-    An arm out of range, negative included, is refused before anything is drawn or
-    charged.  The normals of every round come from one call, in serving order (none
-    ahead for one arm in one round); each arm then takes its ``rounds * draws`` draws in
-    one sampler call, and the reply lists its mean over its rounds, in arm order.  The
-    draws are charged to ``phase``.  Costs, budget stops and ``prefix`` follow the
-    serving order.
+    The oracle's gate, ``queue_normals``, checks it and draws every round's normals; each
+    arm then takes its ``rounds * draws`` draws in one sampler call, and the reply lists
+    its mean over its rounds, in arm order.  The draws are charged to ``phase``.  Costs
+    (Python ints), budget stops and ``prefix`` follow the serving order.
     """
 
     arms: tuple[int, ...]
@@ -66,40 +65,27 @@ class MeanRequest:
 
     @property
     def cost(self) -> int:
-        return self.draws * len(self.arms) * self.rounds
+        draws, rounds = self.draws, self.rounds
+        if type(draws) is not int or type(rounds) is not int:  # numpy ints: the product could wrap
+            draws, rounds = index(draws), index(rounds)
+        return draws * len(self.arms) * rounds
 
     def arm_costs(self) -> list[int]:
         """Draws of each arm, in serving order."""
-        return [self.draws] * (len(self.arms) * self.rounds)
+        draws = self.draws if type(self.draws) is int else index(self.draws)
+        return [draws] * (len(self.arms) * self.rounds)
 
     def prefix(self, k: int) -> "MeanRequest":
         """The one-round request over the first ``k`` arms served."""
         return replace(self, arms=(self.arms * self.rounds)[:k], rounds=1)
 
     def fulfill(self, oracle) -> list[float]:
-        arms, draws = self.arms, self.draws
-        if type(draws) is not int:  # a numpy int: the ledger takes exact ints
-            draws = index(draws)
-        if draws < 1:  # refused before any normal is drawn
-            raise ValueError("draws must be >= 1")
-        if not oracle.arms.issuperset(arms):  # likewise
-            raise _out_of_range(arms, oracle)
-        if self.rounds != 1:  # each arm then takes the draws of all its rounds at once
-            if (rounds := index(self.rounds)) < 1:  # likewise
-                raise ValueError("rounds must be >= 1")
-            oracle.queue_normals(len(arms), draws, rounds)
-            draws *= rounds
-        elif len(arms) > 1:
-            oracle.queue_normals(len(arms), draws)
+        arms = self.arms
+        draws = oracle.queue_normals(arms, self.draws, self.rounds)
         sample_mean = oracle.sample_mean
         means = [sample_mean(arm, draws) for arm in arms]
         oracle.draws_by_phase[self.phase] += draws * len(means)
         return means
-
-
-def _out_of_range(arms, oracle) -> IndexError:
-    bad = next(arm for arm in arms if arm not in oracle.arms)
-    return IndexError(f"arm {bad} out of range for {oracle.n_arms} arms")
 
 
 @dataclass
@@ -107,7 +93,8 @@ class TallyRequest:
     """Ask how many of ``probes[i]`` independent mean-of-``draws`` estimates
     from ``arms[i]`` fall strictly below ``cutoff``, summed over the arms.
 
-    Fulfilled arm by arm, in order, then charged to ``phase``; one draw call from ``TALLY_BATCH`` arms.
+    The oracle's gate, ``queue_tallies``, checks it and draws every arm's count; one
+    sampler call per arm, in order, takes them, and the draws are charged to ``phase``.
     """
 
     arms: tuple[int, ...]
@@ -118,35 +105,21 @@ class TallyRequest:
 
     @property
     def cost(self) -> int:
-        return self.draws * sum(self.probes)
+        draws, _, n = _exact_counts(self.draws, self.probes)
+        return draws * n
 
     def arm_costs(self) -> list[int]:
         """Draws of each arm, in arm order."""
-        return [self.draws * n for n in self.probes]
+        draws, probes, _ = _exact_counts(self.draws, self.probes)
+        return [draws * n for n in probes]
 
     def prefix(self, k: int) -> "TallyRequest":
         """The same request over the first ``k`` arms."""
         return replace(self, arms=self.arms[:k], probes=self.probes[:k])
 
     def fulfill(self, oracle) -> int:
-        arms, draws, probes, cutoff = self.arms, self.draws, self.probes, self.cutoff
-        try:  # numpy ints add up to a numpy float here, where an int sum of them could wrap
-            numpy_ints = type(draws) is not int or type(sum(probes, 0.0)) is not float
-        except OverflowError:  # a probe count past the float range, refused below
-            numpy_ints = False
-        if numpy_ints or type(n := sum(probes)) is not int:  # the ledger takes exact ints
-            draws, probes = index(draws), tuple(map(index, probes))
-            n = sum(probes)
-        if draws < 1 or min(probes) < 1:  # refused before any count is drawn
-            raise ValueError("draws and probes must be >= 1")
-        if math.isnan(cutoff):  # refused before any arm is charged
-            raise ValueError("cutoff must not be NaN")
-        if not oracle.arms.issuperset(arms):  # likewise
-            raise _out_of_range(arms, oracle)
-        if n >= 2**63 and max(probes) >= 2**63:  # past int64: likewise
-            raise ValueError(f"probes must be within the int64 range, got {max(probes)}")
-        if len(arms) >= TALLY_BATCH:
-            oracle.queue_tallies(arms, draws, probes, cutoff)
+        arms, cutoff = self.arms, self.cutoff
+        draws, probes, n = oracle.queue_tallies(arms, self.draws, self.probes, cutoff)
         below = sum(map(oracle.count_means_below, arms, repeat(draws), probes, repeat(cutoff)))
         oracle.draws_by_phase[self.phase] += draws * n
         return below

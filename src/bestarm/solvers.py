@@ -408,10 +408,11 @@ def solve(
     run stops as ``budget_exceeded`` before its draws would pass ``budget``
     (None, the default, sets no cap); every round event also goes to ``trace``.
     """
-    events: list[RoundEvent] = []
+    rounds = 0  # a budget-stopped run reports the rounds it completed
 
     def emit(event: RoundEvent) -> None:
-        events.append(event)
+        nonlocal rounds
+        rounds += 1
         if trace is not None:
             trace(event)
 
@@ -423,4 +424,4 @@ def solve(
     except OverflowError:  # the plans turn a gap's overflow into ValueError; a delta's lands here
         raise ValueError(f"delta {delta!r} too small: a derived value left the float range") from None
     per_arm = [a - b for a, b in zip(oracle.snapshot(), before)]
-    return make_outcome(result, per_arm, budget_rounds=len(events))
+    return make_outcome(result, per_arm, budget_rounds=rounds)

@@ -16,35 +16,34 @@ def copy_seed(seed, k: int) -> np.random.SeedSequence:
 class DeterministicOracle(SamplingOracle):
     """Variance-0 oracle: every reward equals the arm mean.
 
-    Draws are counted exactly as by :class:`SamplingOracle`, and ``rng`` is
-    never touched here, so arm picks and shuffles see the same stream.
+    Every request and preview passes the oracle's own gate, so the double refuses,
+    charges and counts exactly as :class:`SamplingOracle` does.  What the gate draws is
+    thrown away and the generator put back, so arm picks and shuffles see the same stream.
     """
 
-    def draw(self, arm: int) -> float:
-        self._counts[arm] += 1
-        return self._means[arm]
-
     def preview(self, arms, rounds: int) -> np.ndarray:
-        if not self.arms.issuperset(arms):
-            raise IndexError(f"preview of arms {tuple(arms)} out of range")
+        super().preview(arms, rounds)  # refuses as the oracle does; moves nothing
         return np.tile([self._means[arm] for arm in arms], (rounds, 1))
 
-    def queue_normals(self, k: int, draws: int, rounds: int = 1) -> None:
-        pass
+    def queue_normals(self, arms, draws: int, rounds: int = 1) -> int:
+        return self._unmoved(super().queue_normals, arms, draws, rounds)
 
-    def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> None:
-        pass
+    def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> tuple:
+        return self._unmoved(super().queue_tallies, arms, draws, probes, cutoff)
+
+    def _unmoved(self, gate, *request):
+        """``gate(*request)``, with the generator put back where it was."""
+        state = self.rng.bit_generator.state
+        taken = gate(*request)
+        self.rng.bit_generator.state = state
+        return taken
 
     def sample_mean(self, arm: int, draws: int) -> float:
-        if draws < 1:
-            raise ValueError("draws must be >= 1")
-        self._counts[arm] += draws
+        super().sample_mean(arm, draws)
         return self._means[arm]
 
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
-        if draws < 1 or probes < 1:
-            raise ValueError("draws and probes must be >= 1")
-        self._counts[arm] += draws * probes
+        super().count_means_below(arm, draws, probes, cutoff)
         return probes if self._means[arm] < cutoff else 0
 
 

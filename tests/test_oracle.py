@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from bestarm import (
     BudgetExceededError, Instance, MeanRequest, SamplingOracle, complexity_guessing_plan, run_plan,
     solve,
 )
-from bestarm.primitives import TALLY_BATCH, TallyRequest, split_at_cap
+from bestarm.oracle import TALLY_BATCH
+from bestarm.primitives import TallyRequest, split_at_cap
 from bestarm.solvers import SolveResult, make_outcome
 from doubles import DeterministicOracle
 
@@ -185,6 +187,28 @@ def test_direct_sample_mean_after_a_request_draws_fresh():
     twin.standard_normal(2)
     assert oracle.sample_mean(1, 9).hex() == twin.normal(0.2, 9**-0.5).hex()
     assert oracle.rng.bit_generator.state == twin.bit_generator.state
+
+
+# A sampler called on its own is served as the one-arm request, through the same gate.
+@pytest.mark.parametrize("kind", [SamplingOracle, DeterministicOracle])
+@pytest.mark.parametrize("direct, request_", [
+    (lambda oracle: oracle.sample_mean(2, 7), MeanRequest((2,), 7)),
+    (lambda oracle: oracle.sample_mean(0, 2**62), MeanRequest((0,), 2**62)),
+    (lambda oracle: oracle.sample_mean(1, np.int64(3)), MeanRequest((1,), 3)),
+    (lambda oracle: oracle.count_means_below(1, 9, 40, 0.3), TallyRequest((1,), 9, (40,), 0.3)),
+    (lambda oracle: oracle.count_means_below(2, np.int64(2), np.int64(2**62), 0.25),
+     TallyRequest((2,), 2, (2**62,), 0.25)),
+], ids=["mean", "mean-past-int64", "mean-numpy-count", "tally", "tally-numpy-counts"])
+def test_a_direct_sampler_call_is_its_one_arm_request(kind, direct, request_):
+    oracle, twin = kind([0.1, 0.2, 0.3], seed=5), kind([0.1, 0.2, 0.3], seed=5)
+    for _ in range(3):
+        ours, reply = direct(oracle), request_.fulfill(twin)
+        theirs = reply[0] if isinstance(request_, MeanRequest) else reply
+        assert ours == theirs and float(ours).hex() == float(theirs).hex()
+        assert oracle.snapshot() == twin.snapshot()
+        assert all(type(n) is int for n in oracle.snapshot())
+        assert oracle.rng.bit_generator.state == twin.rng.bit_generator.state
+        assert oracle._queued == twin._queued == []
 
 
 def test_deterministic_double_serves_mean_requests_without_the_stream():
@@ -486,6 +510,28 @@ def test_total_phases_and_ledger_agree_after_any_mix_of_requests(seed, steps):
     assert all(type(n) is int for n in ledger + phases)
 
 
+# Both oracle kinds refuse through the one gate: the same error, and nothing charged,
+# drawn or queued; a direct sampler call on a negative arm is refused the same way.
+@pytest.mark.parametrize("kind", [SamplingOracle, DeterministicOracle])
+@pytest.mark.parametrize("refuse", [
+    *(request.fulfill for request in REFUSED_REQUESTS),
+    lambda oracle: oracle.sample_mean(-1, 5),
+    lambda oracle: oracle.count_means_below(-1, 1, 3, 0.0),
+], ids=[*(f"refused-{i}" for i in range(len(REFUSED_REQUESTS))),
+        "sample_mean-arm--1", "count_means_below-arm--1"])
+def test_every_refusal_leaves_both_oracle_kinds_as_they_were(kind, refuse):
+    means = [arm / LEDGER_ARMS for arm in range(LEDGER_ARMS)]
+    oracle, reference = kind(means, seed=6), SamplingOracle(means, seed=6)
+    MeanRequest((0, 1), 3, phase="anchor").fulfill(oracle)
+    before = (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase))
+    with pytest.raises((ValueError, IndexError)) as refused:
+        refuse(oracle)
+    assert (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase)) == before
+    assert oracle._queued == []
+    with pytest.raises(type(refused.value), match=f"^{re.escape(str(refused.value))}$"):
+        refuse(reference)
+
+
 def test_fulfilled_requests_charge_their_phase_once_all_draws_are_taken():
     oracle = SamplingOracle([0.1, 0.2, 0.3], seed=2)
     MeanRequest((0, 1), 5, phase="med").fulfill(oracle)
@@ -614,6 +660,9 @@ def test_numpy_integer_counts_keep_the_ledger_exact_past_int64():
         lambda oracle: TallyRequest((0, 1), 1, (big, big), 0.0, phase="frac").fulfill(oracle),
         lambda oracle: TallyRequest((1, 2), np.int64(2**31), (2**31, np.int64(2**31)), 0.0).fulfill(oracle),
         lambda oracle: TallyRequest((0, 1, 2) * 6, 1, (np.int64(2**60),) * 18, 0.0).fulfill(oracle),
+        lambda oracle: MeanRequest((1, 2), 2**61, rounds=np.int64(2)).fulfill(oracle),
+        lambda oracle: (oracle.count_means_below(0, 1, 2**63 - 1, 0.0),
+                        oracle.count_means_below(0, 1, np.int64(5), 0.0)),
     ]
     exact = [
         lambda oracle: oracle.sample_mean(0, 2**62),
@@ -622,6 +671,9 @@ def test_numpy_integer_counts_keep_the_ledger_exact_past_int64():
         lambda oracle: TallyRequest((0, 1), 1, (2**62, 2**62), 0.0, phase="frac").fulfill(oracle),
         lambda oracle: TallyRequest((1, 2), 2**31, (2**31, 2**31), 0.0).fulfill(oracle),
         lambda oracle: TallyRequest((0, 1, 2) * 6, 1, (2**60,) * 18, 0.0).fulfill(oracle),
+        lambda oracle: MeanRequest((1, 2), 2**61, rounds=2).fulfill(oracle),
+        lambda oracle: (oracle.count_means_below(0, 1, 2**63 - 1, 0.0),
+                        oracle.count_means_below(0, 1, 5, 0.0)),
     ]
     for serve, twin_serve in zip(served, exact):
         oracle, twin = SamplingOracle([0.1, 0.2, 0.3], seed=9), SamplingOracle([0.1, 0.2, 0.3], seed=9)
@@ -631,6 +683,23 @@ def test_numpy_integer_counts_keep_the_ledger_exact_past_int64():
         assert oracle.rng.bit_generator.state == twin.rng.bit_generator.state
         assert all(type(n) is int for n in ledger + list(phases.values()))
         assert max(ledger) >= 2**63 and oracle.total == sum(phases.values() or ledger)
+
+
+@pytest.mark.parametrize("request_", [
+    MeanRequest((0, 1), np.int64(2**62)),
+    MeanRequest((0, 1), 2**61, rounds=np.int64(2)),
+    TallyRequest((0, 1), 1, (np.int64(2**62),) * 2, 0.0),
+    TallyRequest((0, 1), np.int64(2**31), (2**31, np.int64(2**31)), 0.0),
+], ids=["mean", "mean-numpy-rounds", "tally", "tally-numpy-draws"])
+def test_numpy_integer_counts_cost_exact_ints_and_stop_at_the_budget(request_):
+    # as numpy ints, the cost would wrap to -2**63 and pass any cap
+    assert request_.cost == sum(request_.arm_costs()) == 2**63
+    assert all(type(n) is int for n in [request_.cost, *request_.arm_costs()])
+    oracle = SamplingOracle([0.1, 0.2], seed=2)
+    with pytest.raises(BudgetExceededError):
+        run_one_request(request_, oracle, budget=10)
+    assert (oracle.snapshot(), dict(oracle.draws_by_phase), oracle._queued) == ([0, 0], {}, [])
+    assert oracle.rng.bit_generator.state == np.random.default_rng(2).bit_generator.state
 
 
 @pytest.mark.parametrize("refused", [
