@@ -17,11 +17,9 @@ from .instances import (
     profile,
     profile_csv_row,
 )
-from .oracle import SamplingOracle
+from .oracle import MeanRequest, SamplingOracle, TallyRequest
 from .primitives import (
     BudgetExceededError,
-    MeanRequest,
-    TallyRequest,
     run_plan,
     unif_sample_size,
 )

@@ -69,7 +69,7 @@ class Instance:
         except OverflowError:
             raise ValueError(f"smallest gap {gaps[0]!r} too small: H overflows a float") from None
         pk = {k: hk / H for k, hk in Hk.items()}
-        ent = math.fsum(p * math.log(1.0 / p) for p in pk.values() if p > 0.0)
+        ent = _entropy(pk.values())
         return GapProfile(
             gaps=gaps,
             groups=tuple(groups),
@@ -128,6 +128,11 @@ def _check_delta(delta: float) -> None:
     """Reject a confidence parameter outside (0, 1); shared by every layer."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
+def _entropy(ps) -> float:
+    """The entropy sum(p ln(1/p)) of a distribution ``ps``, zero masses left out."""
+    return math.fsum(p * math.log(1.0 / p) for p in ps if p > 0.0)
 
 
 def conjectured_bound(prof: GapProfile, delta: float) -> float:

@@ -1,7 +1,8 @@
 """Reusable sampling subroutines: uniform sampling, median elimination,
 fraction testing and batch elimination.
 
-Every subroutine is a *plan*: a generator that yields sampling requests,
+Every subroutine is a *plan*: a generator that yields sampling requests
+(:class:`~bestarm.oracle.MeanRequest`, :class:`~bestarm.oracle.TallyRequest`),
 so callers may suspend execution at each draw batch, and returns its
 result.  :class:`PlanRun` drives a plan against an oracle, one request at
 a time, and :func:`run_plan` runs one to its end.  Plans receive the oracle
@@ -15,17 +16,9 @@ baseline yields one request per block of rounds: it reads the block's
 rewards ahead with ``oracle.preview``, which charges nothing and leaves the
 stream where it was, and asks for the rounds up to the first at which an
 arm drops, as one ``MeanRequest`` over its survivors with ``rounds`` set.
-A request names an ordered tuple of arms and is served in order, round
-after round, so the RNG stream and the draw counters advance exactly as one
-request per arm and round would.  Fulfilling it takes three steps: the
-oracle's gate (``queue_normals`` or ``queue_tallies``) checks the request
-once and draws it whole; one sampler call per listed arm takes that arm's
-draws of every round at once; the draws go to the request's ``phase``
-(``med``, ``anchor``, ``frac``, ``elim``, ``baseline``) in the oracle's
-``draws_by_phase``.  Budget stops stay per arm
-and round: :meth:`PlanRun.advance`, the one serving step of every plan
-driver, serves a request that would cross the sample cap only up to its
-last arm that fits, in serving order.
+Budget stops stay per arm and round: :meth:`PlanRun.advance`, the one
+serving step of every plan driver, serves a request that would cross the
+sample cap only up to its last arm that fits, in serving order.
 
 Ties are broken toward the arm listed first, so callers control tie order
 through the member sequence.
@@ -34,95 +27,14 @@ through the member sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from itertools import repeat
 from numbers import Integral
-from operator import index
 
 from .instances import _check_delta
-from .oracle import _exact_counts
+from .oracle import MeanRequest, TallyRequest
 
 
 class BudgetExceededError(RuntimeError):
     """Raised by plan drivers when the next request would cross the sample cap."""
-
-
-@dataclass
-class MeanRequest:
-    """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms`` in
-    each of ``rounds`` rounds, served round after round: the serving order ``arms * rounds``.
-
-    The oracle's gate, ``queue_normals``, checks it and draws every round's normals; each
-    arm then takes its ``rounds * draws`` draws in one sampler call, and the reply lists
-    its mean over its rounds, in arm order.  The draws are charged to ``phase``.  Costs
-    (Python ints), budget stops and ``prefix`` follow the serving order.
-    """
-
-    arms: tuple[int, ...]
-    draws: int
-    phase: str = field(default="", kw_only=True)
-    rounds: int = field(default=1, kw_only=True)
-
-    @property
-    def cost(self) -> int:
-        draws, rounds = self.draws, self.rounds
-        if type(draws) is not int or type(rounds) is not int:  # numpy ints: the product could wrap
-            draws, rounds = index(draws), index(rounds)
-        return draws * len(self.arms) * rounds
-
-    def arm_costs(self) -> list[int]:
-        """Draws of each arm, in serving order."""
-        draws = self.draws if type(self.draws) is int else index(self.draws)
-        return [draws] * (len(self.arms) * self.rounds)
-
-    def prefix(self, k: int) -> "MeanRequest":
-        """The one-round request over the first ``k`` arms served."""
-        return replace(self, arms=(self.arms * self.rounds)[:k], rounds=1)
-
-    def fulfill(self, oracle) -> list[float]:
-        arms = self.arms
-        draws = oracle.queue_normals(arms, self.draws, self.rounds)
-        sample_mean = oracle.sample_mean
-        means = [sample_mean(arm, draws) for arm in arms]
-        oracle.draws_by_phase[self.phase] += draws * len(means)
-        return means
-
-
-@dataclass
-class TallyRequest:
-    """Ask how many of ``probes[i]`` independent mean-of-``draws`` estimates
-    from ``arms[i]`` fall strictly below ``cutoff``, summed over the arms.
-
-    The oracle's gate, ``queue_tallies``, checks it and draws every arm's count; one
-    sampler call per arm, in order, takes them, and the draws are charged to ``phase``.
-    """
-
-    arms: tuple[int, ...]
-    draws: int
-    probes: tuple[int, ...]
-    cutoff: float
-    phase: str = field(default="", kw_only=True)
-
-    @property
-    def cost(self) -> int:
-        draws, _, n = _exact_counts(self.draws, self.probes)
-        return draws * n
-
-    def arm_costs(self) -> list[int]:
-        """Draws of each arm, in arm order."""
-        draws, probes, _ = _exact_counts(self.draws, self.probes)
-        return [draws * n for n in probes]
-
-    def prefix(self, k: int) -> "TallyRequest":
-        """The same request over the first ``k`` arms."""
-        return replace(self, arms=self.arms[:k], probes=self.probes[:k])
-
-    def fulfill(self, oracle) -> int:
-        arms, cutoff = self.arms, self.cutoff
-        draws, probes, n = oracle.queue_tallies(arms, self.draws, self.probes, cutoff)
-        below = sum(map(oracle.count_means_below, arms, repeat(draws), probes, repeat(cutoff)))
-        oracle.draws_by_phase[self.phase] += draws * n
-        return below
 
 
 def split_at_cap(request, room: int):

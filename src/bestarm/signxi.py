@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .bench import run_trials
-from .instances import Instance
+from .instances import Instance, _entropy
 
 #: Embedding offset; the reference arm sits exactly here.
 SIGN_SHIFT = 0.5
@@ -93,7 +93,7 @@ def measure_loss_profile(
         mean_samples.append(None if report.budget_exceeded else report.mean_samples)
     alpha = [None if m is None else m / 4.0**k for k, m in zip(ks, mean_samples)]
 
-    ent_p = math.fsum(p * math.log(1.0 / p) for p in probs if p > 0.0)
+    ent_p = _entropy(probs)
     usable = all(a is not None for a, p in zip(alpha, probs) if p > 0.0)
     expected_loss = (
         math.fsum(p * a for p, a in zip(probs, alpha) if p > 0.0) if usable else None

@@ -25,18 +25,17 @@ class DeterministicOracle(SamplingOracle):
         super().preview(arms, rounds)  # refuses as the oracle does; moves nothing
         return np.tile([self._means[arm] for arm in arms], (rounds, 1))
 
-    def queue_normals(self, arms, draws: int, rounds: int = 1) -> int:
-        return self._unmoved(super().queue_normals, arms, draws, rounds)
+    def queue_normals(self, arms, draws: int, rounds: int = 1) -> None:
+        self._unmoved(super().queue_normals, arms, draws, rounds)
 
-    def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> tuple:
-        return self._unmoved(super().queue_tallies, arms, draws, probes, cutoff)
+    def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> None:
+        self._unmoved(super().queue_tallies, arms, draws, probes, cutoff)
 
-    def _unmoved(self, gate, *request):
+    def _unmoved(self, gate, *request) -> None:
         """``gate(*request)``, with the generator put back where it was."""
         state = self.rng.bit_generator.state
-        taken = gate(*request)
+        gate(*request)
         self.rng.bit_generator.state = state
-        return taken
 
     def sample_mean(self, arm: int, draws: int) -> float:
         super().sample_mean(arm, draws)

@@ -316,7 +316,7 @@ def test_preview_refuses_an_arm_out_of_range_and_moves_nothing(kind, arms):
     oracle = kind([0.1, 0.2, 0.3], seed=4)
     MeanRequest((0, 1, 2), 1, phase="baseline").fulfill(oracle)
     before = (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase))
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^arm -?\d+ out of range for 3 arms$"):
         oracle.preview(arms, 2)
     assert (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase)) == before
 
@@ -483,7 +483,17 @@ REFUSED_REQUESTS = [
     TallyRequest((0, 1), 2**1100, (3, 4), 0.0, phase="frac"),
     TallyRequest((0, 1), 1, (3, 2**64), 0.0, phase="frac"),
     TallyRequest(tuple(range(LEDGER_ARMS)), 1, (3,) * (LEDGER_ARMS - 1) + (2**64,), 0.0, phase="elim"),
+    TallyRequest((0, 1, 2), 4, (5, 5), 0.0, phase="frac"),  # an arm without probes
+    TallyRequest(tuple(range(TALLY_BATCH)), 2, (5,) * (TALLY_BATCH - 1), 0.5, phase="elim"),
+    TallyRequest((0, 1), 4, (5, 5, 5), 0.0, phase="frac"),  # probes without an arm
 ]
+# Direct sampler calls, with Python or numpy-int counts: each is served as its one-arm request.
+_arm = st.integers(0, LEDGER_ARMS - 1)
+_count = st.one_of(st.integers(1, 2**31), st.integers(1, 2**31).map(np.int64))
+_direct_calls = st.one_of(
+    st.tuples(st.just("sample_mean"), st.tuples(_arm, _count)),
+    st.tuples(st.just("count_means_below"), st.tuples(_arm, _count, _count, st.floats(-2.0, 2.0))),
+)
 
 
 @settings(max_examples=60)
@@ -492,22 +502,28 @@ REFUSED_REQUESTS = [
     steps=st.lists(st.one_of(
         st.tuples(st.one_of(_mean_requests, _tally_requests), st.sampled_from(["whole", "head"])),
         st.tuples(st.sampled_from(REFUSED_REQUESTS), st.just("refused")),
+        st.tuples(_direct_calls, st.just("direct")),
     ), max_size=12),
 )
 def test_total_phases_and_ledger_agree_after_any_mix_of_requests(seed, steps):
-    oracle = SamplingOracle([arm / LEDGER_ARMS for arm in range(LEDGER_ARMS)], seed=seed)
-    for request, how in steps:
-        if how == "whole":
-            request.fulfill(oracle)
-        elif how == "head":  # the cap stops the request one draw short
-            with pytest.raises(BudgetExceededError):
-                run_one_request(request, oracle, budget=oracle.total + request.cost - 1)
-        else:
-            with pytest.raises((ValueError, IndexError)):
+    for kind in (SamplingOracle, DeterministicOracle):
+        oracle = kind([arm / LEDGER_ARMS for arm in range(LEDGER_ARMS)], seed=seed)
+        for request, how in steps:
+            if how == "whole":
                 request.fulfill(oracle)
-    ledger, phases = oracle.snapshot(), list(oracle.draws_by_phase.values())
-    assert oracle.total == sum(ledger) == sum(phases)
-    assert all(type(n) is int for n in ledger + phases)
+            elif how == "head":  # the cap stops the request one draw short
+                with pytest.raises(BudgetExceededError):
+                    run_one_request(request, oracle, budget=oracle.total + request.cost - 1)
+            elif how == "direct":
+                sampler, args = request
+                getattr(oracle, sampler)(*args)
+            else:
+                with pytest.raises((ValueError, IndexError)):
+                    request.fulfill(oracle)
+            assert oracle.total == sum(oracle.draws_by_phase.values())
+        ledger, phases = oracle.snapshot(), list(oracle.draws_by_phase.values())
+        assert oracle.total == sum(ledger) == sum(phases)
+        assert all(type(n) is int for n in ledger + phases)
 
 
 # Both oracle kinds refuse through the one gate: the same error, and nothing charged,
