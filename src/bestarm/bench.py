@@ -11,7 +11,7 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .instances import Instance, conjectured_bound, make_discrete_instance, profile
+from .instances import Instance, _entropy, conjectured_bound, make_discrete_instance, profile
 from .oracle import SamplingOracle
 from .parallel import parallel_simulation
 from .solvers import (
@@ -186,12 +186,6 @@ def _count_maps(h_target: int, k_max: int, cap: int):
     ]
 
 
-def _map_entropy(counts: dict[int, int]) -> float:
-    masses = [4**k * n for k, n in counts.items() if n]
-    total = sum(masses)
-    return math.fsum(m / total * math.log(total / m) for m in masses)
-
-
 def equal_h_pair(
     h_target: int = 32,
     k_max: int = 3,
@@ -215,7 +209,9 @@ def equal_h_pair(
     # Flat pick: the single-group map with the most arms (sizes comparable
     # to the spread pick); spread pick: maximum entropy, then most arms.
     flat_pick = max(flat, key=lambda m: sum(m.values()))
-    spread_pick = max(spread, key=lambda m: (_map_entropy(m), sum(m.values())))
+    # Every map's masses 4^k n_k sum to h_target, so these are its group fractions.
+    spread_pick = max(spread, key=lambda m: (
+        _entropy(4**k * n / h_target for k, n in m.items()), sum(m.values())))
     lo = make_discrete_instance(flat_pick, top_mean, label=f"eqh{h_target}-ent0")
     hi = make_discrete_instance(spread_pick, top_mean, label=f"eqh{h_target}-entmax")
     return lo, hi

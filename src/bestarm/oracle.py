@@ -2,24 +2,28 @@
 
 A request names an ordered tuple of arms and is served in order, round after round,
 so the RNG stream and the draw counters advance exactly as one request per arm and
-round would.  :class:`MeanRequest` asks for empirical means, :class:`TallyRequest` for
-probe counts below a cutoff.  A request takes its counts as exact Python ints when it
-is built (numpy ints included; a count that is not an integer raises ``TypeError``),
-and its ``cost``, the draws it takes, with them.  Fulfilling it takes three steps: the
-oracle's gate (``queue_normals`` or ``queue_tallies``) checks the request once and
-draws it whole; one sampler call per listed arm takes that arm's draws of every round
-at once; the draws go to the request's ``phase`` (``med``, ``anchor``, ``frac``,
-``elim``, ``baseline``; ``""`` by default) in the oracle's ``draws_by_phase``.  A
-sampler called on its own is its one-arm request, so every draw has a phase and
-``total == sum(draws_by_phase.values())``.
+round would; ``served()`` yields that order as ``(arm, draws)`` pairs.
+:class:`MeanRequest` asks for empirical means, :class:`TallyRequest` for probe counts
+below a cutoff.  A request is checked whole when it is built: it takes its counts as
+exact Python ints (numpy ints included; a count that is not an integer raises
+``TypeError``), refuses every value it can judge on its own with a ``ValueError``, and
+stores its ``cost``, the draws it takes, and the ``scale`` its draws need.  Only its
+arms wait for the oracle, whose :meth:`SamplingOracle.check_arms` refuses an arm out
+of range.  Fulfilling it takes three steps: the oracle's gate (``queue_normals`` or
+``queue_tallies``) checks the arms and draws the request whole; one sampler call per
+listed arm takes that arm's draws of every round at once; the draws go to the
+request's ``phase`` (``med``, ``anchor``, ``frac``, ``elim``, ``baseline``; ``""`` by
+default) in the oracle's ``draws_by_phase``.  A sampler called on its own is its
+one-arm request, so every draw has a phase and ``total == sum(draws_by_phase.values())``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import islice, repeat
 from operator import index
 
 import numpy as np
@@ -34,17 +38,14 @@ def _past_float_range(draws: int) -> ValueError:
     return ValueError(f"draws must be within the float range, got a {draws.bit_length()}-bit count")
 
 
-def _out_of_range(arms, oracle) -> IndexError:
-    bad = next(arm for arm in arms if arm not in oracle.arms)
-    return IndexError(f"arm {bad} out of range for {oracle.n_arms} arms")
-
-
 @dataclass(slots=True)
 class MeanRequest:
     """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms`` in
-    each of ``rounds`` rounds, served round after round: the serving order ``arms * rounds``.
+    each of ``rounds`` rounds, served round after round, as :meth:`served` lists them.
 
-    The gate, ``queue_normals``, checks it and draws every round's normals; each arm then
+    Built, it refuses a count below 1 or ``draws`` past the float range and stores its
+    ``cost`` and the ``scale`` ``draws**-0.5 / rounds`` of its normals.  The gate,
+    ``queue_normals``, checks its arms and draws every round's normals; each arm then
     takes its ``rounds * draws`` draws in one sampler call, and the reply lists its mean
     over its rounds, in arm order.  Costs, budget stops and ``prefix`` follow the serving
     order.
@@ -55,24 +56,31 @@ class MeanRequest:
     phase: str = field(default="", kw_only=True)
     rounds: int = field(default=1, kw_only=True)
     cost: int = field(init=False, compare=False)
+    scale: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        self.draws, self.rounds = index(self.draws), index(self.rounds)
-        self.cost = self.draws * len(self.arms) * self.rounds
+        self.draws, self.rounds = draws, rounds = index(self.draws), index(self.rounds)
+        if draws < 1 or rounds < 1:
+            raise ValueError(f"{'draws' if draws < 1 else 'rounds'} must be >= 1")
+        try:
+            scale = draws**-0.5
+        except OverflowError:
+            raise _past_float_range(draws) from None
+        self.scale = scale / rounds
+        self.cost = draws * len(self.arms) * rounds
 
-    def arm_costs(self) -> list[int]:
-        """Draws of each arm, in serving order."""
-        return [self.draws] * (len(self.arms) * self.rounds)
+    def served(self) -> Iterator[tuple[int, int]]:
+        """The ``(arm, draws)`` pairs in serving order: ``arms``, round after round."""
+        return zip(self.arms * self.rounds, repeat(self.draws))
 
     def prefix(self, k: int) -> "MeanRequest":
         """The one-round request over the first ``k`` arms served."""
-        return replace(self, arms=(self.arms * self.rounds)[:k], rounds=1)
+        return replace(self, arms=tuple(arm for arm, _ in islice(self.served(), k)), rounds=1)
 
     def fulfill(self, oracle) -> list[float]:
-        arms, draws = self.arms, self.draws * self.rounds
-        oracle.queue_normals(arms, self.draws, self.rounds)
-        sample_mean = oracle.sample_mean
-        means = [sample_mean(arm, draws) for arm in arms]
+        oracle.queue_normals(self)
+        sample_mean, draws = oracle.sample_mean, self.draws * self.rounds
+        means = [sample_mean(arm, draws) for arm in self.arms]
         oracle.draws_by_phase[self.phase] += self.cost
         return means
 
@@ -82,8 +90,11 @@ class TallyRequest:
     """Ask how many of ``probes[i]`` independent mean-of-``draws`` estimates
     from ``arms[i]`` fall strictly below ``cutoff``, summed over the arms.
 
-    The gate, ``queue_tallies``, checks it and draws every arm's count; one sampler
-    call per arm, in order, takes them.
+    Built, it refuses a count below 1, probes that do not pair one to one with the
+    arms, a NaN cutoff, probes past int64 or ``draws`` past the float range, and stores
+    its ``cost`` and the ``scale`` ``sqrt(draws)`` of its cutoff.  The gate,
+    ``queue_tallies``, checks its arms and draws every arm's count; one sampler call per
+    arm, in order, takes them.
     """
 
     arms: tuple[int, ...]
@@ -92,30 +103,43 @@ class TallyRequest:
     cutoff: float
     phase: str = field(default="", kw_only=True)
     cost: int = field(init=False, compare=False)
+    scale: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        draws, probes = self.draws, self.probes
+        arms, draws, probes = self.arms, self.draws, self.probes
         try:  # numpy ints add up to a numpy float here, where an int sum of them could wrap
             exact = type(draws) is int and type(sum(probes, 0.0)) is float and type(n := sum(probes)) is int
         except OverflowError:  # a count past the float range: taken one by one
             exact = False
         if not exact:
-            self.draws, self.probes = index(draws), tuple(map(index, probes))
-            n = sum(self.probes)
-        self.cost = self.draws * n
+            self.draws, self.probes = draws, probes = index(draws), tuple(map(index, probes))
+            n = sum(probes)
+        if draws < 1 or min(probes) < 1:
+            raise ValueError("draws and probes must be >= 1")
+        if len(probes) != len(arms):
+            raise ValueError(f"a tally needs one probe count per arm, got {len(probes)} for {len(arms)} arms")
+        if math.isnan(self.cutoff):
+            raise ValueError("cutoff must not be NaN")
+        if n >= 2**63 and max(probes) >= 2**63:
+            raise ValueError(f"probes must be within the int64 range, got {max(probes)}")
+        try:
+            self.scale = math.sqrt(draws)
+        except OverflowError:
+            raise _past_float_range(draws) from None
+        self.cost = draws * n
 
-    def arm_costs(self) -> list[int]:
-        """Draws of each arm, in arm order."""
-        return [self.draws * n for n in self.probes]
+    def served(self) -> Iterator[tuple[int, int]]:
+        """The ``(arm, draws)`` pairs in serving order: each arm once, with its probes' draws."""
+        return ((arm, self.draws * n) for arm, n in zip(self.arms, self.probes))
 
     def prefix(self, k: int) -> "TallyRequest":
         """The same request over the first ``k`` arms."""
         return replace(self, arms=self.arms[:k], probes=self.probes[:k])
 
     def fulfill(self, oracle) -> int:
-        arms, draws, probes, cutoff = self.arms, self.draws, self.probes, self.cutoff
-        oracle.queue_tallies(arms, draws, probes, cutoff)
-        below = sum(map(oracle.count_means_below, arms, repeat(draws), probes, repeat(cutoff)))
+        oracle.queue_tallies(self)
+        below = sum(map(oracle.count_means_below, self.arms, repeat(self.draws), self.probes,
+                        repeat(self.cutoff)))
         oracle.draws_by_phase[self.phase] += self.cost
         return below
 
@@ -128,15 +152,15 @@ class SamplingOracle:
     is one list of Python ints, exact at any scale: ``total`` is its sum, ``draws_by_phase``
     splits it by phase, and ``counts`` is a read-only array copy of it.
 
-    Each request passes one gate, :meth:`queue_normals` or :meth:`queue_tallies`.  It
-    refuses a count below 1, a tally whose probes do not pair with its arms, a NaN cutoff,
-    an arm out of range (negative included), ``draws`` past the float range or probes
-    past int64 before anything is charged, drawn or queued; and draws the whole request
-    in serving order: the values and the stream of one scalar call per arm and round,
-    with the joint law of drawing reward by reward (the mean of n draws is N(mu, 1/n)).
-    One sampler call per arm then pops its value and charges the ledger.  A Gaussian is
-    ``mu + scale * z`` with ``z`` from a bound ``rng.standard_normal``, as
-    ``rng.normal(mu, scale)`` computes it, bit for bit.  :meth:`preview` shows the
+    Each request is checked whole when it is built, except for its arms, which only the
+    oracle knows: the gate, :meth:`queue_normals` or :meth:`queue_tallies`, refuses an arm
+    out of range (negative included, :meth:`check_arms`) before anything is charged,
+    drawn or queued, and draws the whole request in serving order: the values and the
+    stream of one scalar call per arm and round, with the joint law of drawing reward by
+    reward (the mean of n draws is N(mu, 1/n)).  One sampler call per arm then pops its
+    value and charges the ledger.  A Gaussian is ``mu + scale * z`` with ``z`` from a
+    bound ``rng.standard_normal``, as ``rng.normal(mu, scale)`` computes it, bit for bit;
+    a tally's counts come from a bound ``rng.binomial``.  :meth:`preview` shows the
     rewards of rounds not yet drawn, without drawing them.
     """
 
@@ -145,9 +169,9 @@ class SamplingOracle:
         if not self._means:
             raise ValueError("oracle needs at least one arm")
         self.rng = np.random.default_rng(seed)
-        self._normal = self.rng.standard_normal
+        self._normal, self._binomial = self.rng.standard_normal, self.rng.binomial
         self._queued = []  # normals or tallies drawn ahead for the next sampler calls, last first
-        self._scale = 1.0  # the scale ``draws**-0.5`` of the queued normals
+        self._scale = 1.0  # the ``scale`` of the request whose normals are queued
         self._counts = [0] * len(self._means)  # the draw ledger, per arm
         self.arms = frozenset(range(len(self._means)))  # the valid arm indices, for range checks
         self.draws_by_phase = defaultdict(int)
@@ -179,28 +203,25 @@ class SamplingOracle:
         """One reward from one arm; increments that arm's counter by one."""
         return self.sample_mean(arm, 1)
 
-    def queue_normals(self, arms, draws: int, rounds: int = 1) -> None:
-        """The gate of ``rounds`` rounds of ``sample_mean(arm, draws)`` over ``arms``: queues
-        their ``z`` at the scale ``draws**-0.5`` (one scalar call for one arm in one round),
-        or each arm's sum over its rounds at ``1 / rounds`` of it."""
-        if draws < 1:
-            raise ValueError("draws must be >= 1")
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
+    def check_arms(self, arms) -> None:
+        """Refuse the first arm of ``arms`` out of range, negative included, with ``IndexError``."""
         if not self.arms.issuperset(arms):
-            raise _out_of_range(arms, self)
-        try:
-            scale = draws**-0.5
-        except OverflowError:
-            raise _past_float_range(draws) from None
+            bad = next(arm for arm in arms if arm not in self.arms)
+            raise IndexError(f"arm {bad} out of range for {self.n_arms} arms")
+
+    def queue_normals(self, request: MeanRequest) -> None:
+        """The gate of a mean request: queues the ``z`` of its arms (one scalar call for one
+        arm in one round), or each arm's sum over its rounds, at the request's ``scale``."""
+        arms, rounds = request.arms, request.rounds
+        if not self.arms.issuperset(arms):  # tested inline: a call per request shows on small requests
+            self.check_arms(arms)
         if rounds != 1:
             self._queued = self._normal((rounds, len(arms))).sum(axis=0)[::-1].tolist()
-            scale /= rounds
         elif len(arms) == 1:
             self._queued = [self._normal()]
         else:
             self._queued = self._normal(len(arms))[::-1].tolist()
-        self._scale = scale
+        self._scale = request.scale
 
     def preview(self, arms, rounds: int) -> np.ndarray:
         """The rewards that the next ``rounds`` one-draw rounds over ``arms`` would give.
@@ -210,39 +231,25 @@ class SamplingOracle:
         not move: the generator's state is restored after the draw.  An arm out of
         range, negative included, raises ``IndexError`` before anything is drawn.
         """
-        if not self.arms.issuperset(arms):
-            raise _out_of_range(arms, self)
+        self.check_arms(arms)
         bit_generator = self.rng.bit_generator
         state = bit_generator.state
         z = self._normal((rounds, len(arms)))
         bit_generator.state = state
         return np.array([self._means[arm] for arm in arms]) + z
 
-    def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> None:
-        """The gate of one ``count_means_below(arm, draws, n, cutoff)`` per arm and its probes
-        ``n``: queues the counts, drawn in one array call from ``TALLY_BATCH`` arms, else one
-        scalar call per arm."""
-        if draws < 1 or min(probes) < 1:
-            raise ValueError("draws and probes must be >= 1")
-        if len(probes) != len(arms):
-            raise ValueError(f"a tally needs one probe count per arm, got {len(probes)} for {len(arms)} arms")
-        if math.isnan(cutoff):
-            raise ValueError("cutoff must not be NaN")
+    def queue_tallies(self, request: TallyRequest) -> None:
+        """The gate of a tally request: queues one count per arm, drawn in one array call
+        from ``TALLY_BATCH`` arms, else one scalar call per arm."""
+        arms, means, cutoff, scale = request.arms, self._means, request.cutoff, request.scale
         if not self.arms.issuperset(arms):
-            raise _out_of_range(arms, self)
-        if sum(probes) >= 2**63 and max(probes) >= 2**63:
-            raise ValueError(f"probes must be within the int64 range, got {max(probes)}")
-        try:
-            scale = math.sqrt(draws)
-        except OverflowError:
-            raise _past_float_range(draws) from None
-        means = self._means
+            self.check_arms(arms)
         # No clamp: 0.5 * erfc(.) lies in [0, 1] for all x, +-inf included.
         ps = [0.5 * math.erfc(-((cutoff - means[arm]) * scale) / _SQRT2) for arm in arms]
         if len(arms) >= TALLY_BATCH:
-            self._queued = self.rng.binomial(probes, ps)[::-1].tolist()
+            self._queued = self._binomial(request.probes, ps)[::-1].tolist()
         else:
-            self._queued = [*map(self.rng.binomial, probes, ps)][::-1]
+            self._queued = [*map(self._binomial, request.probes, ps)][::-1]
 
     def sample_mean(self, arm: int, draws: int) -> float:
         """Empirical mean of ``draws`` fresh rewards from one arm: the next queued normal."""

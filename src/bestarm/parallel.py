@@ -182,7 +182,7 @@ def parallel_simulation(
                 # Known over-count, kept so that ladder outcomes replay: the
                 # other copies are granted draws up to one more serving of the
                 # winner's last arm.
-                stale = (live.oracle.total + request.arm_costs()[-1]) * live.step
+                stale = (live.oracle.total + list(request.served())[-1][1]) * live.step
                 break
             heapq.heapreplace(events, (live.finish_iteration(), live.index))
     except OverflowError:  # as in ``solve``: a delta's float-range failure, named as given
@@ -193,15 +193,16 @@ def parallel_simulation(
     for copy in copies:
         if copy is winner or copy.pending is None:
             continue
-        # The in-flight request's arms through the first one still open at the
-        # stop are granted their draws in serving order (a mean request repeats
-        # its arms round after round), up to ``stale``.
+        # The in-flight request's arms, in serving order, are granted their draws
+        # up to ``stale``, through the first arm still open at the stop (where
+        # ``room``, the grants up to the stop, runs out).
         consumed = copy.oracle.total
-        fit, through = split_at_cap(copy.pending, copy.grants(stop_iter, winner.index) - consumed)
-        granted = min(copy.grants(stale, winner.index) - consumed, through)
-        served = itertools.islice(itertools.cycle(copy.pending.arms), fit + 1)
-        for arm, cost in zip(served, copy.pending.arm_costs()):
+        room = copy.grants(stop_iter, winner.index) - consumed
+        granted = copy.grants(stale, winner.index) - consumed
+        for arm, cost in copy.pending.served():
             per_arm[arm] += min(max(granted, 0), cost)
-            granted -= cost
+            granted, room = granted - cost, room - cost
+            if room < 0:
+                break
     # A winner stopped by its budget never returned, so its result is None.
     return make_outcome(winner.result, per_arm)

@@ -18,7 +18,8 @@ stream where it was, and asks for the rounds up to the first at which an
 arm drops, as one ``MeanRequest`` over its survivors with ``rounds`` set.
 Budget stops stay per arm and round: :meth:`PlanRun.advance`, the one
 serving step of every plan driver, serves a request that would cross the
-sample cap only up to its last arm that fits, in serving order.
+sample cap only up to its last arm that fits, in serving order, and only
+once the oracle has checked its arms: a budget never hides a refusal.
 
 Ties are broken toward the arm listed first, so callers control tie order
 through the member sequence.
@@ -44,12 +45,12 @@ def split_at_cap(request, room: int):
     the draws up to and including the first arm that does not.  A request
     that fits as a whole gives the length of its serving order and its cost.
     """
-    through, costs = 0, request.arm_costs()
-    for k, cost in enumerate(costs):
+    through = k = 0
+    for k, (_, cost) in enumerate(request.served(), 1):
         through += cost
         if through > room:
-            return k, through
-    return len(costs), through
+            return k - 1, through
+    return k, through
 
 
 class PlanRun:
@@ -66,10 +67,12 @@ class PlanRun:
 
     def advance(self) -> None:
         """Fulfil ``pending`` and resume the plan with the reply.  A request that would take the
-        oracle's total past ``budget`` is served up to its last arm that fits; the plan is then
-        closed and BudgetExceededError raised."""
+        oracle's total past ``budget`` has its arms checked first, so that a budget never turns a
+        refusal into a stop; it is then served up to its last arm that fits, the plan is closed
+        and BudgetExceededError raised.  Every other refusal came when the request was built."""
         request, oracle, budget = self.pending, self.oracle, self.budget
         if budget is not None and oracle.total + request.cost > budget:
+            oracle.check_arms(request.arms)
             fit, _ = split_at_cap(request, budget - oracle.total)
             if fit:
                 request.prefix(fit).fulfill(oracle)

@@ -16,30 +16,15 @@ def copy_seed(seed, k: int) -> np.random.SeedSequence:
 class DeterministicOracle(SamplingOracle):
     """Variance-0 oracle: every reward equals the arm mean.
 
-    Every request and preview passes the oracle's own gate, so the double refuses,
-    charges and counts exactly as :class:`SamplingOracle` does.  What the gate draws is
-    thrown away and the generator put back, so arm picks and shuffles see the same stream.
+    The oracle's generator calls for rewards and tallies are swapped for stand-ins that
+    return zeros and leave the generator alone, so the double refuses, charges and counts
+    exactly as :class:`SamplingOracle` does, and arm picks and shuffles see the same stream.
     """
 
-    def preview(self, arms, rounds: int) -> np.ndarray:
-        super().preview(arms, rounds)  # refuses as the oracle does; moves nothing
-        return np.tile([self._means[arm] for arm in arms], (rounds, 1))
-
-    def queue_normals(self, arms, draws: int, rounds: int = 1) -> None:
-        self._unmoved(super().queue_normals, arms, draws, rounds)
-
-    def queue_tallies(self, arms, draws: int, probes, cutoff: float) -> None:
-        self._unmoved(super().queue_tallies, arms, draws, probes, cutoff)
-
-    def _unmoved(self, gate, *request) -> None:
-        """``gate(*request)``, with the generator put back where it was."""
-        state = self.rng.bit_generator.state
-        gate(*request)
-        self.rng.bit_generator.state = state
-
-    def sample_mean(self, arm: int, draws: int) -> float:
-        super().sample_mean(arm, draws)
-        return self._means[arm]
+    def __init__(self, means, seed=0):
+        super().__init__(means, seed)
+        self._normal = lambda size=None: 0.0 if size is None else np.zeros(size)
+        self._binomial = lambda probes, ps: np.zeros_like(probes)
 
     def count_means_below(self, arm: int, draws: int, probes: int, cutoff: float) -> int:
         super().count_means_below(arm, draws, probes, cutoff)

@@ -289,11 +289,11 @@ def test_a_request_of_several_rounds_is_served_as_its_flat_request(
     arms = tuple(arms[:k])
     block = MeanRequest(arms, draws, rounds=rounds, phase="baseline")
     flat = MeanRequest(arms * rounds, draws, phase="baseline")
-    assert (block.cost, block.arm_costs()) == (flat.cost, flat.arm_costs())
+    assert (block.cost, list(block.served())) == (flat.cost, list(flat.served()))
     n = len(flat.arms)
     for fit in range(n + 2):  # every head a budget stop can serve
         assert block.prefix(fit) == flat.prefix(fit)
-    # split_at_cap reads only arm_costs (equal above) and takes O(fit) time: every fit of
+    # split_at_cap reads only served (equal above) and takes O(fit) time: every fit of
     # a request under 64 entries, else about 64 spread evenly, and the ends; each room
     # from fit * draws to (fit + 1) * draws - 1 splits as fit * draws does
     for fit in {*range(0, n + 2, 1 + n // 64), n - 1, n, n + 1}:
@@ -355,7 +355,7 @@ def test_batched_tally_counts_reach_each_arm():
     oracle = SamplingOracle([0.0] * TALLY_BATCH, seed=1)
     twin = np.random.default_rng(1)
     probes = tuple(range(1, TALLY_BATCH + 1))
-    oracle.queue_tallies(range(TALLY_BATCH), 4, probes, 0.3)
+    oracle.queue_tallies(TallyRequest(tuple(range(TALLY_BATCH)), 4, probes, 0.3))
     calls = [oracle.count_means_below(arm, 4, n, 0.3) for arm, n in enumerate(probes)]
     assert calls == [twin.binomial(n, _tally_p(0.0, 4, 0.3)) for n in probes]
 
@@ -378,9 +378,8 @@ def test_refused_tally_request_draws_nothing(draws, last_probe):
     k = TALLY_BATCH + 1
     oracle = SamplingOracle([0.1] * k, seed=4)
     state = oracle.rng.bit_generator.state
-    request = TallyRequest(tuple(range(k)), draws, (3,) * (k - 1) + (last_probe,), 0.2)
     with pytest.raises(ValueError, match="draws and probes must be >= 1"):
-        request.fulfill(oracle)
+        TallyRequest(tuple(range(k)), draws, (3,) * (k - 1) + (last_probe,), 0.2).fulfill(oracle)
     assert oracle.rng.bit_generator.state == state
     assert oracle._queued == [] and oracle.total == 0
 
@@ -470,22 +469,23 @@ _tally_requests = _ledger_arms.flatmap(lambda arms: st.builds(
     st.floats(-2.0, 2.0),
     phase=st.sampled_from(["frac", "elim"]),
 ))
+# Malformed requests, built inside each test: most are refused by their constructor.
 REFUSED_REQUESTS = [
-    MeanRequest((0, LEDGER_ARMS), 3, phase="med"),  # the arm past the last one
-    MeanRequest((1, -1), 3, phase="med", rounds=2),
-    MeanRequest((1, 2), 0, phase="med"),
-    TallyRequest((0, LEDGER_ARMS), 2, (5, 5), 0.5, phase="frac"),
-    TallyRequest((-1, 0), 2, (5, 5), 0.5, phase="frac"),
-    TallyRequest(tuple(range(LEDGER_ARMS)) + (LEDGER_ARMS,), 2, (5,) * (LEDGER_ARMS + 1), 0.5),
-    TallyRequest((0, 1), 2, (5, 0), 0.5, phase="elim"),
-    TallyRequest((0, 1), 2, (5, 5), float("nan"), phase="elim"),
-    MeanRequest((0, 1), 2**1100, phase="anchor"),
-    TallyRequest((0, 1), 2**1100, (3, 4), 0.0, phase="frac"),
-    TallyRequest((0, 1), 1, (3, 2**64), 0.0, phase="frac"),
-    TallyRequest(tuple(range(LEDGER_ARMS)), 1, (3,) * (LEDGER_ARMS - 1) + (2**64,), 0.0, phase="elim"),
-    TallyRequest((0, 1, 2), 4, (5, 5), 0.0, phase="frac"),  # an arm without probes
-    TallyRequest(tuple(range(TALLY_BATCH)), 2, (5,) * (TALLY_BATCH - 1), 0.5, phase="elim"),
-    TallyRequest((0, 1), 4, (5, 5, 5), 0.0, phase="frac"),  # probes without an arm
+    lambda: MeanRequest((0, LEDGER_ARMS), 3, phase="med"),  # the arm past the last one
+    lambda: MeanRequest((1, -1), 3, phase="med", rounds=2),
+    lambda: MeanRequest((1, 2), 0, phase="med"),
+    lambda: TallyRequest((0, LEDGER_ARMS), 2, (5, 5), 0.5, phase="frac"),
+    lambda: TallyRequest((-1, 0), 2, (5, 5), 0.5, phase="frac"),
+    lambda: TallyRequest(tuple(range(LEDGER_ARMS)) + (LEDGER_ARMS,), 2, (5,) * (LEDGER_ARMS + 1), 0.5),
+    lambda: TallyRequest((0, 1), 2, (5, 0), 0.5, phase="elim"),
+    lambda: TallyRequest((0, 1), 2, (5, 5), float("nan"), phase="elim"),
+    lambda: MeanRequest((0, 1), 2**1100, phase="anchor"),
+    lambda: TallyRequest((0, 1), 2**1100, (3, 4), 0.0, phase="frac"),
+    lambda: TallyRequest((0, 1), 1, (3, 2**64), 0.0, phase="frac"),
+    lambda: TallyRequest(tuple(range(LEDGER_ARMS)), 1, (3,) * (LEDGER_ARMS - 1) + (2**64,), 0.0, phase="elim"),
+    lambda: TallyRequest((0, 1, 2), 4, (5, 5), 0.0, phase="frac"),  # an arm without probes
+    lambda: TallyRequest(tuple(range(TALLY_BATCH)), 2, (5,) * (TALLY_BATCH - 1), 0.5, phase="elim"),
+    lambda: TallyRequest((0, 1), 4, (5, 5, 5), 0.0, phase="frac"),  # probes without an arm
 ]
 # Direct sampler calls, with Python or numpy-int counts: each is served as its one-arm request.
 _arm = st.integers(0, LEDGER_ARMS - 1)
@@ -519,7 +519,7 @@ def test_total_phases_and_ledger_agree_after_any_mix_of_requests(seed, steps):
                 getattr(oracle, sampler)(*args)
             else:
                 with pytest.raises((ValueError, IndexError)):
-                    request.fulfill(oracle)
+                    request().fulfill(oracle)
             assert oracle.total == sum(oracle.draws_by_phase.values())
         ledger, phases = oracle.snapshot(), list(oracle.draws_by_phase.values())
         assert oracle.total == sum(ledger) == sum(phases)
@@ -530,7 +530,7 @@ def test_total_phases_and_ledger_agree_after_any_mix_of_requests(seed, steps):
 # drawn or queued; a direct sampler call on a negative arm is refused the same way.
 @pytest.mark.parametrize("kind", [SamplingOracle, DeterministicOracle])
 @pytest.mark.parametrize("refuse", [
-    *(request.fulfill for request in REFUSED_REQUESTS),
+    *(lambda oracle, build=build: build().fulfill(oracle) for build in REFUSED_REQUESTS),
     lambda oracle: oracle.sample_mean(-1, 5),
     lambda oracle: oracle.count_means_below(-1, 1, 3, 0.0),
 ], ids=[*(f"refused-{i}" for i in range(len(REFUSED_REQUESTS))),
@@ -546,6 +546,48 @@ def test_every_refusal_leaves_both_oracle_kinds_as_they_were(kind, refuse):
     assert oracle._queued == []
     with pytest.raises(type(refused.value), match=f"^{re.escape(str(refused.value))}$"):
         refuse(reference)
+
+
+# A budget never turns a refusal into a budget stop: a malformed request, built inside
+# its plan, is refused by ``run_plan`` with the error it gets without a cap, and nothing
+# is served, charged or drawn first.
+def _one_request_plan(build):
+    return (yield build())
+
+
+def _refusal(kind, means, build, budget):
+    """``run_plan``'s refusal of the plan of ``build()`` under ``budget``, as (type, message),
+    once it is checked to have left a fresh oracle of ``kind`` as it was."""
+    oracle = kind(means, seed=3)
+    state = oracle.rng.bit_generator.state
+    with pytest.raises((ValueError, IndexError)) as refused:
+        run_plan(_one_request_plan(build), oracle, budget)
+    assert (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase)) == (
+        state, [0] * len(means), {})
+    assert oracle._queued == []
+    return type(refused.value), str(refused.value)
+
+
+@pytest.mark.parametrize("kind", [SamplingOracle, DeterministicOracle])
+@pytest.mark.parametrize("build, budget, refusal", [  # under each budget, a head of the request fits
+    (lambda: TallyRequest((0, 1, 2), 4, (5, 5), 0.0), 30,
+     (ValueError, "a tally needs one probe count per arm, got 2 for 3 arms")),
+    (lambda: TallyRequest((0, 1), 2, (5, 2**64), 0.0), 30,
+     (ValueError, f"probes must be within the int64 range, got {2**64}")),
+    (lambda: MeanRequest((0, 7), 5), 7, (IndexError, "arm 7 out of range for 3 arms")),
+], ids=["arm-without-probes", "probes-past-int64", "arm-out-of-range"])
+def test_a_budget_never_turns_a_refusal_into_a_stop(kind, build, budget, refusal):
+    means = [0.1, 0.2, 0.3]
+    assert _refusal(kind, means, build, None) == _refusal(kind, means, build, budget) == refusal
+
+
+@pytest.mark.parametrize("kind", [SamplingOracle, DeterministicOracle])
+@pytest.mark.parametrize("budget", [0, 1])
+@pytest.mark.parametrize("build", REFUSED_REQUESTS,
+                         ids=[f"refused-{i}" for i in range(len(REFUSED_REQUESTS))])
+def test_every_refused_request_is_refused_alike_under_any_budget(kind, budget, build):
+    means = [arm / LEDGER_ARMS for arm in range(LEDGER_ARMS)]
+    assert _refusal(kind, means, build, budget) == _refusal(kind, means, build, None)
 
 
 def test_fulfilled_requests_charge_their_phase_once_all_draws_are_taken():
@@ -709,8 +751,9 @@ def test_numpy_integer_counts_keep_the_ledger_exact_past_int64():
 ], ids=["mean", "mean-numpy-rounds", "tally", "tally-numpy-draws"])
 def test_numpy_integer_counts_cost_exact_ints_and_stop_at_the_budget(request_):
     # as numpy ints, the cost would wrap to -2**63 and pass any cap
-    assert request_.cost == sum(request_.arm_costs()) == 2**63
-    assert all(type(n) is int for n in [request_.cost, *request_.arm_costs()])
+    costs = [cost for _, cost in request_.served()]
+    assert request_.cost == sum(costs) == 2**63
+    assert all(type(n) is int for n in [request_.cost, *costs])
     oracle = SamplingOracle([0.1, 0.2], seed=2)
     with pytest.raises(BudgetExceededError):
         run_one_request(request_, oracle, budget=10)

@@ -91,7 +91,7 @@ def reference_ladder(instance, delta, inner, *, seed, budget=None):
             if budget is not None and copy.oracle.total + copy.pending.cost > budget:
                 # the arms that fit, then the first arm that crosses
                 fit, through = 0, copy.oracle.total
-                for cost in copy.pending.arm_costs():
+                for _, cost in copy.pending.served():
                     through += cost
                     if through > budget:
                         break
@@ -518,7 +518,7 @@ def test_grant_ledger_matches_draw_by_draw_reference(scripts, seed):
             granted[arm] += int(count)
         if copy.pending is not None:  # grants toward it go to its arms in order
             left = copy.progress
-            for arm, cost in zip(copy.pending.arms, copy.pending.arm_costs()):
+            for arm, cost in copy.pending.served():
                 granted[arm] += min(left, cost)
                 left -= min(left, cost)
     assert out.total_samples == sum(c.granted for c in copies)
