@@ -12,6 +12,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 
 @dataclass(frozen=True)
@@ -55,16 +56,11 @@ class Instance:
         means = self.means
         best = self.best_arm
         top = means[best]
-        groups: list[int | None] = []
-        for i, m in enumerate(means):
-            groups.append(None if i == best else group_index(top - m))
         gaps = tuple(sorted(top - m for i, m in enumerate(means) if i != best))
-
-        by_group: dict[int, list[float]] = {}
-        for g in gaps:
-            by_group.setdefault(group_index(g), []).append(g)
         try:
-            Hk = {k: math.fsum(g**-2 for g in sorted(gs)) for k, gs in sorted(by_group.items())}
+            # Descending gaps meet each group once, in ascending group index; fsum rounds
+            # exactly, so a group's order of terms cannot change its H_k.
+            Hk = {k: math.fsum(g**-2 for g in gs) for k, gs in groupby(reversed(gaps), group_index)}
             H = math.fsum(Hk.values())
         except OverflowError:
             raise ValueError(f"smallest gap {gaps[0]!r} too small: H overflows a float") from None
@@ -72,7 +68,6 @@ class Instance:
         ent = _entropy(pk.values())
         return GapProfile(
             gaps=gaps,
-            groups=tuple(groups),
             H=H,
             Hk=Hk,
             pk=pk,
@@ -85,16 +80,14 @@ class Instance:
 class GapProfile:
     """Derived gap statistics of an instance.
 
-    ``gaps`` holds the sub-optimal gaps in ascending order.  ``groups`` maps
-    each arm (in instance order) to its gap-group index, with ``None`` for
-    the best arm.  ``H`` is the total complexity (sum of inverse squared
-    gaps), ``Hk``/``pk`` the per-group complexities and their normalised
-    masses, ``ent`` the Shannon entropy of ``pk`` and ``r_max`` the largest
-    nonempty group index.
+    ``gaps`` holds the sub-optimal gaps in ascending order.  ``H`` is the
+    total complexity (sum of inverse squared gaps), ``Hk``/``pk`` the
+    per-group complexities (by :func:`group_index` of the gap) and their
+    normalised masses, ``ent`` the Shannon entropy of ``pk`` and ``r_max``
+    the largest nonempty group index.
     """
 
     gaps: tuple[float, ...]
-    groups: tuple[int | None, ...]
     H: float
     Hk: dict[int, float]
     pk: dict[int, float]

@@ -30,6 +30,7 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 TALLY_BATCH = 16  # fewest arms of a tally drawn in one array call: the measured break-even
+_NO_ARMS = "a request needs at least one arm"  # no plan yields one
 
 
 def _past_float_range(draws: int) -> ValueError:
@@ -43,7 +44,8 @@ class MeanRequest:
     """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms`` in
     each of ``rounds`` rounds, served round after round, as :meth:`served` lists them.
 
-    Built, it refuses a count below 1 or ``draws`` past the float range and stores its
+    Built, it refuses no arms, a count below 1, ``rounds`` past what one int64-indexed
+    array of normals holds over the arms, or ``draws`` past the float range, and stores its
     ``cost`` and the ``scale`` ``draws**-0.5 / rounds`` of its normals.  The gate,
     ``queue_normals``, checks its arms and draws every round's normals; each arm then
     takes its ``rounds * draws`` draws in one sampler call, and the reply lists its mean
@@ -59,9 +61,13 @@ class MeanRequest:
     scale: float = field(init=False, compare=False)
 
     def __post_init__(self):
+        if not self.arms:
+            raise ValueError(_NO_ARMS)
         self.draws, self.rounds = draws, rounds = index(self.draws), index(self.rounds)
         if draws < 1 or rounds < 1:
             raise ValueError(f"{'draws' if draws < 1 else 'rounds'} must be >= 1")
+        if rounds != 1 and rounds * len(self.arms) >= 2**63:  # past one normals array's index
+            raise ValueError(f"rounds * len(arms) must be below 2**63, got {rounds.bit_length()}-bit rounds")
         try:
             scale = draws**-0.5
         except OverflowError:
@@ -90,7 +96,7 @@ class TallyRequest:
     """Ask how many of ``probes[i]`` independent mean-of-``draws`` estimates
     from ``arms[i]`` fall strictly below ``cutoff``, summed over the arms.
 
-    Built, it refuses a count below 1, probes that do not pair one to one with the
+    Built, it refuses no arms, a count below 1, probes that do not pair one to one with the
     arms, a NaN cutoff, probes past int64 or ``draws`` past the float range, and stores
     its ``cost`` and the ``scale`` ``sqrt(draws)`` of its cutoff.  The gate,
     ``queue_tallies``, checks its arms and draws every arm's count; one sampler call per
@@ -107,14 +113,16 @@ class TallyRequest:
 
     def __post_init__(self):
         arms, draws, probes = self.arms, self.draws, self.probes
+        if not arms:
+            raise ValueError(_NO_ARMS)
         try:  # numpy ints add up to a numpy float here, where an int sum of them could wrap
             exact = type(draws) is int and type(sum(probes, 0.0)) is float and type(n := sum(probes)) is int
-        except OverflowError:  # a count past the float range: taken one by one
+        except (OverflowError, TypeError):  # past the float range, or not a number: taken one by one
             exact = False
         if not exact:
             self.draws, self.probes = draws, probes = index(draws), tuple(map(index, probes))
             n = sum(probes)
-        if draws < 1 or min(probes) < 1:
+        if draws < 1 or min(probes or (1,)) < 1:  # no probes: refused as unpaired, below
             raise ValueError("draws and probes must be >= 1")
         if len(probes) != len(arms):
             raise ValueError(f"a tally needs one probe count per arm, got {len(probes)} for {len(arms)} arms")

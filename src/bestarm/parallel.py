@@ -14,11 +14,11 @@ between those completion events reproduces the per-draw schedule precisely,
 because a copy blocked inside a batched request makes no decisions until
 the batch completes.
 
-Events are ordered by a binary heap of ``(finish_iteration, index)``
-entries, one per spawned copy, so selecting the next event and re-keying
-the copy just served cost O(log K) for K copies.  Equal finish iterations
-go to the lower copy index, which is the order in which the per-draw
-schedule serves copies within one iteration.
+Events are ordered by a binary heap of ``(due iteration, k)`` entries, one
+per spawned copy, so selecting the next event and re-keying the copy just
+served cost O(log K) for K copies.  Equal due iterations go to the lower
+copy k, which is the order in which the per-draw schedule serves copies
+within one iteration.
 
 Copy k's generator is seeded exactly as ``SeedSequence(seed, spawn_key=(k - 1,))``
 seeds it, from seed words derived once per run: the base seed is mixed once, and
@@ -89,35 +89,6 @@ def _copy_seeds(seed):
         yield from map(_SeedWords, state.T.astype("<u4", order="C").view("<u8").astype(np.uint64))
 
 
-class _Copy(PlanRun):
-    __slots__ = ("index", "step")
-
-    def __init__(self, index, oracle, plan, budget):
-        self.index, self.step = index, 1 << (index - 1)  # step: iterations between two draw grants
-        super().__init__(plan, oracle, budget)
-
-    def finish_iteration(self) -> int:
-        """Iteration at which the pending request (or termination) falls due.
-
-        A request that would cross the budget falls due at the end of its
-        first arm that crosses.
-        """
-        if self.pending is None:  # returned at spawn, before any draw
-            return self.step
-        consumed, budget = self.oracle.total, self.budget
-        due = self.pending.cost if budget is None else split_at_cap(self.pending, budget - consumed)[1]
-        return (consumed + due) * self.step
-
-    def grants(self, stop: int, winner: int) -> int:
-        """Draws granted up to iteration ``stop``: one per multiple of the
-        stride, in the stop iteration itself only for copies served before
-        the winner (a smaller index)."""
-        granted = (stop - 1) // self.step
-        if stop % self.step == 0 and self.index < winner:
-            granted += 1
-        return granted
-
-
 def parallel_simulation(
     instance: Instance,
     delta: float,
@@ -150,17 +121,27 @@ def parallel_simulation(
         inner = complexity_guessing_plan
 
     seeds = _copy_seeds(seed)  # its first ``next`` refuses a bad seed, before any copy exists
-    copies: list[_Copy] = []
-    events: list[tuple[int, int]] = []  # heap of (finish_iteration, index)
+    copies: list[PlanRun] = []  # copy k at copies[k - 1]
+    events: list[tuple[int, int]] = []  # heap of (due iteration, k)
+
+    def due(k: int) -> int:
+        """The iteration at which copy k's pending request, or its return, falls due: its
+        draws so far plus the request's cost, or under a budget the draws through its
+        first arm that crosses, granted one every 2^(k-1) iterations."""
+        copy = copies[k - 1]
+        if (request := copy.pending) is None:  # returned at spawn, before any draw
+            return 1 << (k - 1)
+        consumed = copy.oracle.total
+        cost = request.cost if budget is None else split_at_cap(request, budget - consumed)[1]
+        return (consumed + cost) << (k - 1)
 
     def spawn() -> None:
         k = len(copies) + 1
         if not (delta_k := delta / 2.0**k):  # underflowed: a float-range error
             raise OverflowError("copy delta underflowed to 0")
         oracle = SamplingOracle.for_instance(instance, seed=next(seeds))
-        copy = _Copy(k, oracle, inner(oracle, instance, delta_k), budget)
-        copies.append(copy)
-        heapq.heappush(events, (copy.finish_iteration(), k))
+        copies.append(PlanRun(inner(oracle, instance, delta_k), oracle, budget))
+        heapq.heappush(events, (due(k), k))
 
     try:
         spawn()
@@ -169,9 +150,9 @@ def parallel_simulation(
             # could still beat it, so materialize those lazily.
             while (1 << len(copies)) <= events[0][0]:
                 spawn()
-            stop_iter, index = events[0]
+            stop_iter, winner = events[0]  # the copy due next: the winner once the loop ends
             stale = stop_iter  # where grants to the other copies end; see below
-            live = copies[index - 1]
+            live = copies[winner - 1]
             if (request := live.pending) is None:
                 break
             try:
@@ -182,27 +163,27 @@ def parallel_simulation(
                 # Known over-count, kept so that ladder outcomes replay: the
                 # other copies are granted draws up to one more serving of the
                 # winner's last arm.
-                stale = (live.oracle.total + list(request.served())[-1][1]) * live.step
+                stale = (live.oracle.total + list(request.served())[-1][1]) << (winner - 1)
                 break
-            heapq.heapreplace(events, (live.finish_iteration(), live.index))
+            heapq.heapreplace(events, (due(winner), winner))
     except OverflowError:  # as in ``solve``: a delta's float-range failure, named as given
         raise ValueError(f"delta {delta!r} too small: a derived value left the float range") from None
-    winner = live
     # Python-int sums: the ledger is exact where an int64 sum would wrap.
     per_arm = [sum(column) for column in zip(*(c.oracle.snapshot() for c in copies))]
-    for copy in copies:
-        if copy is winner or copy.pending is None:
+    for k, copy in enumerate(copies, 1):
+        if k == winner or copy.pending is None:
             continue
-        # The in-flight request's arms, in serving order, are granted their draws
-        # up to ``stale``, through the first arm still open at the stop (where
+        # Copy k's grants by iteration i are (i - (k > winner)) >> (k - 1): one per
+        # multiple of 2^(k-1), in iteration i itself only if k is served before the
+        # winner.  The in-flight request's arms, in serving order, are granted their
+        # draws up to ``stale``, through the first arm still open at the stop (where
         # ``room``, the grants up to the stop, runs out).
         consumed = copy.oracle.total
-        room = copy.grants(stop_iter, winner.index) - consumed
-        granted = copy.grants(stale, winner.index) - consumed
+        room, granted = (((i - (k > winner)) >> (k - 1)) - consumed for i in (stop_iter, stale))
         for arm, cost in copy.pending.served():
             per_arm[arm] += min(max(granted, 0), cost)
             granted, room = granted - cost, room - cost
             if room < 0:
                 break
     # A winner stopped by its budget never returned, so its result is None.
-    return make_outcome(winner.result, per_arm)
+    return make_outcome(live.result, per_arm)

@@ -116,7 +116,6 @@ class TestProfile:
         assert p.ent == pytest.approx(0.6365141682948128, rel=1e-12)
         # max nonempty group: the 0.25 gap sits in group 2
         assert p.r_max == 2
-        assert p.groups == (None, 1, 1, 2)
 
     def test_single_group_has_zero_entropy(self):
         p = profile(Instance.from_means((1.0, 0.5)))

@@ -180,6 +180,35 @@ def test_a_count_past_the_float_range_is_refused_before_any_charge(refused, mess
     assert oracle._queued == []
 
 
+# An empty request is refused alike by both request kinds, before any other check, and
+# ``rounds`` by name once ``rounds * len(arms)`` is past what one int64-indexed array of
+# normals holds.
+@pytest.mark.parametrize("build, message", [
+    (lambda: MeanRequest((), 5, phase="x"), "a request needs at least one arm"),
+    (lambda: MeanRequest((), 0, rounds=2**70), "a request needs at least one arm"),
+    (lambda: TallyRequest((), 1, (), 0.0), "a request needs at least one arm"),
+    (lambda: TallyRequest((), 0, (0,), math.nan), "a request needs at least one arm"),
+    (lambda: TallyRequest((0,), 1, (), 0.0), "a tally needs one probe count per arm, got 0 for 1 arms"),
+    (lambda: MeanRequest((0,), 1, rounds=2**1100), r"rounds \* len\(arms\) must be below 2\*\*63, got 1101-bit"),
+    (lambda: MeanRequest((0,), 1, rounds=2**63), r"rounds \* len\(arms\) must be below 2\*\*63, got 64-bit"),
+    (lambda: MeanRequest((0, 1), 1, rounds=2**62), r"rounds \* len\(arms\) must be below 2\*\*63"),
+], ids=["mean", "mean-before-counts", "tally", "tally-before-counts", "tally-no-probes",
+        "rounds-2**1100", "rounds-2**63", "rounds-2**62-on-two-arms"])
+def test_empty_requests_and_rounds_past_int64_are_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
+def test_rounds_just_inside_int64_build_with_their_exact_cost():
+    request = MeanRequest((0, 1), 3, rounds=2**62 - 1)
+    assert request.cost == 3 * 2 * (2**62 - 1) and request.scale == 3**-0.5 / (2**62 - 1)
+
+
+def test_a_probe_count_that_is_not_a_number_is_refused_as_not_an_integer():
+    with pytest.raises(TypeError, match="'str' object cannot be interpreted as an integer"):
+        TallyRequest((0, 1), 1, (3, "4"), 0.0)
+
+
 def test_direct_sample_mean_after_a_request_draws_fresh():
     oracle = SamplingOracle([0.1, 0.2], seed=5)
     twin = np.random.default_rng(5)
@@ -291,8 +320,11 @@ def test_a_request_of_several_rounds_is_served_as_its_flat_request(
     flat = MeanRequest(arms * rounds, draws, phase="baseline")
     assert (block.cost, list(block.served())) == (flat.cost, list(flat.served()))
     n = len(flat.arms)
-    for fit in range(n + 2):  # every head a budget stop can serve
+    for fit in range(1, n + 2):  # every head a budget stop can serve
         assert block.prefix(fit) == flat.prefix(fit)
+    for request in (block, flat):  # a head of no arms is no request: a stop there serves none
+        with pytest.raises(ValueError, match="a request needs at least one arm"):
+            request.prefix(0)
     # split_at_cap reads only served (equal above) and takes O(fit) time: every fit of
     # a request under 64 entries, else about 64 spread evenly, and the ends; each room
     # from fit * draws to (fit + 1) * draws - 1 splits as fit * draws does
@@ -486,6 +518,10 @@ REFUSED_REQUESTS = [
     lambda: TallyRequest((0, 1, 2), 4, (5, 5), 0.0, phase="frac"),  # an arm without probes
     lambda: TallyRequest(tuple(range(TALLY_BATCH)), 2, (5,) * (TALLY_BATCH - 1), 0.5, phase="elim"),
     lambda: TallyRequest((0, 1), 4, (5, 5, 5), 0.0, phase="frac"),  # probes without an arm
+    lambda: MeanRequest((), 5, phase="x"),  # no arms
+    lambda: TallyRequest((), 1, (), 0.0),
+    lambda: MeanRequest((0,), 1, phase="med", rounds=2**1100),  # rounds past one normals array
+    lambda: MeanRequest((0,), 1, phase="med", rounds=2**63),
 ]
 # Direct sampler calls, with Python or numpy-int counts: each is served as its one-arm request.
 _arm = st.integers(0, LEDGER_ARMS - 1)
