@@ -4,17 +4,24 @@ A request names an ordered tuple of arms and is served in order, round after rou
 so the RNG stream and the draw counters advance exactly as one request per arm and
 round would; ``served()`` yields that order as ``(arm, draws)`` pairs.
 :class:`MeanRequest` asks for empirical means, :class:`TallyRequest` for probe counts
-below a cutoff.  A request is checked whole when it is built: it takes its counts as
-exact Python ints (numpy ints included; a count that is not an integer raises
-``TypeError``), refuses every value it can judge on its own with a ``ValueError``, and
-stores its ``cost``, the draws it takes, and the ``scale`` its draws need.  Only its
-arms wait for the oracle, whose :meth:`SamplingOracle.check_arms` refuses an arm out
-of range.  Fulfilling it takes three steps: the oracle's gate (``queue_normals`` or
+below a cutoff.  A request is checked whole when it is built: it takes its arms and
+counts as exact Python ints (numpy ints included; an arm or count that is not an
+integer raises ``TypeError``, as a float equal to an arm index would pass the range
+check), refuses every value it can judge on its own with a ``ValueError``, and stores
+its ``cost``, the draws it takes, and the ``scale`` its draws need.  Only its arms'
+range waits for the oracle, whose :meth:`SamplingOracle.check_arms` refuses an arm
+out of range.  Fulfilling it takes three steps: the oracle's gate (``queue_normals`` or
 ``queue_tallies``) checks the arms and draws the request whole; one sampler call per
 listed arm takes that arm's draws of every round at once; the draws go to the
 request's ``phase`` (``med``, ``anchor``, ``frac``, ``elim``, ``baseline``; ``""`` by
 default) in the oracle's ``draws_by_phase``.  A sampler called on its own is its
 one-arm request, so every draw has a phase and ``total == sum(draws_by_phase.values())``.
+
+:meth:`SamplingOracle.preview` draws a block of rounds ahead and holds it: the mean
+request over the same arms and rounds that follows takes those normals instead of
+drawing them again, and any other use of the generator first rewinds it to where the
+preview found it.  A held block is at most ``rounds * len(arms)`` floats (for the
+baseline, ``BASELINE_BLOCK * len(arms)``), one per oracle.
 """
 
 from __future__ import annotations
@@ -63,6 +70,8 @@ class MeanRequest:
     def __post_init__(self):
         if not self.arms:
             raise ValueError(_NO_ARMS)
+        if type(sum(self.arms)) is not int:  # taken one by one, a float equal to an arm is refused
+            self.arms = tuple(map(index, self.arms))
         self.draws, self.rounds = draws, rounds = index(self.draws), index(self.rounds)
         if draws < 1 or rounds < 1:
             raise ValueError(f"{'draws' if draws < 1 else 'rounds'} must be >= 1")
@@ -115,6 +124,8 @@ class TallyRequest:
         arms, draws, probes = self.arms, self.draws, self.probes
         if not arms:
             raise ValueError(_NO_ARMS)
+        if type(sum(arms)) is not int:  # taken one by one, a float equal to an arm is refused
+            self.arms = tuple(map(index, arms))
         try:  # numpy ints add up to a numpy float here, where an int sum of them could wrap
             exact = type(draws) is int and type(sum(probes, 0.0)) is float and type(n := sum(probes)) is int
         except (OverflowError, TypeError):  # past the float range, or not a number: taken one by one
@@ -156,9 +167,10 @@ class SamplingOracle:
     """Draws unit-variance Gaussian rewards for one solver run and counts every draw per arm.
 
     Both the reward draws and the algorithm-internal randomness (arm picks, shuffles)
-    consume ``self.rng``, so a single seed replays an entire run bit for bit.  The ledger
-    is one list of Python ints, exact at any scale: ``total`` is its sum, ``draws_by_phase``
-    splits it by phase, and ``counts`` is a read-only array copy of it.
+    consume one generator, read as ``self.rng``, so a single seed replays an entire run
+    bit for bit.  The ledger is one list of Python ints, exact at any scale: ``total`` is
+    its sum, ``draws_by_phase`` splits it by phase, and ``counts`` is a read-only array
+    copy of it.
 
     Each request is checked whole when it is built, except for its arms, which only the
     oracle knows: the gate, :meth:`queue_normals` or :meth:`queue_tallies`, refuses an arm
@@ -169,15 +181,17 @@ class SamplingOracle:
     value and charges the ledger.  A Gaussian is ``mu + scale * z`` with ``z`` from a
     bound ``rng.standard_normal``, as ``rng.normal(mu, scale)`` computes it, bit for bit;
     a tally's counts come from a bound ``rng.binomial``.  :meth:`preview` shows the
-    rewards of rounds not yet drawn, without drawing them.
+    rewards of rounds not yet drawn, and holds their normals for the request that asks
+    for them; whoever reads ``rng`` before that request sees the stream unmoved.
     """
 
     def __init__(self, means, seed=0):
         self._means = tuple(map(float, means))
         if not self._means:
             raise ValueError("oracle needs at least one arm")
-        self.rng = np.random.default_rng(seed)
-        self._normal, self._binomial = self.rng.standard_normal, self.rng.binomial
+        self._rng = np.random.default_rng(seed)
+        self._normal, self._binomial = self._rng.standard_normal, self._rng.binomial
+        self._ahead = None  # the held block of the last preview: (arms, normals, state before them)
         self._queued = []  # normals or tallies drawn ahead for the next sampler calls, last first
         self._scale = 1.0  # the ``scale`` of the request whose normals are queued
         self._counts = [0] * len(self._means)  # the draw ledger, per arm
@@ -187,6 +201,18 @@ class SamplingOracle:
     @classmethod
     def for_instance(cls, instance, seed=0) -> "SamplingOracle":
         return cls(instance.means, seed=seed)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The run's generator, where the requests served so far left it: a held block is rewound."""
+        if self._ahead is not None:
+            self._rewind()
+        return self._rng
+
+    def _rewind(self) -> None:
+        """Drop the held block and put the generator back where its preview found it."""
+        self._rng.bit_generator.state = self._ahead[2]
+        self._ahead = None
 
     @property
     def n_arms(self) -> int:
@@ -219,10 +245,17 @@ class SamplingOracle:
 
     def queue_normals(self, request: MeanRequest) -> None:
         """The gate of a mean request: queues the ``z`` of its arms (one scalar call for one
-        arm in one round), or each arm's sum over its rounds, at the request's ``scale``."""
+        arm in one round), or each arm's sum over its rounds, at the request's ``scale``.
+        The held block of the same arms and rounds gives its normals, drawn already;
+        any other request rewinds it first."""
         arms, rounds = request.arms, request.rounds
         if not self.arms.issuperset(arms):  # tested inline: a call per request shows on small requests
             self.check_arms(arms)
+        if self._ahead is not None:
+            if len(z := self._ahead[1]) == rounds and self._ahead[0] == arms:  # the generator is past z
+                self._ahead, self._queued, self._scale = None, z.sum(axis=0)[::-1].tolist(), request.scale
+                return
+            self._rewind()
         if rounds != 1:
             self._queued = self._normal((rounds, len(arms))).sum(axis=0)[::-1].tolist()
         elif len(arms) == 1:
@@ -235,15 +268,18 @@ class SamplingOracle:
         """The rewards that the next ``rounds`` one-draw rounds over ``arms`` would give.
 
         A ``(rounds, len(arms))`` array, row r being what ``MeanRequest(arms, 1)``
-        would return at its r-th fulfilment.  Nothing is charged and the stream does
-        not move: the generator's state is restored after the draw.  An arm out of
-        range, negative included, raises ``IndexError`` before anything is drawn.
+        would return at its r-th fulfilment.  Nothing is charged and, to any reader of
+        ``rng``, the stream does not move.  The oracle holds the block's normals, with the
+        generator's state before them, until its next use of the generator: the mean
+        request over the same ``arms`` (as a tuple) and ``rounds`` is served from them,
+        and anything else (another request, a tally, a preview, a read of ``rng``) first
+        rewinds the generator to that state.  An arm out of range, negative included,
+        raises ``IndexError`` before anything is drawn.
         """
         self.check_arms(arms)
-        bit_generator = self.rng.bit_generator
-        state = bit_generator.state
+        state = self.rng.bit_generator.state  # a block held already is rewound first
         z = self._normal((rounds, len(arms)))
-        bit_generator.state = state
+        self._ahead = (tuple(arms), z, state)
         return np.array([self._means[arm] for arm in arms]) + z
 
     def queue_tallies(self, request: TallyRequest) -> None:
@@ -252,6 +288,8 @@ class SamplingOracle:
         arms, means, cutoff, scale = request.arms, self._means, request.cutoff, request.scale
         if not self.arms.issuperset(arms):
             self.check_arms(arms)
+        if self._ahead is not None:
+            self._rewind()
         # No clamp: 0.5 * erfc(.) lies in [0, 1] for all x, +-inf included.
         ps = [0.5 * math.erfc(-((cutoff - means[arm]) * scale) / _SQRT2) for arm in arms]
         if len(arms) >= TALLY_BATCH:

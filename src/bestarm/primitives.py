@@ -6,16 +6,20 @@ Every subroutine is a *plan*: a generator that yields sampling requests
 so callers may suspend execution at each draw batch, and returns its
 result.  :class:`PlanRun` drives a plan against an oracle, one request at
 a time, and :func:`run_plan` runs one to its end.  Plans receive the oracle
-only for its RNG stream (and the baseline for its preview, which draws
+only for its RNG stream (and the baseline for its preview, which charges
 nothing); all reward draws flow through the yielded requests, which is what
 lets an outer scheduler interleave several runs.
 
 A plan yields one request per round: per median-elimination round, per
 uniform-sampling call and per fraction test.  The successive-elimination
 baseline yields one request per block of rounds: it reads the block's
-rewards ahead with ``oracle.preview``, which charges nothing and leaves the
-stream where it was, and asks for the rounds up to the first at which an
-arm drops, as one ``MeanRequest`` over its survivors with ``rounds`` set.
+rewards ahead with ``oracle.preview``, which charges nothing and, to any
+reader of ``oracle.rng``, leaves the stream where it was, and asks for the
+rounds up to the first at which an arm drops, as one ``MeanRequest`` over
+its survivors with ``rounds`` set.  The oracle holds the previewed normals
+(at most ``BASELINE_BLOCK * len(arms)`` floats) and serves that request
+from them when it asks for the whole block; any other request, or a read
+of ``oracle.rng``, first rewinds the generator to where the preview found it.
 Budget stops stay per arm and round: :meth:`PlanRun.advance`, the one
 serving step of every plan driver, serves a request that would cross the
 sample cap only up to its last arm that fits, in serving order, and only

@@ -333,15 +333,19 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     delta) / r) falls below another arm's estimate minus that radius.
 
     Rounds are raced in blocks: ``oracle.preview`` shows the rewards of the next ``block``
-    rounds without drawing them, and their running sums (a sequential ``np.cumsum``, the
+    rounds without charging them, and their running sums (a sequential ``np.cumsum``, the
     same floats as adding round by round) give the block's first round at which an arm
     drops, with ``se_radius`` computed only for rounds that could drop (:func:`_block_end`).
     One request, ``MeanRequest(survivors, 1, rounds=...)``, asks for every round up to that
-    one.  It draws the rewards previewed, so the drop rule takes its sums from the preview's
-    row for that round and ignores the reply.  The block doubles, up to ``BASELINE_BLOCK``
-    rounds, while no arm drops, and restarts at one round after a drop.  The oracle serves
-    the rounds in order and charges each survivor once with its draws of the block, so the
-    draws, budget stops and stream are those of one request per round.
+    one.  It takes the rewards previewed, so the drop rule takes its sums from the preview's
+    row for that round and ignores the reply.  The oracle holds the previewed normals, at
+    most ``BASELINE_BLOCK * len(arms)`` floats, until its next use of the generator: a
+    request for every round previewed sums them instead of drawing them again, and one for
+    fewer rounds (an arm dropped early) rewinds the generator first and draws them afresh.
+    The block doubles, up to ``BASELINE_BLOCK`` rounds, while no arm drops, and restarts at
+    one round after a drop.  The oracle serves the rounds in order and charges each survivor
+    once with its draws of the block, so the draws, budget stops and stream are those of one
+    request per round.
     """
     _check_delta(delta)
     arms = tuple(_shuffled_arms(oracle, instance))

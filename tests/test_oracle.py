@@ -353,6 +353,59 @@ def test_preview_refuses_an_arm_out_of_range_and_moves_nothing(kind, arms):
     assert (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase)) == before
 
 
+# The oracle holds a preview's normals for the mean request over the same arms and rounds,
+# and rewinds the generator before any other use of it.  Two oracles run side by side: ours
+# previews before every step, the twin never does, and after every step the replies,
+# ledger, phases, queue and stream must be the twin's.  The request that matches the
+# preview draws nothing more.
+TWIN_MEANS = (0.3, -1.5, 0.0, 2.25, 0.7)
+_twin_arms = st.lists(st.integers(0, len(TWIN_MEANS) - 1), min_size=1, max_size=6).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from([SamplingOracle, DeterministicOracle]),
+    seed=st.integers(0, 2**32),
+    steps=st.lists(st.tuples(
+        st.sampled_from([None, "tally", "direct", "second preview"]),  # a use in between
+        st.sampled_from(["match", "fewer rounds", "other arms", "budget stop"]),  # the request
+        _twin_arms, st.integers(1, 8), st.sampled_from([1, 3, 2**40]), st.integers(0, 2**70),
+    ), min_size=1, max_size=6),
+)
+def test_a_preview_leaves_nothing_that_a_twin_without_it_would_see(kind, seed, steps):
+    ours, twin = kind(TWIN_MEANS, seed=seed), kind(TWIN_MEANS, seed=seed)
+    drawn, normal = [], ours._normal  # ours' generator calls for normals
+    ours._normal = lambda *size: drawn.append(size) or normal(*size)
+
+    def both(serve):
+        mine, theirs = serve(ours), serve(twin)
+        assert [float(x).hex() for x in np.ravel(mine)] == [float(x).hex() for x in np.ravel(theirs)]
+
+    for between, ask, arms, rounds, draws, cut in steps:
+        ours.preview(arms, rounds + (ask == "fewer rounds"))
+        if between == "tally":
+            both(TallyRequest(arms, draws, (cut % 7 + 1,) * len(arms), 0.5, phase="frac").fulfill)
+        elif between == "direct":
+            both(lambda oracle: oracle.sample_mean(arms[-1], draws))
+        elif between == "second preview":  # the block of the "other arms" request only
+            ours.preview(arms + arms[:1], rounds)
+        request = MeanRequest(arms + arms[:1] if ask == "other arms" else arms, draws, rounds=rounds,
+                              phase="baseline")
+        del drawn[:]
+        if ask == "budget stop":  # the cap falls anywhere short of the request's cost
+            budget = ours.total + cut % request.cost
+            for oracle in (ours, twin):
+                with pytest.raises(BudgetExceededError):
+                    run_one_request(request, oracle, budget)
+        else:
+            both(request.fulfill)
+        if (between, ask) == (None, "match"):
+            assert drawn == []  # served from the held block
+        assert (ours.snapshot(), dict(ours.draws_by_phase)) == (twin.snapshot(), dict(twin.draws_by_phase))
+        assert ours._queued == twin._queued == []
+        assert ours.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
 # A tally request of TALLY_BATCH or more arms draws its counts in one array
 # ``binomial`` call; these pin that it is the ints and the stream of one
 # ``rng.binomial`` per arm.  Means 0, -40, 40 and 37.047 at cutoff 0 and one
@@ -522,6 +575,12 @@ REFUSED_REQUESTS = [
     lambda: TallyRequest((), 1, (), 0.0),
     lambda: MeanRequest((0,), 1, phase="med", rounds=2**1100),  # rounds past one normals array
     lambda: MeanRequest((0,), 1, phase="med", rounds=2**63),
+    lambda: MeanRequest((0, 1.0), 3, phase="med"),  # arms that are not integers: TypeError
+    lambda: MeanRequest((np.float64(2.0),), 1, rounds=3),
+    lambda: MeanRequest((1, np.True_), 2, phase="anchor"),
+    lambda: TallyRequest((0, 1.0), 2, (5, 5), 0.5, phase="frac"),
+    lambda: TallyRequest(tuple(range(TALLY_BATCH - 1)) + (1.0,), 2, (5,) * TALLY_BATCH, 0.5),
+    lambda: MeanRequest((0, "1"), 3),
 ]
 # Direct sampler calls, with Python or numpy-int counts: each is served as its one-arm request.
 _arm = st.integers(0, LEDGER_ARMS - 1)
@@ -554,7 +613,7 @@ def test_total_phases_and_ledger_agree_after_any_mix_of_requests(seed, steps):
                 sampler, args = request
                 getattr(oracle, sampler)(*args)
             else:
-                with pytest.raises((ValueError, IndexError)):
+                with pytest.raises((ValueError, IndexError, TypeError)):
                     request().fulfill(oracle)
             assert oracle.total == sum(oracle.draws_by_phase.values())
         ledger, phases = oracle.snapshot(), list(oracle.draws_by_phase.values())
@@ -576,7 +635,7 @@ def test_every_refusal_leaves_both_oracle_kinds_as_they_were(kind, refuse):
     oracle, reference = kind(means, seed=6), SamplingOracle(means, seed=6)
     MeanRequest((0, 1), 3, phase="anchor").fulfill(oracle)
     before = (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase))
-    with pytest.raises((ValueError, IndexError)) as refused:
+    with pytest.raises((ValueError, IndexError, TypeError)) as refused:
         refuse(oracle)
     assert (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase)) == before
     assert oracle._queued == []
@@ -596,7 +655,7 @@ def _refusal(kind, means, build, budget):
     once it is checked to have left a fresh oracle of ``kind`` as it was."""
     oracle = kind(means, seed=3)
     state = oracle.rng.bit_generator.state
-    with pytest.raises((ValueError, IndexError)) as refused:
+    with pytest.raises((ValueError, IndexError, TypeError)) as refused:
         run_plan(_one_request_plan(build), oracle, budget)
     assert (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase)) == (
         state, [0] * len(means), {})
@@ -809,3 +868,36 @@ def test_a_count_that_is_not_an_integer_is_refused_before_any_charge(refused):
         refused(oracle)
     assert (oracle.snapshot(), dict(oracle.draws_by_phase), oracle._queued) == ([0, 0], {}, [])
     assert oracle.rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+# An arm that is not an integer is refused where its request is built, before anything is
+# charged, drawn or queued: a float equal to an arm index passes the oracle's range check.
+@pytest.mark.parametrize("kind", [SamplingOracle, DeterministicOracle])
+@pytest.mark.parametrize("refused", [
+    lambda oracle: MeanRequest((0, 1.0), 3).fulfill(oracle),
+    lambda oracle: TallyRequest((0, np.float64(1.0)), 1, (3, 4), 0.0).fulfill(oracle),
+    lambda oracle: oracle.sample_mean(1.0, 3),
+    lambda oracle: oracle.count_means_below(np.bool_(True), 1, 3, 0.0),
+    lambda oracle: oracle.draw(0.0),
+], ids=["mean", "tally", "sample_mean", "count_means_below", "draw"])
+def test_an_arm_that_is_not_an_integer_is_refused_before_any_charge(kind, refused):
+    oracle = kind([0.1, 0.2], seed=3)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        refused(oracle)
+    assert (oracle.snapshot(), dict(oracle.draws_by_phase), oracle._queued) == ([0, 0], {}, [])
+    assert oracle.rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+    assert oracle.sample_mean(0, 1) == kind([0.1, 0.2], seed=3).sample_mean(0, 1)  # no stale normal
+
+
+def test_numpy_integer_arms_are_served_as_their_python_ints():
+    means = [0.1, 0.2, 0.3] * 6
+    for build, arms in [
+        (lambda arms: MeanRequest(arms, 3, rounds=2), (np.int64(2), np.int32(0), 1)),
+        (lambda arms: TallyRequest(arms, 2, (5,) * len(arms), 0.2), (np.int64(1), 0)),
+        (lambda arms: TallyRequest(arms, 2, (5,) * len(arms), 0.2), tuple(map(np.int16, range(TALLY_BATCH)))),
+    ]:
+        ours, theirs = build(arms), build(tuple(map(int, arms)))
+        assert ours == theirs and all(type(arm) is int for arm in ours.arms)
+        oracle, twin = SamplingOracle(means, seed=8), SamplingOracle(means, seed=8)
+        assert ours.fulfill(oracle) == theirs.fulfill(twin)
+        assert (oracle.snapshot(), oracle.rng.bit_generator.state) == (twin.snapshot(), twin.rng.bit_generator.state)

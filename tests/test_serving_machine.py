@@ -8,15 +8,22 @@ served request draws one scalar generator call per arm and round, in serving ord
 and charges its arms and its phase; a budget stop serves the request's head up to its
 last arm that fits.  After every step the oracle's ledger, phases, generator state and
 queue must equal the model's, so a refused step moves nothing.
+
+The machine also previews blocks of rounds and reads ``oracle.rng``.  The model holds
+the last preview's block: after the preview, ``rng`` shows the stream where it was; a
+mean request over the block's arms and rounds takes the block's normals and leaves the
+generator past them; every other step that uses the generator (a request, a tally, a
+direct call, a preview, a read of ``rng``) first puts it back where the preview found it.
 """
 
+import copy
 import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from bestarm import BudgetExceededError, MeanRequest, SamplingOracle, run_plan
 from bestarm.oracle import TALLY_BATCH, TallyRequest
@@ -30,6 +37,7 @@ MEANS = [arm / N_ARMS for arm in range(N_ARMS)]
 DEFECTS = {
     "no arms": (ValueError, "at least one arm", "build"),
     "arm out of range": (IndexError, "out of range", "serve"),
+    "arm not an integer": (TypeError, "cannot be interpreted as an integer", "build"),
     "count below 1": (ValueError, ">= 1", "build"),
     "count not an integer": (TypeError, "cannot be interpreted as an integer", "build"),
     "draws past the float range": (ValueError, "draws must be within the float range", "build"),
@@ -63,6 +71,7 @@ _phase = st.sampled_from(["", "med", "frac"])
 _budget = st.one_of(st.none(), st.just(-1), st.integers(0, 2**80))  # -1: one draw short
 _at, _big = st.integers(0, N_ARMS - 1), st.integers(0, 2**1100)
 _bad_arm = st.one_of(st.integers(-3, -1), st.integers(N_ARMS, N_ARMS + 3))
+_not_an_integer = st.sampled_from([float, np.float64, np.bool_])  # applied to a valid arm
 _bad_count = {"count below 1": st.integers(-2, 0),
               "count not an integer": st.sampled_from([2.0, np.float64(3.0), "4", None])}
 _bad_name = {True: st.sampled_from(["draws", "probes"]), False: st.sampled_from(["draws", "rounds"])}
@@ -90,6 +99,8 @@ def _fields(data, tally: bool, defect, one_arm: bool) -> dict:
             fields["probes"] = ()
     elif defect == "arm out of range":
         fields["arms"] = arms[:at] + (data.draw(_bad_arm),) + arms[at + 1:]
+    elif defect == "arm not an integer":
+        fields["arms"] = arms[:at] + (data.draw(_not_an_integer)(arms[at]),) + arms[at + 1:]
     elif defect in _bad_count:
         bad, name = data.draw(_bad_count[defect]), data.draw(_bad_name[tally])
         if name == "probes":
@@ -119,31 +130,54 @@ class ServingMachine(RuleBasedStateMachine):
     @initialize(seed=st.integers(0, 2**32))
     def start(self, seed):
         self.oracle = self.kind(MEANS, seed=seed)
-        # The model: its own ledger and phases, and a twin generator taking one scalar
-        # call per arm and round; the variance-0 double leaves its generator alone.
+        # The model: its own ledger and phases; a twin generator, the stream ``rng`` must
+        # show, taking one scalar call per arm and round (the variance-0 double takes no
+        # reward from it); and the held block of the last preview, None once dropped:
+        # (arms, rounds, its normals in serving order, the generator state past them).
         self.ledger, self.phases = [0] * N_ARMS, {}
-        self.twin = np.random.default_rng(seed) if self.kind is SamplingOracle else None
-        self.still = self.oracle.rng.bit_generator.state
+        self.twin = np.random.default_rng(seed)
+        self.random = self.kind is SamplingOracle
+        self.held = None
 
-    def _draw(self, pairs, phase, tally, cutoff=None) -> list:
+    def _draw(self, pairs, phase, tally, cutoff=None, asks=None) -> list:
         """The model serves ``(arm, draws, probes)`` triples in order: each charges its
-        arm and takes one normal (a mean) or one binomial count (a tally)."""
+        arm and takes one normal (a mean) or one binomial count (a tally).  ``asks`` is the
+        ``(arms, rounds)`` of the mean request served: if the held block has them, its
+        normals are taken and the stream moves past them.  Serving anything drops the held
+        block, so every other draw comes from the stream where the preview found it."""
+        take = None  # the held block's normals, when this request asks for them
+        if pairs and self.held is not None:
+            held, self.held = self.held, None
+            if not tally and asks == held[:2]:
+                take, self.twin.bit_generator.state = iter(held[2]), held[3]
         values = []
         for arm, draws, probes in pairs:
             self.ledger[arm] += draws * probes
             self.phases[phase] = self.phases.get(phase, 0) + draws * probes
             if not tally:
-                values.append(0.0 if self.twin is None else self.twin.standard_normal())
+                if take is not None:
+                    values.append(next(take))
+                else:
+                    values.append(self.twin.standard_normal() if self.random else 0.0)
             else:
                 p = 0.5 * math.erfc(-((cutoff - MEANS[arm]) * math.sqrt(draws)) / math.sqrt(2.0))
-                values.append(int(self.twin.binomial(probes, p)) if self.twin is not None
+                values.append(int(self.twin.binomial(probes, p)) if self.random
                               else probes * (MEANS[arm] < cutoff))
         return values
 
     @rule(data=st.data(), tally=st.booleans(), how=st.sampled_from(["fulfill", "run_plan", "direct"]))
     def serve(self, data, tally, how):
         defect = data.draw(_defects[tally, how == "direct"], label="defect")
-        fields = _fields(data, tally, defect, one_arm=how == "direct")
+        self._serve(data, tally, how, _fields(data, tally, defect, one_arm=how == "direct"), defect)
+
+    @precondition(lambda self: self.held is not None)
+    @rule(data=st.data(), how=st.sampled_from(["fulfill", "run_plan"]))
+    def ask_for_the_held_block(self, data, how):
+        """A mean request over the held block's arms and rounds, with any draws count."""
+        arms, rounds = self.held[:2]
+        self._serve(data, False, how, {"arms": arms, "draws": data.draw(_draws[False]), "rounds": rounds}, None)
+
+    def _serve(self, data, tally, how, fields, defect):
         error, message, where = DEFECTS[defect] if defect else (None, None, None)
         oracle, budget = self.oracle, None
         if how == "direct":  # the call builds its one-arm request and serves it
@@ -172,7 +206,7 @@ class ServingMachine(RuleBasedStateMachine):
                 call()
             return
         # The model's serving order: (arm, draws, probes), arms round after round.
-        arms, draws, rounds = fields["arms"], int(fields["draws"]), int(fields.get("rounds", 1))
+        arms, draws, rounds = tuple(fields["arms"]), int(fields["draws"]), int(fields.get("rounds", 1))
         pairs = [(arm, draws, int(n)) for _ in range(rounds)
                  for arm, n in zip(arms, fields.get("probes", (1,) * len(arms)))]
         cutoff = fields.get("cutoff")
@@ -184,16 +218,42 @@ class ServingMachine(RuleBasedStateMachine):
             before = oracle.total
             with pytest.raises(BudgetExceededError):
                 call()
-            self._draw(pairs[:fit], phase, tally, cutoff)
+            # the head served is the one-round request over the first ``fit`` arms
+            self._draw(pairs[:fit], phase, tally, cutoff, asks=(tuple(arm for arm, _, _ in pairs[:fit]), 1))
             assert oracle.total <= max(budget, before)  # a cap already passed serves nothing
             return
-        reply, values = call(), self._draw(pairs, phase, tally, cutoff)
+        reply, values = call(), self._draw(pairs, phase, tally, cutoff, asks=(arms, rounds))
         if tally:
             assert reply == sum(values)
         else:  # each arm's mean over its rounds, its normals summed round after round
             k, scale = len(arms), draws**-0.5 / rounds
             means = [MEANS[arm] + scale * sum(values[a::k][1:], values[a]) for a, arm in enumerate(arms)]
             assert [m.hex() for m in reply] == [m.hex() for m in means]
+
+    @rule(data=st.data(), rounds=st.integers(1, 4), bad=st.sampled_from([False, False, False, True]))
+    def preview(self, data, rounds, bad):
+        """A preview shows the rewards of the next rounds and holds their normals; an arm out
+        of range is refused before anything moves, and a block held already stays held."""
+        arms = tuple(data.draw(_arms[False], label="arms"))
+        if bad:
+            at = data.draw(_at) % len(arms)
+            arms = arms[:at] + (data.draw(_bad_arm),) + arms[at + 1:]
+            with pytest.raises(IndexError, match="out of range"):
+                self.oracle.preview(arms, rounds)
+            return
+        ahead = self.oracle.preview(arms, rounds)
+        peek = copy.deepcopy(self.twin)  # the stream where it is: a held block is rewound first
+        normals = [peek.standard_normal() if self.random else 0.0 for _ in range(rounds * len(arms))]
+        rewards = [MEANS[arm] + z for arm, z in zip(arms * rounds, normals)]
+        assert [x.hex() for x in ahead.ravel().tolist()] == [x.hex() for x in rewards]
+        self.held = (arms, rounds, normals, peek.bit_generator.state)
+
+    @rule()
+    def read_rng(self):
+        """Whoever reads ``rng`` sees the stream the requests served left, and draws from it."""
+        assert self.oracle.rng.bit_generator.state == self.twin.bit_generator.state
+        self.held = None
+        assert self.oracle.rng.random() == self.twin.random()
 
     @invariant()
     def oracle_matches_the_model(self):
@@ -203,8 +263,10 @@ class ServingMachine(RuleBasedStateMachine):
         assert all(type(n) is int for n in ledger + list(phases.values()))
         assert (ledger, phases) == (self.ledger, self.phases)
         assert oracle.total == sum(phases.values())
-        state = self.still if self.twin is None else self.twin.bit_generator.state
-        assert oracle.rng.bit_generator.state == state
+        # read past ``rng``, which would rewind: the generator is past a held block
+        assert (oracle._ahead is None) == (self.held is None)
+        state = self.twin.bit_generator.state if self.held is None else self.held[3]
+        assert oracle._rng.bit_generator.state == state
 
 
 class DeterministicServingMachine(ServingMachine):
