@@ -21,7 +21,7 @@ one-arm request, so every draw has a phase and ``total == sum(draws_by_phase.val
 request over the same arms and rounds that follows takes those normals instead of
 drawing them again, and any other use of the generator first rewinds it to where the
 preview found it.  A held block is at most ``rounds * len(arms)`` floats (for the
-baseline, ``BASELINE_BLOCK * len(arms)``), one per oracle.
+baseline, ``BASELINE_BLOCK * len(arms)``: 512 rounds over its survivors), one per oracle.
 """
 
 from __future__ import annotations

@@ -126,13 +126,14 @@ def parallel_simulation(
 
     def due(k: int) -> int:
         """The iteration at which copy k's pending request, or its return, falls due: its
-        draws so far plus the request's cost, or under a budget the draws through its
-        first arm that crosses, granted one every 2^(k-1) iterations."""
+        draws so far plus the request's cost, or, for a request that crosses its budget, the
+        draws through its first arm that crosses, granted one every 2^(k-1) iterations."""
         copy = copies[k - 1]
         if (request := copy.pending) is None:  # returned at spawn, before any draw
             return 1 << (k - 1)
-        consumed = copy.oracle.total
-        cost = request.cost if budget is None else split_at_cap(request, budget - consumed)[1]
+        consumed, cost = copy.oracle.total, request.cost
+        if budget is not None and consumed + cost > budget:  # only then walk its serving order
+            cost = split_at_cap(request, budget - consumed)[1]
         return (consumed + cost) << (k - 1)
 
     def spawn() -> None:

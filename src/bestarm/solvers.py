@@ -294,8 +294,13 @@ def complexity_guessing_plan(oracle, instance, delta, emit=None):
 # --- baseline ----------------------------------------------------------------
 
 
-#: Most rounds the baseline previews, and asks for, in one request.
-BASELINE_BLOCK = 256
+#: Most rounds the baseline previews, and asks for, in one request: a held block is at
+#: most ``BASELINE_BLOCK * len(arms)`` floats (4 MB on 1,000 arms).
+BASELINE_BLOCK = 512
+#: Normals the first block, and the first after a drop, draws, so that the fixed cost of a
+#: preview is spread over enough of them: that block takes ``BASELINE_CELLS //
+#: len(survivors)`` rounds, at least one and at most ``BASELINE_BLOCK``.
+BASELINE_CELLS = 2048
 
 
 def se_radius(r: int, n_arms: int, delta: float) -> float:
@@ -342,17 +347,19 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     most ``BASELINE_BLOCK * len(arms)`` floats, until its next use of the generator: a
     request for every round previewed sums them instead of drawing them again, and one for
     fewer rounds (an arm dropped early) rewinds the generator first and draws them afresh.
-    The block doubles, up to ``BASELINE_BLOCK`` rounds, while no arm drops, and restarts at
-    one round after a drop.  The oracle serves the rounds in order and charges each survivor
-    once with its draws of the block, so the draws, budget stops and stream are those of one
-    request per round.
+    The first block, and the first after a drop, takes ``BASELINE_CELLS // len(survivors)``
+    rounds (at least one, at most ``BASELINE_BLOCK``), and the block doubles, up to
+    ``BASELINE_BLOCK`` rounds, while no arm drops.  The oracle serves the rounds in order
+    and charges each survivor once with its draws of the block, so the draws, budget stops
+    and stream are those of one request per round, wherever the blocks end.
     """
     _check_delta(delta)
     arms = tuple(_shuffled_arms(oracle, instance))
     n = instance.n_arms
     sums = [0.0] * n  # aligned with ``arms``
-    r, block = 0, 1
+    r, block = 0, 0
     while len(arms) > 1:
+        block = min(max(2 * block, BASELINE_CELLS // len(arms), 1), BASELINE_BLOCK)
         # Row i of ``ahead`` is the running sums after round r + 1 + i.
         ahead = oracle.preview(arms, block)
         ahead[0] += sums
@@ -367,9 +374,7 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
         best_lcb = max(sums) / r - radius
         if min(sums) / r + radius < best_lcb:  # float / r > 0 and +- radius keep the sums' order
             arms, sums = zip(*[(a, s) for a, s in zip(arms, sums) if s / r + radius >= best_lcb])
-            block = 1
-        else:
-            block = min(2 * block, BASELINE_BLOCK)
+            block = 0  # the next block starts again at the floor
     return SolveResult(arm=arms[0], rounds=r)
 
 

@@ -1,0 +1,62 @@
+"""The schema of the committed ``BENCH_<N>.json`` records, checked without running the benchmark."""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("record_bench", ROOT / "tools" / "record_bench.py")
+record_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record_bench)
+
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_a_record_is_on_file():
+    assert RECORDS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
+def test_stored_record_follows_the_schema(path):
+    record = json.loads(path.read_text())
+    record_bench.validate(record)
+    assert path.name == f"BENCH_{record['pr']}.json"
+    for seeds in record["workloads"].values():
+        for entry in seeds.values():
+            assert all(entry["correct"].values()) and entry["traced_correct"]
+
+
+def broken(record, change):
+    record = copy.deepcopy(record)
+    change(record)
+    return record
+
+
+def first(record):
+    workload = next(iter(record["workloads"].values()))
+    return next(iter(workload.values()))
+
+
+BREAKS = {
+    "no cpu_count": lambda r: r.pop("cpu_count"),
+    "short revision": lambda r: r.update(revision=r["revision"][:7]),
+    "pr as text": lambda r: r.update(pr=str(r["pr"])),
+    "a shorter run": lambda r: r.update(seconds=r["seconds"] - 1),
+    "a workload missing": lambda r: r["workloads"].popitem(),
+    "a metric missing": lambda r: first(r)["end_to_end"].pop("setup_s"),
+    "a seed missing": lambda r: next(iter(r["workloads"].values())).pop("0"),
+    "a run missing": lambda r: first(r)["end_to_end"]["runs_per_s"]["this"]["runs"].pop(),
+    "quartiles out of order": lambda r: first(r)["end_to_end"]["runs_per_s"]["this"].update(q1=float("inf")),
+    "more pairs won than run": lambda r: first(r)["end_to_end"]["runs_per_s"].update(pairs_won=first(r)["pairs"] + 1),
+    "a count not an int": lambda r: first(r)["counts"].update({"oracle.draws": 1.5}),
+}
+
+
+@pytest.mark.parametrize("change", BREAKS.values(), ids=BREAKS.keys())
+def test_a_broken_record_is_refused(change):
+    record = json.loads(RECORDS[-1].read_text())
+    with pytest.raises(ValueError, match="BENCH record"):
+        record_bench.validate(broken(record, change))

@@ -26,10 +26,12 @@ from bestarm import (
     SamplingOracle,
     baseline_successive_elimination_plan,
     known_complexity_plan,
+    make_discrete_instance,
     profile,
     run_plan,
     solve,
 )
+from bestarm import solvers
 from bestarm.primitives import MeanRequest, _check_members, _count, med_elim_plan
 from bestarm.solvers import BASELINE_BLOCK, SolveResult, _block_end, se_radius
 from doubles import DeterministicOracle
@@ -244,9 +246,24 @@ def recorded(requests):
     return plan
 
 
-@pytest.mark.parametrize("instance", DESK_INSTANCES, ids=lambda inst: inst.label)
-def test_baseline_blocks_match_reference_on_the_desk(instance):
-    """Budget stops land inside blocks of many rounds, and stop where the reference stops."""
+def first_block(survivors):
+    """The rounds of the first block over ``survivors`` arms, and of the first after a drop."""
+    return min(BASELINE_BLOCK, max(1, solvers.BASELINE_CELLS // survivors))
+
+
+# On 100 arms a block starts at 20 rounds; with ``BASELINE_CELLS`` at 1, at one round.
+BLOCK_FLOORS = [pytest.param(instance, None, id=instance.label) for instance in DESK_INSTANCES] + [
+    pytest.param(make_discrete_instance({1: 33, 2: 33, 3: 33}, 1.0, label="wide-100"), None, id="wide-100"),
+    pytest.param(DESK_INSTANCES[6], 1, id=f"{DESK_INSTANCES[6].label}-one-round-floor"),
+]
+
+
+@pytest.mark.parametrize("instance, cells", BLOCK_FLOORS)
+def test_baseline_blocks_match_reference_on_the_desk(instance, cells, monkeypatch):
+    """Budget stops land inside blocks of many rounds, and stop where the reference stops,
+    whatever the rounds a block starts at after a drop."""
+    if cells is not None:
+        monkeypatch.setattr(solvers, "BASELINE_CELLS", cells)
     rng = np.random.default_rng(0)
     stops = inside = 0
     for seed in range(5):
@@ -258,6 +275,9 @@ def test_baseline_blocks_match_reference_on_the_desk(instance):
             outcome = solve(recorded(requests), ours, instance, 0.01, budget=budget)
             assert outcome == solve(reference_baseline_plan, ref, instance, 0.01, budget=budget)
             assert state(ours) == state(ref)
+            for before, request in zip([None] + requests, requests):
+                if before is None or request.arms != before.arms:  # the first block, or the first after a drop
+                    assert request.rounds <= first_block(len(request.arms))
             if outcome.status == "budget_exceeded":
                 stops += 1
                 inside += requests[-1].rounds > 1
@@ -266,20 +286,30 @@ def test_baseline_blocks_match_reference_on_the_desk(instance):
 
 @pytest.mark.parametrize("instance", DESK_INSTANCES, ids=lambda inst: inst.label)
 def test_baseline_asks_for_few_requests_of_bounded_length(instance):
-    """Each stretch of rounds between two drops takes at most log2(cap) + 1
-    doubling blocks plus one per ``BASELINE_BLOCK`` rounds, and a run has at
-    most n - 1 such stretches."""
+    """The first block, and the first after a drop, preview ``first_block`` rounds; each
+    next block doubles, up to ``BASELINE_BLOCK``, while no arm drops, and only the block
+    of a drop asks for fewer rounds than it previewed.  So each stretch of rounds between
+    two drops takes at most ceil(log2(cap / floor)) + 1 blocks plus one per
+    ``BASELINE_BLOCK`` rounds, and a run has at most n - 1 such stretches."""
     n = instance.n_arms
+    doublings = math.ceil(math.log2(BASELINE_BLOCK / first_block(n)))  # the floor only rises as arms drop
     for seed in range(5):
-        requests = []
+        requests, previews = [], []
         oracle = SamplingOracle.for_instance(instance, seed)
+        preview = oracle.preview
+
+        def recorded_preview(arms, rounds):
+            previews.append(rounds)
+            return preview(arms, rounds)
+
+        oracle.preview = recorded_preview
         outcome = solve(recorded(requests), oracle, instance, 0.01)
         rounds = outcome.rounds_executed
-        assert len(requests) <= (n - 1) * (math.log2(BASELINE_BLOCK) + 1) + rounds / BASELINE_BLOCK
-        assert len(requests) < rounds == sum(request.rounds for request in requests)
-        assert max(request.rounds for request in requests) <= BASELINE_BLOCK
+        assert len(requests) <= (n - 1) * (doublings + 1) + rounds / BASELINE_BLOCK
+        assert len(requests) == len(previews) < rounds == sum(request.rounds for request in requests)
         survivors = ()
-        for request in requests:  # whole rounds over the distinct survivors, in a fixed order
+        for i, (request, previewed) in enumerate(zip(requests, previews)):
+            # whole rounds over the distinct survivors, in a fixed order
             assert (request.draws, request.phase) == (1, "baseline")
             assert len(set(request.arms)) == len(request.arms) > 1
             if request.arms != survivors:  # the first block, and the first after a drop
@@ -288,5 +318,9 @@ def test_baseline_asks_for_few_requests_of_bounded_length(instance):
                     assert len(request.arms) < len(survivors)
                 else:
                     assert sorted(request.arms) == list(range(n))
-                survivors = request.arms
-                assert request.rounds == 1
+                survivors, block = request.arms, first_block(len(request.arms))
+            else:
+                block = min(2 * block, BASELINE_BLOCK)
+            assert previewed == block
+            drops = i + 1 == len(requests) or requests[i + 1].arms != survivors
+            assert request.rounds == previewed or drops and request.rounds < previewed

@@ -1,0 +1,174 @@
+"""Record the benchmark of this tree as ``BENCH_<N>.json``, optionally against another revision.
+
+    python3 tools/record_bench.py --pr N                    # this tree alone
+    python3 tools/record_bench.py --pr N --against REV      # alternated pairs with a revision
+
+Every run is a subprocess of ``perfbench/run.py``.  For every workload of ``BENCHMARK.json``
+and each of the seeds 0 and 1000003, it makes ``PAIRS`` untraced (``--trace 0``) runs at
+the benchmark's run length and records every end-to-end metric's runs, median and
+quartiles; the run length and the workloads are the benchmark's, not options, so a record
+can be compared with the benchmark's own runs.  With ``--against REV``, the committed tree
+of ``REV`` is extracted with ``git archive`` into a temporary directory (no network,
+nothing registered in the repository), this tree's ``perfbench/`` replaces its own so that
+both trees run the same
+benchmark, and the runs of the two trees alternate, the first of each pair switching
+sides: each metric then also records the other tree's runs and the pairs this tree won
+(ties count for neither side).  One traced run (``--trace 1``) of this tree per workload
+and seed gives the per-layer counts.  The record holds the git revision (``+dirty`` when
+the tree has uncommitted changes to tracked files) and ``os.cpu_count()``.  A record made
+before its own commit names that commit's parent plus ``+dirty``: the tree it measured is
+the commit that added the file (``git log -1 --format=%H -- BENCH_<N>.json``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1_000_003)  # the default seed and the seed kept out of tuning
+PAIRS = 5  # per seed: the ten pairs over both seeds that a claimed gain needs
+SCHEMA = 1
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def revision() -> str:
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    return git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
+
+
+def run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """The result object (the last line of standard output) of one ``perfbench/run.py`` run."""
+    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"), *args], cwd=tree,
+                          capture_output=True, text=True, timeout=1800, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    """Runs, median and quartiles (the ``inclusive`` method, as numpy's default)."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def won(ours: list[float], theirs: list[float], better: str) -> int:
+    """Pairs in which ``ours`` reads strictly better than ``theirs``."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (a - b) > 0 for a, b in zip(ours, theirs))
+
+
+def record_seed(trees: dict, workload: str, seed: int, seconds: int, metrics: dict) -> dict:
+    """``PAIRS`` alternated untraced runs of every tree, then one traced run of this tree."""
+    results = {side: [] for side in trees}
+    for i in range(PAIRS):
+        for side in (list(trees) if i % 2 else list(trees)[::-1]):
+            results[side].append(run(trees[side], workload, seed, seconds, trace=0))
+            print(f"{workload} seed {seed} pair {i + 1}/{PAIRS} {side}: "
+                  f"{results[side][-1]['metrics']['runs_per_s']['value']:.1f} runs/s", file=sys.stderr)
+    end_to_end = {}
+    for name, better in metrics.items():
+        values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in trees}
+        entry = {side: summary(values[side]) for side in trees}
+        if "against" in trees:
+            entry["pairs_won"] = won(values["this"], values["against"], better)
+        end_to_end[name] = entry
+    traced = run(trees["this"], workload, seed, seconds, trace=1)
+    counts = {name: value["value"] for name, value in traced["metrics"].items() if value["unit"] == "count"}
+    correct = {side: all(r["correct"] for r in results[side]) for side in trees}
+    return {"pairs": PAIRS, "correct": correct, "traced_correct": traced["correct"],
+            "end_to_end": end_to_end, "counts": counts}
+
+
+def validate(record: dict) -> None:
+    """Raise ``ValueError`` where ``record`` does not follow the schema this script writes, or
+    was not made at ``BENCHMARK.json``'s run length over all of its workloads and metrics."""
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"BENCH record: {what}")
+
+    need(record.get("schema") == SCHEMA, f"schema must be {SCHEMA}")
+    need(type(record.get("pr")) is int and record["pr"] > 0, "pr must be a positive int")
+    need(isinstance(record.get("revision"), str) and len(record["revision"].removesuffix("+dirty")) == 40,
+         "revision must be a full git hash")
+    need(record.get("against") is None or isinstance(record["against"], str) and len(record["against"]) == 40,
+         "against must be None or a full git hash")
+    need(type(record.get("cpu_count")) is int and record["cpu_count"] > 0, "cpu_count must be a positive int")
+    need(record.get("seconds") == BENCHMARK["run_seconds"], f"seconds must be {BENCHMARK['run_seconds']}")
+    sides = ("this", "against") if record.get("against") else ("this",)
+    workloads = {w["name"] for w in BENCHMARK["workloads"]}
+    need(isinstance(record.get("workloads"), dict) and set(record["workloads"]) == workloads,
+         f"workloads must be {sorted(workloads)}")
+    metrics = {m["name"] for m in BENCHMARK["end_to_end"]}
+    for workload, seeds in record["workloads"].items():
+        need(sorted(seeds) == sorted(map(str, SEEDS)), f"{workload}: seeds must be {SEEDS}")
+        for seed, entry in seeds.items():
+            where = f"{workload} seed {seed}"
+            pairs = entry.get("pairs")
+            need(type(pairs) is int and pairs > 0, f"{where}: pairs must be a positive int")
+            need(set(entry.get("correct", {})) == set(sides), f"{where}: correct must name {sides}")
+            need(isinstance(entry.get("traced_correct"), bool), f"{where}: traced_correct must be a bool")
+            need(isinstance(entry.get("end_to_end"), dict) and set(entry["end_to_end"]) == metrics,
+                 f"{where}: end_to_end must hold {sorted(metrics)}")
+            for name, metric in entry["end_to_end"].items():
+                for side in sides:
+                    stats = metric.get(side, {})
+                    need(len(stats.get("runs", ())) == pairs, f"{where} {name} {side}: one run per pair")
+                    need(stats.get("q1", 1) <= stats.get("median", 0) <= stats.get("q3", -1),
+                         f"{where} {name} {side}: q1 <= median <= q3")
+                need(("pairs_won" in metric) == (len(sides) == 2)
+                     and 0 <= metric.get("pairs_won", 0) <= pairs, f"{where} {name}: pairs_won")
+            counts = entry.get("counts")
+            need(isinstance(counts, dict) and all(type(v) is int for v in counts.values()),
+                 f"{where}: counts must map names to ints")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--against", metavar="REV")
+    args = parser.parse_args(argv)
+    if args.pr < 1:
+        parser.error("--pr must be >= 1")
+    seconds = BENCHMARK["run_seconds"]
+    metrics = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    record = {"schema": SCHEMA, "pr": args.pr, "revision": revision(), "against": None,
+              "cpu_count": os.cpu_count(), "python": platform.python_version(), "seconds": seconds,
+              "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="record_bench_") as tmp:
+        trees = {"this": ROOT}
+        if args.against:
+            record["against"] = git("rev-parse", "--verify", f"{args.against}^{{commit}}")
+            other = Path(tmp) / "against"
+            archive = Path(tmp) / "against.tar"
+            git("archive", "--format=tar", f"--output={archive}", record["against"])
+            other.mkdir()
+            subprocess.run(["tar", "-xf", str(archive), "-C", str(other)], check=True)
+            shutil.rmtree(other / "perfbench", ignore_errors=True)
+            shutil.copytree(ROOT / "perfbench", other / "perfbench",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            trees["against"] = other
+        for workload in (w["name"] for w in BENCHMARK["workloads"]):
+            record["workloads"][workload] = {
+                str(seed): record_seed(trees, workload, seed, seconds, metrics) for seed in SEEDS
+            }
+    validate(record)
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
