@@ -49,6 +49,16 @@ def _load_instance(path: str):
     return parse_instance(text, label=Path(path).stem)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path that could not be written, before the first trial runs:
+    its directory must exist and be writable, and the path must not be a directory."""
+    out = Path(path)
+    if not out.parent.is_dir() or not os.access(out.parent, os.W_OK):
+        raise ValueError(f"--out {path}: {out.parent} is not a writable directory")
+    if out.is_dir():
+        raise ValueError(f"--out {path} is a directory")
+
+
 def _parse_params(pairs):
     params = {}
     for pair in pairs or []:
@@ -102,9 +112,15 @@ def cmd_bench(args) -> int:
     paths = sorted(Path(args.instances).glob("*.txt"))
     if not paths:
         raise ValueError(f"no *.txt instance files under {args.instances}")
+    instances = []
+    for path in paths:  # every file parses before the first trial
+        try:
+            instances.append(parse_instance(path.read_text(), label=path.stem))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    _check_out(args.out)
     reports = []
-    for path in paths:
-        instance = parse_instance(path.read_text(), label=path.stem)
+    for instance in instances:
         report = run_trials(
             args.algo,
             instance,
@@ -127,6 +143,7 @@ def cmd_bench(args) -> int:
 def cmd_signxi(args) -> int:
     if not 1 <= args.m <= 4:  # before the list of m probabilities is built
         raise ValueError(f"need 1 <= m <= 4 gap groups, got {args.m}")
+    _check_out(args.out)
     pk = [1.0 / args.m] * args.m
     prof = measure_loss_profile(
         pk, args.delta, args.trials, base_seed=args.seed, budget=args.budget

@@ -17,11 +17,15 @@ request's ``phase`` (``med``, ``anchor``, ``frac``, ``elim``, ``baseline``; ``""
 default) in the oracle's ``draws_by_phase``.  A sampler called on its own is its
 one-arm request, so every draw has a phase and ``total == sum(draws_by_phase.values())``.
 
-:meth:`SamplingOracle.preview` draws a block of rounds ahead and holds it: the mean
-request over the same arms and rounds that follows takes those normals instead of
-drawing them again, and any other use of the generator first rewinds it to where the
-preview found it.  A held block is at most ``rounds * len(arms)`` floats (for the
-baseline, ``BASELINE_BLOCK * len(arms)``: 512 rounds over its survivors), one per oracle.
+:meth:`SamplingOracle.preview` draws a block of rounds ahead and holds it: a mean request
+over the same arms, for at most the rounds previewed, takes those normals instead of
+drawing them again, and the rows past it stay drawn ahead as a flat tail, in stream order,
+from which the next preview takes its first normals.  Any other use of the generator
+first rewinds it: back to its state before the first normal drawn ahead, then past the
+normals served since, in one draw of that count (``standard_normal`` fills an array in
+stream order).  What is drawn ahead is at most one block, ``rounds * len(arms)`` floats
+(for the baseline, ``BASELINE_BLOCK * len(arms)``: 512 rounds over its survivors), one
+per oracle.
 """
 
 from __future__ import annotations
@@ -182,7 +186,7 @@ class SamplingOracle:
     bound ``rng.standard_normal``, as ``rng.normal(mu, scale)`` computes it, bit for bit;
     a tally's counts come from a bound ``rng.binomial``.  :meth:`preview` shows the
     rewards of rounds not yet drawn, and holds their normals for the request that asks
-    for them; whoever reads ``rng`` before that request sees the stream unmoved.
+    for them; whoever reads ``rng`` sees the stream where the requests served left it.
     """
 
     def __init__(self, means, seed=0):
@@ -191,7 +195,10 @@ class SamplingOracle:
             raise ValueError("oracle needs at least one arm")
         self._rng = np.random.default_rng(seed)
         self._normal, self._binomial = self._rng.standard_normal, self._rng.binomial
-        self._ahead = None  # the held block of the last preview: (arms, normals, state before them)
+        # Normals drawn ahead of the stream, in stream order: the generator is past them, and
+        # ``_saved`` less ``_served`` normals is where it was before them (both None when
+        # nothing is drawn ahead).  ``_held`` is the ``(arms, rounds)`` the last preview showed.
+        self._saved = self._served = self._tail = self._held = None
         self._queued = []  # normals or tallies drawn ahead for the next sampler calls, last first
         self._scale = 1.0  # the ``scale`` of the request whose normals are queued
         self._counts = [0] * len(self._means)  # the draw ledger, per arm
@@ -204,15 +211,20 @@ class SamplingOracle:
 
     @property
     def rng(self) -> np.random.Generator:
-        """The run's generator, where the requests served so far left it: a held block is rewound."""
-        if self._ahead is not None:
+        """The run's generator, where the requests served so far left it: normals drawn ahead
+        are given back first."""
+        if self._saved is not None:
             self._rewind()
         return self._rng
 
     def _rewind(self) -> None:
-        """Drop the held block and put the generator back where its preview found it."""
-        self._rng.bit_generator.state = self._ahead[2]
-        self._ahead = None
+        """Give back the normals drawn ahead: restore the generator's saved state, then skip
+        the normals served since, in one draw of that count (``standard_normal`` fills an
+        array in stream order, so the generator lands where serving them one by one would)."""
+        self._rng.bit_generator.state = self._saved
+        if self._served:
+            self._normal(self._served)
+        self._saved = self._served = self._tail = self._held = None
 
     @property
     def n_arms(self) -> int:
@@ -246,14 +258,21 @@ class SamplingOracle:
     def queue_normals(self, request: MeanRequest) -> None:
         """The gate of a mean request: queues the ``z`` of its arms (one scalar call for one
         arm in one round), or each arm's sum over its rounds, at the request's ``scale``.
-        The held block of the same arms and rounds gives its normals, drawn already;
-        any other request rewinds it first."""
+        A request over the arms of the last preview, for at most the rounds it showed, sums
+        the normals drawn ahead, and the rest stay ahead as the tail; any other request
+        rewinds first."""
         arms, rounds = request.arms, request.rounds
         if not self.arms.issuperset(arms):  # tested inline: a call per request shows on small requests
             self.check_arms(arms)
-        if self._ahead is not None:
-            if len(z := self._ahead[1]) == rounds and self._ahead[0] == arms:  # the generator is past z
-                self._ahead, self._queued, self._scale = None, z.sum(axis=0)[::-1].tolist(), request.scale
+        if self._saved is not None:
+            if self._held is not None and self._held[0] == arms and rounds <= self._held[1]:
+                n, tail = rounds * len(arms), self._tail
+                self._queued = tail[:n].reshape(rounds, len(arms)).sum(axis=0)[::-1].tolist()
+                self._scale, self._held = request.scale, None
+                if n == len(tail):  # the generator is where these normals leave the stream
+                    self._saved = self._served = self._tail = None
+                else:
+                    self._served, self._tail = self._served + n, tail[n:]
                 return
             self._rewind()
         if rounds != 1:
@@ -269,18 +288,23 @@ class SamplingOracle:
 
         A ``(rounds, len(arms))`` array, row r being what ``MeanRequest(arms, 1)``
         would return at its r-th fulfilment.  Nothing is charged and, to any reader of
-        ``rng``, the stream does not move.  The oracle holds the block's normals, with the
-        generator's state before them, until its next use of the generator: the mean
-        request over the same ``arms`` (as a tuple) and ``rounds`` is served from them,
-        and anything else (another request, a tally, a preview, a read of ``rng``) first
-        rewinds the generator to that state.  An arm out of range, negative included,
+        ``rng``, the stream does not move.  The block's normals come first from the tail
+        drawn ahead already, and only the rest are drawn; the oracle holds them, with the
+        generator's state before the first normal drawn ahead, until its next use of the
+        generator.  A mean request over the same ``arms`` (as a tuple) for at most
+        ``rounds`` rounds is served from them, leaving the rows past it as the tail for the
+        next preview; anything else (another request, a tally, a read of ``rng``) first
+        rewinds the generator (:meth:`_rewind`).  An arm out of range, negative included,
         raises ``IndexError`` before anything is drawn.
         """
         self.check_arms(arms)
-        state = self.rng.bit_generator.state  # a block held already is rewound first
-        z = self._normal((rounds, len(arms)))
-        self._ahead = (tuple(arms), z, state)
-        return np.array([self._means[arm] for arm in arms]) + z
+        arms, need = tuple(arms), rounds * len(arms)
+        if self._saved is None:
+            self._saved, self._served, self._tail = self._rng.bit_generator.state, 0, self._normal(need)
+        elif len(self._tail) < need:
+            self._tail = np.concatenate((self._tail, self._normal(need - len(self._tail))))
+        self._held = (arms, rounds)
+        return np.array([self._means[arm] for arm in arms]) + self._tail[:need].reshape(rounds, len(arms))
 
     def queue_tallies(self, request: TallyRequest) -> None:
         """The gate of a tally request: queues one count per arm, drawn in one array call
@@ -288,7 +312,7 @@ class SamplingOracle:
         arms, means, cutoff, scale = request.arms, self._means, request.cutoff, request.scale
         if not self.arms.issuperset(arms):
             self.check_arms(arms)
-        if self._ahead is not None:
+        if self._saved is not None:
             self._rewind()
         # No clamp: 0.5 * erfc(.) lies in [0, 1] for all x, +-inf included.
         ps = [0.5 * math.erfc(-((cutoff - means[arm]) * scale) / _SQRT2) for arm in arms]

@@ -18,9 +18,9 @@ reader of ``oracle.rng``, leaves the stream where it was, and asks for the
 rounds up to the first at which an arm drops, as one ``MeanRequest`` over
 its survivors with ``rounds`` set.  The oracle holds the previewed normals
 (at most ``BASELINE_BLOCK * len(arms)`` floats: 512 rounds over the
-survivors) and serves that request from them when it asks for the whole
-block; any other request, or a read of ``oracle.rng``, first rewinds the
-generator to where the preview found it.
+survivors) and serves that request from them, keeping the rows past it for
+the next preview; any other request, or a read of ``oracle.rng``, first
+rewinds the generator to where the requests served left it.
 Budget stops stay per arm and round: :meth:`PlanRun.advance`, the one
 serving step of every plan driver, serves a request that would cross the
 sample cap only up to its last arm that fits, in serving order, and only

@@ -311,11 +311,21 @@ def se_radius(r: int, n_arms: int, delta: float) -> float:
     return math.sqrt(2.0 * math.log(4.0 * n_arms * r * r / delta) / r)
 
 
+def _radius_floor(rs: np.ndarray, n: int, delta: float) -> np.ndarray:
+    """A floor under ``se_radius`` at each of the finite rounds ``rs``, in one array pass:
+    the same floats but for numpy's ``log``, which may differ from ``math.log`` by an ulp
+    (as ``rs`` may differ from ``float(r)`` past 2**53 rounds), less a margin of 1e-9 of the
+    radius, which covers such ulps many times over."""
+    return np.sqrt(2.0 * np.log(4.0 * n * rs * rs / delta) / rs) * (1.0 - 1e-9)
+
+
 def _block_end(ahead, r: int, n: int, delta: float) -> int:
     """Rounds of the block ``ahead`` (running sums, row i after round r + 1 + i) up to its
-    first row at which an arm drops or whose radius is infinite, else all of them.  The last
-    finite radius, less 1e-9 for rounding, is a floor under the earlier ones; ``x + radius``
-    and ``y - radius`` are monotone, so only rows that drop at the floor get ``se_radius``."""
+    first row at which an arm drops or whose radius is infinite, else all of them.  Each
+    finite row gets its :func:`_radius_floor`; ``x + radius`` and ``y - radius`` are
+    monotone, so a row that drops at its radius drops at its floor: only rows that drop at
+    their floor get ``se_radius``, in order, and the first of them that drops at it is the
+    block's first drop."""
     block = finite = len(ahead)
     if se_radius(r + block, n, delta) == math.inf:  # bisect for the first infinite row
         finite = bisect_left(range(r + 1, r + block), True, key=lambda q: se_radius(q, n, delta) == math.inf)
@@ -323,7 +333,7 @@ def _block_end(ahead, r: int, n: int, delta: float) -> int:
             return 1
     rs = np.arange(r + 1, r + finite + 1, dtype=float)
     lo, hi = (reduce(f, ahead[:finite].T) / rs for f in (np.minimum, np.maximum))  # beats min(axis=1)
-    floor = se_radius(r + finite, n, delta) * (1.0 - 1e-9)
+    floor = _radius_floor(rs, n, delta)
     for i in (lo + floor < hi - floor).nonzero()[0].tolist():
         if lo[i] + (radius := se_radius(r + 1 + i, n, delta)) < hi[i] - radius:
             return i + 1
@@ -344,9 +354,10 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     One request, ``MeanRequest(survivors, 1, rounds=...)``, asks for every round up to that
     one.  It takes the rewards previewed, so the drop rule takes its sums from the preview's
     row for that round and ignores the reply.  The oracle holds the previewed normals, at
-    most ``BASELINE_BLOCK * len(arms)`` floats, until its next use of the generator: a
-    request for every round previewed sums them instead of drawing them again, and one for
-    fewer rounds (an arm dropped early) rewinds the generator first and draws them afresh.
+    most ``BASELINE_BLOCK * len(arms)`` floats, and the request sums them instead of drawing
+    them again; when an arm drops early, the rows past the drop stay with the oracle as a
+    tail, and the next preview takes its first normals from them, so each normal is drawn
+    once.
     The first block, and the first after a drop, takes ``BASELINE_CELLS // len(survivors)``
     rounds (at least one, at most ``BASELINE_BLOCK``), and the block doubles, up to
     ``BASELINE_BLOCK`` rounds, while no arm drops.  The oracle serves the rounds in order

@@ -257,6 +257,63 @@ def test_bench_rejects_empty_directory(tmp_path, capsys):
     ]) == 1
 
 
+def counted(monkeypatch, name, fail_at=None):
+    """Replace ``bestarm.cli.<name>`` with a wrapper that counts its calls, and raises
+    ``ValueError`` at call ``fail_at``; returns the list of calls."""
+    calls, real = [], getattr(bestarm.cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise ValueError("trial failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bestarm.cli, name, wrapper)
+    return calls
+
+
+BENCH_INPUT_ERRORS = {  # (bad instance file, --out under tmp_path, message)
+    "out in a missing directory": (None, "missing/o.csv", "is not a writable directory"),
+    "out is a directory": (None, "a.txt.d", "is a directory"),
+    "a bad file after good ones": ("c.txt", "o.csv", "c.txt: line 2: not a decimal mean"),
+}
+
+
+@pytest.mark.parametrize("bad, out, message", BENCH_INPUT_ERRORS.values(), ids=BENCH_INPUT_ERRORS.keys())
+def test_bench_checks_every_input_before_the_first_trial(tmp_path, capsys, monkeypatch, bad, out, message):
+    calls = counted(monkeypatch, "run_trials")
+    for name in ("a.txt", "b.txt"):
+        write_instance(tmp_path, name)
+    (tmp_path / "a.txt.d").mkdir()
+    if bad:
+        write_instance(tmp_path, bad, "1.0\nhalf\n")
+    assert main(["bench", "--algo", "known", "--instances", str(tmp_path), "--trials", "2",
+                 "--out", str(tmp_path / out)]) == 1
+    out, err = capsys.readouterr()
+    assert calls == [] and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_a_failed_trial_leaves_an_existing_csv_as_it_was(tmp_path, capsys, monkeypatch):
+    calls = counted(monkeypatch, "run_trials", fail_at=2)
+    for name in ("a.txt", "b.txt"):
+        write_instance(tmp_path, name)
+    out_csv = tmp_path / "report.csv"
+    out_csv.write_text("earlier rows\n")
+    for append in ([], ["--append"]):
+        del calls[:]
+        assert main(["bench", "--algo", "known", "--instances", str(tmp_path), "--trials", "2",
+                     "--out", str(out_csv), *append]) == 1
+        assert len(calls) == 2 and "error: trial failed" in capsys.readouterr().err
+        assert out_csv.read_text() == "earlier rows\n"
+
+
+def test_signxi_checks_its_out_path_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    calls = counted(monkeypatch, "measure_loss_profile")
+    assert main(["signxi", "--trials", "2", "--out", str(tmp_path / "missing" / "loss.csv")]) == 1
+    assert calls == [] and "is not a writable directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["-3", "0", "100000"])
 def test_bench_refuses_workers_outside_one_to_cpu_count(tmp_path, capsys, monkeypatch, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SmallPool)

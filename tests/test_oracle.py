@@ -353,11 +353,12 @@ def test_preview_refuses_an_arm_out_of_range_and_moves_nothing(kind, arms):
     assert (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase)) == before
 
 
-# The oracle holds a preview's normals for the mean request over the same arms and rounds,
-# and rewinds the generator before any other use of it.  Two oracles run side by side: ours
-# previews before every step, the twin never does, and after every step the replies,
-# ledger, phases, queue and stream must be the twin's.  The request that matches the
-# preview draws nothing more.
+# The oracle holds a preview's normals for a mean request over the same arms, for at most
+# the rounds it showed, keeps the rows past that request as a tail for the next preview,
+# and rewinds the generator before any other use of it.  Two oracles run side by side:
+# ours previews before every step, the twin never does, and after every step the replies,
+# ledger, phases and queue must be the twin's, and so must the stream wherever ours is read
+# (which gives its tail back).  The request the preview serves draws nothing more.
 TWIN_MEANS = (0.3, -1.5, 0.0, 2.25, 0.7)
 _twin_arms = st.lists(st.integers(0, len(TWIN_MEANS) - 1), min_size=1, max_size=6).map(tuple)
 
@@ -367,9 +368,10 @@ _twin_arms = st.lists(st.integers(0, len(TWIN_MEANS) - 1), min_size=1, max_size=
     kind=st.sampled_from([SamplingOracle, DeterministicOracle]),
     seed=st.integers(0, 2**32),
     steps=st.lists(st.tuples(
-        st.sampled_from([None, "tally", "direct", "second preview"]),  # a use in between
+        st.sampled_from([None, "tally", "direct", "second preview", "rng"]),  # a use in between
         st.sampled_from(["match", "fewer rounds", "other arms", "budget stop"]),  # the request
         _twin_arms, st.integers(1, 8), st.sampled_from([1, 3, 2**40]), st.integers(0, 2**70),
+        st.booleans(),  # read both streams after the step
     ), min_size=1, max_size=6),
 )
 def test_a_preview_leaves_nothing_that_a_twin_without_it_would_see(kind, seed, steps):
@@ -381,7 +383,7 @@ def test_a_preview_leaves_nothing_that_a_twin_without_it_would_see(kind, seed, s
         mine, theirs = serve(ours), serve(twin)
         assert [float(x).hex() for x in np.ravel(mine)] == [float(x).hex() for x in np.ravel(theirs)]
 
-    for between, ask, arms, rounds, draws, cut in steps:
+    for between, ask, arms, rounds, draws, cut, read in steps:
         ours.preview(arms, rounds + (ask == "fewer rounds"))
         if between == "tally":
             both(TallyRequest(arms, draws, (cut % 7 + 1,) * len(arms), 0.5, phase="frac").fulfill)
@@ -389,6 +391,8 @@ def test_a_preview_leaves_nothing_that_a_twin_without_it_would_see(kind, seed, s
             both(lambda oracle: oracle.sample_mean(arms[-1], draws))
         elif between == "second preview":  # the block of the "other arms" request only
             ours.preview(arms + arms[:1], rounds)
+        elif between == "rng":
+            both(lambda oracle: oracle.rng.random())
         request = MeanRequest(arms + arms[:1] if ask == "other arms" else arms, draws, rounds=rounds,
                               phase="baseline")
         del drawn[:]
@@ -399,11 +403,13 @@ def test_a_preview_leaves_nothing_that_a_twin_without_it_would_see(kind, seed, s
                     run_one_request(request, oracle, budget)
         else:
             both(request.fulfill)
-        if (between, ask) == (None, "match"):
-            assert drawn == []  # served from the held block
+        if between is None and ask in ("match", "fewer rounds"):
+            assert drawn == []  # served from the preview's normals
         assert (ours.snapshot(), dict(ours.draws_by_phase)) == (twin.snapshot(), dict(twin.draws_by_phase))
         assert ours._queued == twin._queued == []
-        assert ours.rng.bit_generator.state == twin.rng.bit_generator.state
+        if read:
+            assert ours.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert ours.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 # A tally request of TALLY_BATCH or more arms draws its counts in one array

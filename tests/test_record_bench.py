@@ -12,7 +12,7 @@ _spec = importlib.util.spec_from_file_location("record_bench", ROOT / "tools" / 
 record_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record_bench)
 
-RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+RECORDS = sorted(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.removeprefix("BENCH_")))
 
 
 def test_a_record_is_on_file():
@@ -53,10 +53,31 @@ BREAKS = {
     "more pairs won than run": lambda r: first(r)["end_to_end"]["runs_per_s"].update(pairs_won=first(r)["pairs"] + 1),
     "a count not an int": lambda r: first(r)["counts"].update({"oracle.draws": 1.5}),
 }
+TIER1_BREAKS = {
+    "no tier-1 field": lambda r: r.pop("tier1"),
+    "tier-1 time as an int": lambda r: r["tier1"].update(wall_s=int(r["tier1"]["wall_s"])),
+    "no tier-1 time": lambda r: r["tier1"].pop("wall_s"),
+    "a failed tier-1 test": lambda r: r["tier1"].update(summary="1 failed, " + r["tier1"]["summary"]),
+    "no tier-1 summary": lambda r: r["tier1"].pop("summary"),
+}
 
 
 @pytest.mark.parametrize("change", BREAKS.values(), ids=BREAKS.keys())
 def test_a_broken_record_is_refused(change):
     record = json.loads(RECORDS[-1].read_text())
+    with pytest.raises(ValueError, match="BENCH record"):
+        record_bench.validate(broken(record, change))
+
+
+def timed(record):
+    """``record``, numbered at least ``TIER1_SINCE``, with a tier-1 field."""
+    tier1 = record.get("tier1", {"wall_s": 35.3, "summary": "642 passed, 1 xfailed, 2 xpassed in 35.30s"})
+    return dict(record, pr=max(record["pr"], record_bench.TIER1_SINCE), tier1=tier1)
+
+
+@pytest.mark.parametrize("change", TIER1_BREAKS.values(), ids=TIER1_BREAKS.keys())
+def test_a_broken_tier1_field_is_refused(change):
+    record = timed(json.loads(RECORDS[-1].read_text()))
+    record_bench.validate(record)
     with pytest.raises(ValueError, match="BENCH record"):
         record_bench.validate(broken(record, change))

@@ -12,7 +12,6 @@ for the rows that could drop, must be the row that scanning every row's
 radius finds.
 """
 
-import bisect
 import math
 from unittest import mock
 
@@ -33,7 +32,7 @@ from bestarm import (
 )
 from bestarm import solvers
 from bestarm.primitives import MeanRequest, _check_members, _count, med_elim_plan
-from bestarm.solvers import BASELINE_BLOCK, SolveResult, _block_end, se_radius
+from bestarm.solvers import BASELINE_BLOCK, SolveResult, _block_end, _radius_floor, se_radius
 from doubles import DeterministicOracle
 from test_acceptance import DESK_INSTANCES
 
@@ -154,7 +153,12 @@ BOUND_OFFSETS = (0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 0.
 
 
 def first_infinite_round(n, delta):
-    return bisect.bisect_left(range(1, 10**13), True, key=lambda q: se_radius(q, n, delta) == math.inf) + 1
+    """The first round at which ``se_radius`` is infinite, found by bisection, however far."""
+    lo, hi = 1, 2**600  # 4 n r^2 overflows at r = 2**600 whatever n and delta
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if se_radius(mid, n, delta) == math.inf else (mid + 1, hi)
+    return lo
 
 
 @st.composite
@@ -215,6 +219,32 @@ def test_block_end_examples_end_where_they_should():
     assert _block_end(*_edge_block(EDGE_OVERFLOW - 1, 8, [0, 3])) == 1
     assert _block_end(*_bound_block()) == 4
     assert _block_end(np.zeros((4, 2)), 0, 2, 5e-324) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 10**4),
+    delta=st.floats(1e-300, 1.0, exclude_max=True),
+    block=st.integers(1, BASELINE_BLOCK),
+    near=st.booleans(),  # a block that reaches the first infinite row, or one anywhere
+    back=st.integers(0, 2 * BASELINE_BLOCK),
+    anywhere=st.integers(0, 10**12),
+)
+@example(n=2, delta=EDGE_DELTA, block=BASELINE_BLOCK, near=True, back=0, anywhere=0)
+@example(n=2, delta=math.nextafter(1.0, 0.0), block=BASELINE_BLOCK, near=True, back=0, anywhere=0)
+@example(n=10**4, delta=1e-300, block=1, near=False, back=0, anywhere=0)
+def test_the_radius_floor_is_at_most_every_finite_rows_radius(n, delta, block, near, back, anywhere):
+    """``_block_end`` confirms only the rows that drop at their floor, so no floor may exceed
+    its row's radius: numpy's ``log`` may differ from ``math.log`` by an ulp, and the
+    floor's margin must cover that on every finite row, up to the first infinite one."""
+    overflow = first_infinite_round(n, delta)
+    r = max(0, overflow - 2 - back) if near else anywhere  # near: ``back`` rows short of the last finite one
+    rows = range(r + 1, min(r + block, overflow - 1) + 1)  # the finite rows of the block
+    if not rows:
+        return
+    rs = np.arange(r + 1, r + len(rows) + 1, dtype=float)  # as ``_block_end`` builds them
+    floors = _radius_floor(rs, n, delta).tolist()
+    assert all(floor <= se_radius(q, n, delta) for q, floor in zip(rows, floors))
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4])
@@ -324,3 +354,25 @@ def test_baseline_asks_for_few_requests_of_bounded_length(instance):
             assert previewed == block
             drops = i + 1 == len(requests) or requests[i + 1].arms != survivors
             assert request.rounds == previewed or drops and request.rounds < previewed
+
+
+def test_baseline_draws_each_normal_once():
+    """A block that ends early leaves the rows past its drop as a tail that the next preview
+    takes, so a run draws the normals it charges and at most the tail it ends with, which
+    is no more than its largest block: never a block's head twice."""
+    for instance in DESK_INSTANCES:
+        for seed in range(8):
+            oracle = SamplingOracle.for_instance(instance, seed)
+            normal, preview, drawn, blocks = oracle._normal, oracle.preview, [0], []
+
+            def counted(size=None):
+                drawn[0] += 1 if size is None else int(np.prod(size))
+                return normal() if size is None else normal(size)
+
+            def recorded_preview(arms, rounds):
+                blocks.append(rounds * len(arms))
+                return preview(arms, rounds)
+
+            oracle._normal, oracle.preview = counted, recorded_preview
+            outcome = solve(baseline_successive_elimination_plan, oracle, instance, 0.01)
+            assert outcome.total_samples <= drawn[0] <= outcome.total_samples + max(blocks), (instance.label, seed)

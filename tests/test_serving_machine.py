@@ -9,11 +9,16 @@ and charges its arms and its phase; a budget stop serves the request's head up t
 last arm that fits.  After every step the oracle's ledger, phases, generator state and
 queue must equal the model's, so a refused step moves nothing.
 
-The machine also previews blocks of rounds and reads ``oracle.rng``.  The model holds
-the last preview's block: after the preview, ``rng`` shows the stream where it was; a
-mean request over the block's arms and rounds takes the block's normals and leaves the
-generator past them; every other step that uses the generator (a request, a tally, a
-direct call, a preview, a read of ``rng``) first puts it back where the preview found it.
+The machine also previews blocks of rounds and reads ``oracle.rng``.  The model keeps
+the oracle's tail, the normals drawn ahead of the stream, and the arms and rounds of the
+last preview: after a preview, ``rng`` shows the stream where it was; a preview takes its
+first normals from the tail and draws only the rest; a mean request over the last
+preview's arms, for at most its rounds, takes the tail's first normals and leaves the rest
+as the tail; every other step that uses the generator (a request, a tally, a direct
+call, a read of ``rng``) first gives the tail back: the generator goes back to where the
+tail began, and skips the normals served from it since, in one draw.  The model counts
+the normals the oracle draws, skips included, so a tail that is drawn again, or a skip
+left out, shows even where the stream ends up the same.
 """
 
 import copy
@@ -132,24 +137,53 @@ class ServingMachine(RuleBasedStateMachine):
         self.oracle = self.kind(MEANS, seed=seed)
         # The model: its own ledger and phases; a twin generator, the stream ``rng`` must
         # show, taking one scalar call per arm and round (the variance-0 double takes no
-        # reward from it); and the held block of the last preview, None once dropped:
-        # (arms, rounds, its normals in serving order, the generator state past them).
+        # reward from it); the tail, the normals drawn ahead of that stream (None: nothing
+        # drawn ahead), with the count served from it since it began; the (arms, rounds)
+        # of the last preview, None once a request or a rewind drops it; and the normals
+        # the oracle should have drawn, against those a wrapper of its generator call counts.
         self.ledger, self.phases = [0] * N_ARMS, {}
         self.twin = np.random.default_rng(seed)
         self.random = self.kind is SamplingOracle
-        self.held = None
+        self.tail = self.served = self.held = None
+        self.normals = self.drawn = 0
+        normal = self.oracle._normal
+
+        def counted(size=None):
+            self.drawn += 1 if size is None else int(np.prod(size))
+            return normal() if size is None else normal(size)
+
+        self.oracle._normal = counted
+
+    def _rewind(self):
+        """Every use of the generator but a preview or a request the tail serves: the
+        oracle skips the normals served from the tail since it began, and drops it."""
+        if self.tail is not None:
+            self.normals += self.served
+        self.tail = self.served = self.held = None
+
+    def _past(self, n: int):
+        """The twin's stream, copied, moved past its next ``n`` normals; the normals."""
+        peek = copy.deepcopy(self.twin)
+        return peek, [peek.standard_normal() if self.random else 0.0 for _ in range(n)]
 
     def _draw(self, pairs, phase, tally, cutoff=None, asks=None) -> list:
         """The model serves ``(arm, draws, probes)`` triples in order: each charges its
         arm and takes one normal (a mean) or one binomial count (a tally).  ``asks`` is the
-        ``(arms, rounds)`` of the mean request served: if the held block has them, its
-        normals are taken and the stream moves past them.  Serving anything drops the held
-        block, so every other draw comes from the stream where the preview found it."""
-        take = None  # the held block's normals, when this request asks for them
-        if pairs and self.held is not None:
+        ``(arms, rounds)`` of the mean request served: over the last preview's arms, for at
+        most its rounds, it takes the tail's first normals, which the stream moves past,
+        and the rest stay as the tail.  Serving anything else gives the tail back first."""
+        take = None  # the tail's normals, when this request asks for them
+        if pairs and self.tail is not None:
             held, self.held = self.held, None
-            if not tally and asks == held[:2]:
-                take, self.twin.bit_generator.state = iter(held[2]), held[3]
+            if not tally and held is not None and asks[0] == held[0] and asks[1] <= held[1]:
+                n = len(pairs)
+                self.twin, normals = self._past(n)  # the tail holds the stream's next normals
+                assert [z.hex() for z in self.tail[:n]] == [z.hex() for z in normals]
+                take, self.tail, self.served = iter(normals), self.tail[n:], self.served + n
+                if not self.tail:  # the generator is where the tail ends
+                    self.tail = self.served = None
+            else:
+                self._rewind()
         values = []
         for arm, draws, probes in pairs:
             self.ledger[arm] += draws * probes
@@ -157,7 +191,8 @@ class ServingMachine(RuleBasedStateMachine):
             if not tally:
                 if take is not None:
                     values.append(next(take))
-                else:
+                else:  # one normal the oracle draws
+                    self.normals += 1
                     values.append(self.twin.standard_normal() if self.random else 0.0)
             else:
                 p = 0.5 * math.erfc(-((cutoff - MEANS[arm]) * math.sqrt(draws)) / math.sqrt(2.0))
@@ -171,10 +206,13 @@ class ServingMachine(RuleBasedStateMachine):
         self._serve(data, tally, how, _fields(data, tally, defect, one_arm=how == "direct"), defect)
 
     @precondition(lambda self: self.held is not None)
-    @rule(data=st.data(), how=st.sampled_from(["fulfill", "run_plan"]))
-    def ask_for_the_held_block(self, data, how):
-        """A mean request over the held block's arms and rounds, with any draws count."""
-        arms, rounds = self.held[:2]
+    @rule(data=st.data(), how=st.sampled_from(["fulfill", "run_plan"]), fewer=st.booleans())
+    def ask_for_the_held_block(self, data, how, fewer):
+        """A mean request over the last preview's arms, for all of its rounds or for fewer,
+        which leaves the rows past them as the tail; with any draws count."""
+        arms, rounds = self.held
+        if fewer:
+            rounds = data.draw(st.integers(1, rounds), label="rounds")
         self._serve(data, False, how, {"arms": arms, "draws": data.draw(_draws[False]), "rounds": rounds}, None)
 
     def _serve(self, data, tally, how, fields, defect):
@@ -232,8 +270,8 @@ class ServingMachine(RuleBasedStateMachine):
 
     @rule(data=st.data(), rounds=st.integers(1, 4), bad=st.sampled_from([False, False, False, True]))
     def preview(self, data, rounds, bad):
-        """A preview shows the rewards of the next rounds and holds their normals; an arm out
-        of range is refused before anything moves, and a block held already stays held."""
+        """A preview shows the rewards of the next rounds, takes its first normals from the
+        tail and draws only the rest; an arm out of range is refused before anything moves."""
         arms = tuple(data.draw(_arms[False], label="arms"))
         if bad:
             at = data.draw(_at) % len(arms)
@@ -242,17 +280,20 @@ class ServingMachine(RuleBasedStateMachine):
                 self.oracle.preview(arms, rounds)
             return
         ahead = self.oracle.preview(arms, rounds)
-        peek = copy.deepcopy(self.twin)  # the stream where it is: a held block is rewound first
-        normals = [peek.standard_normal() if self.random else 0.0 for _ in range(rounds * len(arms))]
+        tail, need = self.tail or [], rounds * len(arms)
+        _, normals = self._past(max(need, len(tail)))  # the stream where the requests left it
+        assert [z.hex() for z in tail] == [z.hex() for z in normals[:len(tail)]]
         rewards = [MEANS[arm] + z for arm, z in zip(arms * rounds, normals)]
         assert [x.hex() for x in ahead.ravel().tolist()] == [x.hex() for x in rewards]
-        self.held = (arms, rounds, normals, peek.bit_generator.state)
+        self.normals += max(0, need - len(tail))
+        self.tail, self.served = normals, self.served or 0
+        self.held = (arms, rounds)
 
     @rule()
     def read_rng(self):
         """Whoever reads ``rng`` sees the stream the requests served left, and draws from it."""
         assert self.oracle.rng.bit_generator.state == self.twin.bit_generator.state
-        self.held = None
+        self._rewind()
         assert self.oracle.rng.random() == self.twin.random()
 
     @invariant()
@@ -263,10 +304,12 @@ class ServingMachine(RuleBasedStateMachine):
         assert all(type(n) is int for n in ledger + list(phases.values()))
         assert (ledger, phases) == (self.ledger, self.phases)
         assert oracle.total == sum(phases.values())
-        # read past ``rng``, which would rewind: the generator is past a held block
-        assert (oracle._ahead is None) == (self.held is None)
-        state = self.twin.bit_generator.state if self.held is None else self.held[3]
-        assert oracle._rng.bit_generator.state == state
+        assert self.drawn == self.normals
+        # read past ``rng``, which would rewind: the generator is past the tail
+        tail = [] if oracle._tail is None else oracle._tail.tolist()
+        assert [z.hex() for z in tail] == [z.hex() for z in self.tail or []]
+        assert (oracle._saved is None) == (self.tail is None)
+        assert oracle._rng.bit_generator.state == self._past(len(tail))[0].bit_generator.state
 
 
 class DeterministicServingMachine(ServingMachine):

@@ -14,7 +14,9 @@ both trees run the same
 benchmark, and the runs of the two trees alternate, the first of each pair switching
 sides: each metric then also records the other tree's runs and the pairs this tree won
 (ties count for neither side).  One traced run (``--trace 1``) of this tree per workload
-and seed gives the per-layer counts.  The record holds the git revision (``+dirty`` when
+and seed gives the per-layer counts, and one run of this tree's tier-1 tests (``pytest -q``
+over ``tests/``, with ``src`` on the path) its wall time, under ``tier1``; the record is
+refused if a tier-1 test fails.  The record holds the git revision (``+dirty`` when
 the tree has uncommitted changes to tracked files) and ``os.cpu_count()``.  A record made
 before its own commit names that commit's parent plus ``+dirty``: the tree it measured is
 the commit that added the file (``git log -1 --format=%H -- BENCH_<N>.json``).
@@ -31,12 +33,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1_000_003)  # the default seed and the seed kept out of tuning
 PAIRS = 5  # per seed: the ten pairs over both seeds that a claimed gain needs
 SCHEMA = 1
+TIER1_SINCE = 31  # the number of the first record that times tier-1
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
@@ -55,6 +59,19 @@ def run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"), *args], cwd=tree,
                           capture_output=True, text=True, timeout=1800, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def tier1() -> dict:
+    """The wall time of one run of this tree's tier-1 tests, and pytest's summary line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                           "-p", "no:cacheprovider"], cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0:
+        sys.exit(f"tier-1 failed ({lines[-1] if lines else proc.returncode}): no record is written")
+    return {"wall_s": wall, "summary": lines[-1]}
 
 
 def summary(values: list[float]) -> dict:
@@ -106,6 +123,14 @@ def validate(record: dict) -> None:
          "against must be None or a full git hash")
     need(type(record.get("cpu_count")) is int and record["cpu_count"] > 0, "cpu_count must be a positive int")
     need(record.get("seconds") == BENCHMARK["run_seconds"], f"seconds must be {BENCHMARK['run_seconds']}")
+    need("tier1" in record or record["pr"] < TIER1_SINCE, f"a record numbered {TIER1_SINCE} or later must time tier-1")
+    if "tier1" in record:
+        tests = record["tier1"]
+        need(isinstance(tests, dict) and type(tests.get("wall_s")) is float and tests["wall_s"] > 0,
+             "tier1.wall_s must be a positive float")
+        need(isinstance(tests.get("summary"), str) and " passed" in tests["summary"]
+             and " failed" not in tests["summary"] and " error" not in tests["summary"],
+             "tier1.summary must be pytest's summary of a passing run")
     sides = ("this", "against") if record.get("against") else ("this",)
     workloads = {w["name"] for w in BENCHMARK["workloads"]}
     need(isinstance(record.get("workloads"), dict) and set(record["workloads"]) == workloads,
@@ -145,7 +170,7 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     record = {"schema": SCHEMA, "pr": args.pr, "revision": revision(), "against": None,
               "cpu_count": os.cpu_count(), "python": platform.python_version(), "seconds": seconds,
-              "workloads": {}}
+              "tier1": tier1(), "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="record_bench_") as tmp:
         trees = {"this": ROOT}
         if args.against:
