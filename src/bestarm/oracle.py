@@ -4,11 +4,12 @@ A request names an ordered tuple of arms and is served in order, round after rou
 so the RNG stream and the draw counters advance exactly as one request per arm and
 round would; ``served()`` yields that order as ``(arm, draws)`` pairs.
 :class:`MeanRequest` asks for empirical means, :class:`TallyRequest` for probe counts
-below a cutoff.  A request is checked whole when it is built: it takes its arms and
-counts as exact Python ints (numpy ints included; an arm or count that is not an
-integer raises ``TypeError``, as a float equal to an arm index would pass the range
-check), refuses every value it can judge on its own with a ``ValueError``, and stores
-its ``cost``, the draws it takes, and the ``scale`` its draws need.  Only its arms'
+below a cutoff.  A request is checked whole when it is built, by one written-out
+``__init__``: it takes its arms and counts as exact Python ints (numpy ints included,
+never added as numpy scalars; an arm or count that is not an integer raises
+``TypeError``, as a float equal to an arm index would pass the range check), refuses
+every value it can judge on its own with a ``ValueError``, and stores its ``cost``, the
+draws it takes, and the ``scale`` its draws need.  Only its arms'
 range waits for the oracle, whose :meth:`SamplingOracle.check_arms` refuses an arm
 out of range.  Fulfilling it takes three steps: the oracle's gate (``queue_normals`` or
 ``queue_tallies``) checks the arms and draws the request whole; one sampler call per
@@ -26,6 +27,11 @@ normals served since, in one draw of that count (``standard_normal`` fills an ar
 stream order).  What is drawn ahead is at most one block, ``rounds * len(arms)`` floats
 (for the baseline, ``BASELINE_BLOCK * len(arms)``: 512 rounds over its survivors), one
 per oracle.
+
+An oracle's generator is ``np.random.default_rng(seed)``, bit for bit.  For a non-negative
+int seed it is built from the seed's words, which a per-process cache keeps for the last
+256 such seeds (:func:`_seed_words`, about 280 bytes each): a bench runs every algorithm
+and instance at the same seeds, and deriving the words costs most of a fresh generator.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import math
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import islice, repeat
 from operator import index
 
@@ -50,7 +57,26 @@ def _past_float_range(draws: int) -> ValueError:
     return ValueError(f"draws must be within the float range, got a {draws.bit_length()}-bit count")
 
 
-@dataclass(slots=True)
+def _exact_arms(arms):
+    """``arms`` as Python ints: as given when a float sum and then an int sum say so (the
+    float sum first, as it adds numpy ints as floats, where the int sum would add them as
+    numpy scalars that may wrap), else taken one by one; an arm that is not an integer
+    raises ``TypeError`` naming it."""
+    try:
+        if type(sum(arms, 0.0)) is float and type(sum(arms)) is int:
+            return arms
+    except (OverflowError, TypeError):  # an int past the float range, or not a number
+        pass
+    exact = []
+    for arm in arms:
+        try:
+            exact.append(index(arm))
+        except TypeError as error:
+            raise TypeError(f"arm {arm!r}: {error}") from None
+    return tuple(exact)
+
+
+@dataclass(slots=True, init=False)
 class MeanRequest:
     """Ask for the empirical mean of ``draws`` fresh rewards from each of ``arms`` in
     each of ``rounds`` rounds, served round after round, as :meth:`served` lists them.
@@ -66,27 +92,26 @@ class MeanRequest:
 
     arms: tuple[int, ...]
     draws: int
-    phase: str = field(default="", kw_only=True)
-    rounds: int = field(default=1, kw_only=True)
+    phase: str
+    rounds: int
     cost: int = field(init=False, compare=False)
     scale: float = field(init=False, compare=False)
 
-    def __post_init__(self):
-        if not self.arms:
+    def __init__(self, arms, draws, *, phase="", rounds=1):
+        if not arms:
             raise ValueError(_NO_ARMS)
-        if type(sum(self.arms)) is not int:  # taken one by one, a float equal to an arm is refused
-            self.arms = tuple(map(index, self.arms))
-        self.draws, self.rounds = draws, rounds = index(self.draws), index(self.rounds)
+        arms, draws, rounds = _exact_arms(arms), index(draws), index(rounds)
+        self.arms, self.draws, self.rounds, self.phase = arms, draws, rounds, phase
         if draws < 1 or rounds < 1:
             raise ValueError(f"{'draws' if draws < 1 else 'rounds'} must be >= 1")
-        if rounds != 1 and rounds * len(self.arms) >= 2**63:  # past one normals array's index
+        if rounds != 1 and rounds * len(arms) >= 2**63:  # past one normals array's index
             raise ValueError(f"rounds * len(arms) must be below 2**63, got {rounds.bit_length()}-bit rounds")
         try:
             scale = draws**-0.5
         except OverflowError:
             raise _past_float_range(draws) from None
         self.scale = scale / rounds
-        self.cost = draws * len(self.arms) * rounds
+        self.cost = draws * len(arms) * rounds
 
     def served(self) -> Iterator[tuple[int, int]]:
         """The ``(arm, draws)`` pairs in serving order: ``arms``, round after round."""
@@ -98,13 +123,12 @@ class MeanRequest:
 
     def fulfill(self, oracle) -> list[float]:
         oracle.queue_normals(self)
-        sample_mean, draws = oracle.sample_mean, self.draws * self.rounds
-        means = [sample_mean(arm, draws) for arm in self.arms]
+        means = [*map(oracle.sample_mean, self.arms, repeat(self.draws * self.rounds))]
         oracle.draws_by_phase[self.phase] += self.cost
         return means
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class TallyRequest:
     """Ask how many of ``probes[i]`` independent mean-of-``draws`` estimates
     from ``arms[i]`` fall strictly below ``cutoff``, summed over the arms.
@@ -120,28 +144,27 @@ class TallyRequest:
     draws: int
     probes: tuple[int, ...]
     cutoff: float
-    phase: str = field(default="", kw_only=True)
+    phase: str
     cost: int = field(init=False, compare=False)
     scale: float = field(init=False, compare=False)
 
-    def __post_init__(self):
-        arms, draws, probes = self.arms, self.draws, self.probes
+    def __init__(self, arms, draws, probes, cutoff, *, phase=""):
         if not arms:
             raise ValueError(_NO_ARMS)
-        if type(sum(arms)) is not int:  # taken one by one, a float equal to an arm is refused
-            self.arms = tuple(map(index, arms))
+        arms = _exact_arms(arms)
         try:  # numpy ints add up to a numpy float here, where an int sum of them could wrap
             exact = type(draws) is int and type(sum(probes, 0.0)) is float and type(n := sum(probes)) is int
         except (OverflowError, TypeError):  # past the float range, or not a number: taken one by one
             exact = False
         if not exact:
-            self.draws, self.probes = draws, probes = index(draws), tuple(map(index, probes))
+            draws, probes = index(draws), tuple(map(index, probes))
             n = sum(probes)
+        self.arms, self.draws, self.probes, self.cutoff, self.phase = arms, draws, probes, cutoff, phase
         if draws < 1 or min(probes or (1,)) < 1:  # no probes: refused as unpaired, below
             raise ValueError("draws and probes must be >= 1")
         if len(probes) != len(arms):
             raise ValueError(f"a tally needs one probe count per arm, got {len(probes)} for {len(arms)} arms")
-        if math.isnan(self.cutoff):
+        if math.isnan(cutoff):
             raise ValueError("cutoff must not be NaN")
         if n >= 2**63 and max(probes) >= 2**63:
             raise ValueError(f"probes must be within the int64 range, got {max(probes)}")
@@ -165,6 +188,29 @@ class TallyRequest:
                         repeat(self.cutoff)))
         oracle.draws_by_phase[self.phase] += self.cost
         return below
+
+
+class _SeedWords:
+    """The seed words of one generator, which ``PCG64`` takes as they are: a numpy
+    ``ISeedSequence``, registered at run time, so that ``import bestarm`` leaves
+    ``numpy.random`` unloaded."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=None):
+        return self.words
+
+
+@lru_cache(maxsize=256)  # a bench runs trial i at seed + i, over every (algo, instance) pair
+def _seed_words(seed: int) -> _SeedWords:
+    """The words ``default_rng(seed)`` seeds its generator with, for a non-negative int seed:
+    ``SeedSequence(seed).generate_state(4, np.uint64)``, kept for the last 256 such seeds of
+    the process, so that a seed used again skips the 16 hash calls that derive them."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return _SeedWords(np.random.SeedSequence(seed).generate_state(4, np.uint64))
 
 
 class SamplingOracle:
@@ -193,7 +239,7 @@ class SamplingOracle:
         self._means = tuple(map(float, means))
         if not self._means:
             raise ValueError("oracle needs at least one arm")
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(_seed_words(seed) if type(seed) is int and seed >= 0 else seed)
         self._normal, self._binomial = self._rng.standard_normal, self._rng.binomial
         # Normals drawn ahead of the stream, in stream order: the generator is past them, and
         # ``_saved`` less ``_served`` normals is where it was before them (both None when

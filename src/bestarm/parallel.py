@@ -22,7 +22,10 @@ within one iteration.
 
 Copy k's generator is seeded exactly as ``SeedSequence(seed, spawn_key=(k - 1,))``
 seeds it, from seed words derived once per run: the base seed is mixed once, and
-the rest runs on a block of copies at a time as uint32 arrays.  A request covers
+the rest runs on a block of copies at a time as uint32 arrays.  A copy's words reach
+its oracle as :class:`~bestarm.oracle._SeedWords`, the one seed-words type, which the
+oracle's cache of int seeds also uses.  The copies' plans get no ``emit``, so their
+rounds build no round records.  A request covers
 several arms (a mean request, several rounds of them), served in order, and the
 ledger stays per draw.  Each copy's oracle is its only draw ledger.  A copy is a
 :class:`~bestarm.primitives.PlanRun`, whose ``advance`` serves every request, so
@@ -39,7 +42,7 @@ import itertools
 import numpy as np
 
 from .instances import Instance, _check_delta
-from .oracle import SamplingOracle
+from .oracle import SamplingOracle, _SeedWords
 from .primitives import BudgetExceededError, PlanRun, split_at_cap
 from .solvers import RunOutcome, complexity_guessing_plan, make_outcome
 
@@ -55,19 +58,6 @@ def _hash(x, init, mult, start):
     c = init * mult ** np.arange(start, start + len(x) + 1, dtype=np.uint32)
     x = (x ^ c[:-1, None]) * c[1:, None]
     return x ^ (x >> 16)
-
-
-class _SeedWords:
-    """One copy's seed words, which ``PCG64`` takes as they are: a numpy ``ISeedSequence``,
-    registered at run time, so that ``import bestarm`` leaves ``numpy.random`` unloaded."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=None):
-        return self.words
 
 
 def _copy_seeds(seed):

@@ -68,7 +68,10 @@ class PlanRun:
         if budget is not None and (type(budget) is bool or not isinstance(budget, Integral) or budget < 0):
             raise ValueError(f"budget must be None or an integer >= 0, got {budget!r}")
         self.plan, self.oracle, self.budget, self.result = plan, oracle, budget, None
-        self._resume(None)  # a plan may return before it samples anything
+        try:
+            self.pending = plan.send(None)
+        except StopIteration as stop:  # a plan may return before it samples anything
+            self.pending, self.result = None, stop.value
 
     def advance(self) -> None:
         """Fulfil ``pending`` and resume the plan with the reply.  A request that would take the
@@ -83,11 +86,8 @@ class PlanRun:
                 request.prefix(fit).fulfill(oracle)
             self.plan.close()
             raise BudgetExceededError(f"next request ({request.cost} draws) would exceed the cap of {budget}")
-        self._resume(request.fulfill(oracle))
-
-    def _resume(self, reply) -> None:
-        try:
-            self.pending = self.plan.send(reply)
+        try:  # resumed here, not in a helper: this is the one call every request pays for
+            self.pending = self.plan.send(request.fulfill(oracle))
         except StopIteration as stop:
             self.pending, self.result = None, stop.value
 

@@ -79,8 +79,9 @@ class RunOutcome:
 
 @dataclass(slots=True)
 class RoundEvent:
-    """One row of the structured per-round trace; ``draws_*`` come from ``draws_by_phase``.
-    A slotted record, not frozen: a frozen init pays one ``object.__setattr__`` per field."""
+    """One row of the structured per-round trace, built only for a plan given an ``emit``;
+    ``draws_*`` come from ``draws_by_phase``, in the order of ``_PHASES``.  A slotted record,
+    not frozen: a frozen init pays one ``object.__setattr__`` per field."""
 
     solver: str
     guess_t: int | None
@@ -156,17 +157,22 @@ def _shuffled_arms(oracle: SamplingOracle, instance: Instance) -> list[int]:
 
 # --- the shared elimination round -------------------------------------------
 
+_PHASES = ("med", "anchor", "frac", "elim")  # the phases of ``RoundEvent.draws_*``, in order
 
-def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_prime):
+
+def _phase_draws(oracle) -> list[int]:
+    return [oracle.draws_by_phase.get(phase, 0) for phase in _PHASES]
+
+
+def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_prime, listening):
     """One round at accuracy ``eps``, shared by both elimination solvers.
 
-    Returns ``(survivors, fields)``; ``fields`` holds the round's own
-    ``RoundEvent`` fields, each draw field set to what its phase drew this round.
+    Returns ``(survivors, crowded, draws)``: the fraction test's answer and, only when
+    ``listening`` (else None), what each of ``_PHASES`` drew this round.
     """
     if not delta_r:  # underflowed (a subnormal delta): a float-range error, like delta_prime's
         raise OverflowError("delta_r underflowed to 0")
-    n_active = len(members)
-    before = dict(oracle.draws_by_phase)
+    before = _phase_draws(oracle) if listening else None
     try:
         anchor = yield from med_elim_plan(members, 0.125 * eps, 0.01)
     except OverflowError:  # med-elim runs at a fixed confidence: only eps sizes its counts
@@ -180,14 +186,7 @@ def _elimination_round(oracle, members, eps, delta_r, theta_lo, theta_hi, delta_
             raise OverflowError("delta_prime underflowed to 0")
         d_lo, d_hi = elim_thresholds(mu_hat, eps)
         members = (yield from elimination_plan(oracle, members, d_lo, d_hi, delta_prime)) or [anchor]
-    return members, dict(
-        eps=eps, n_active=n_active, frac_true=crowded, theta_lo=theta_lo, theta_hi=theta_hi,
-        delta_round=delta_r, delta_prime=delta_prime if crowded else None,
-        draws_med=oracle.draws_by_phase.get("med", 0) - before.get("med", 0),
-        draws_anchor=oracle.draws_by_phase.get("anchor", 0) - before.get("anchor", 0),
-        draws_frac=oracle.draws_by_phase.get("frac", 0) - before.get("frac", 0),
-        draws_elim=oracle.draws_by_phase.get("elim", 0) - before.get("elim", 0),
-    )
+    return members, crowded, [a - b for a, b in zip(_phase_draws(oracle), before)] if listening else None
 
 
 # --- known complexity ------------------------------------------------------
@@ -211,13 +210,14 @@ def known_complexity_plan(oracle, instance, delta, H, emit=None):
     for r in count(1):
         if len(members) == 1:
             return SolveResult(arm=members[0], rounds=r)
-        eps_r = round_eps(r)
-        delta_prime = min(len(members) * eps_r**-2 / h_hat * delta, delta)
-        members, fields = yield from _elimination_round(
-            oracle, members, eps_r, kc_round_delta(delta, r), 0.3, 0.5, delta_prime
+        eps_r, delta_r, n_active = round_eps(r), kc_round_delta(delta, r), len(members)
+        delta_prime = min(n_active * eps_r**-2 / h_hat * delta, delta)
+        members, crowded, draws = yield from _elimination_round(
+            oracle, members, eps_r, delta_r, 0.3, 0.5, delta_prime, emit is not None
         )
         if emit is not None:
-            emit(RoundEvent("known_complexity", None, r, rejected=False, **fields))
+            emit(RoundEvent("known_complexity", None, r, eps_r, n_active, False, crowded, None, None,
+                            0.3, 0.5, delta_r, delta_prime if crowded else None, *draws))
 
 
 # --- entropy elimination (one guess) ---------------------------------------
@@ -249,24 +249,21 @@ def entropy_elimination_plan(oracle, instance, delta, t, emit=None, _members=Non
         # Planned-sample ledger; the log factor is clamped at 1 so the
         # running total stays monotone even for far-too-small guesses.
         t_next = t_r + weight * max(math.log(h_hat / (weight * delta)), 1.0)
-        rejected = h_r + 4.0 * weight >= h_hat or t_next >= 100.0 * h_hat
-        # A rejected guess stops before the round samples anything.
-        if rejected:
-            fields = dict(eps=eps_r, n_active=n_start, delta_round=delta_r)
-        else:
-            t_r = t_next
-            theta_r = theta_prev + theta_step(t, r)
-            active, fields = yield from _elimination_round(
-                oracle, active, eps_r, delta_r, theta_prev, theta_r, delta_prime
-            )
-            if fields["frac_true"]:
-                h_r += 4.0 * weight
-            theta_prev = theta_r
-        if emit is not None:
-            emit(RoundEvent("entropy_elimination", t, r, rejected=rejected,
-                            h_estimate=h_r, t_estimate=t_next, **fields))
-        if rejected:
+        if h_r + 4.0 * weight >= h_hat or t_next >= 100.0 * h_hat:  # rejected before it samples
+            if emit is not None:
+                emit(RoundEvent("entropy_elimination", t, r, eps_r, n_start, True, None, h_r, t_next,
+                                None, None, delta_r))
             return SolveResult(arm=None, rounds=r, rejected=True)
+        t_r, theta_r = t_next, theta_prev + theta_step(t, r)
+        active, crowded, draws = yield from _elimination_round(
+            oracle, active, eps_r, delta_r, theta_prev, theta_r, delta_prime, emit is not None
+        )
+        if crowded:
+            h_r += 4.0 * weight
+        if emit is not None:
+            emit(RoundEvent("entropy_elimination", t, r, eps_r, n_start, False, crowded, h_r, t_next,
+                            theta_prev, theta_r, delta_r, delta_prime if crowded else None, *draws))
+        theta_prev = theta_r
 
 
 # --- complexity guessing ----------------------------------------------------

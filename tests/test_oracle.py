@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bestarm import (
-    BudgetExceededError, Instance, MeanRequest, SamplingOracle, complexity_guessing_plan, run_plan,
-    solve,
+    BudgetExceededError, Instance, MeanRequest, SamplingOracle, complexity_guessing_plan,
+    parallel_simulation, run_plan, solve,
 )
-from bestarm.oracle import TALLY_BATCH
+from bestarm.oracle import TALLY_BATCH, _seed_words
 from bestarm.primitives import TallyRequest, split_at_cap
 from bestarm.solvers import SolveResult, make_outcome
 from doubles import DeterministicOracle
@@ -587,6 +588,9 @@ REFUSED_REQUESTS = [
     lambda: TallyRequest((0, 1.0), 2, (5, 5), 0.5, phase="frac"),
     lambda: TallyRequest(tuple(range(TALLY_BATCH - 1)) + (1.0,), 2, (5,) * TALLY_BATCH, 0.5),
     lambda: MeanRequest((0, "1"), 3),
+    lambda: MeanRequest((np.int64(2**62), np.int64(2**62)), 1),  # an int sum of them would wrap
+    lambda: TallyRequest((np.int64(2**62),) * 3, 1, (2, 2, 2), 0.0, phase="frac"),
+    lambda: TallyRequest((0, "x"), 1, (2, 3), 0.0),  # a str arm: TypeError naming it
 ]
 # Direct sampler calls, with Python or numpy-int counts: each is served as its one-arm request.
 _arm = st.integers(0, LEDGER_ARMS - 1)
@@ -907,3 +911,47 @@ def test_numpy_integer_arms_are_served_as_their_python_ints():
         oracle, twin = SamplingOracle(means, seed=8), SamplingOracle(means, seed=8)
         assert ours.fulfill(oracle) == theirs.fulfill(twin)
         assert (oracle.snapshot(), oracle.rng.bit_generator.state) == (twin.snapshot(), twin.rng.bit_generator.state)
+
+
+def test_numpy_int_arms_past_int64_are_refused_by_the_oracle_without_a_warning():
+    # The arm test adds numpy ints as floats: an int sum of them would wrap, with a warning.
+    for build in (lambda: MeanRequest((np.int64(2**62), np.int64(2**62)), 1),
+                  lambda: TallyRequest((np.int64(2**62), np.int64(2**62)), 1, (3, 4), 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            request = build()
+            assert request.arms == (2**62, 2**62) and all(type(arm) is int for arm in request.arms)
+            with pytest.raises(IndexError, match=f"^arm {2**62} out of range for 3 arms$"):
+                request.fulfill(SamplingOracle([0.1, 0.2, 0.3], seed=1))
+
+
+@pytest.mark.parametrize("build, arm", [
+    (lambda: MeanRequest((0, "x"), 3), "'x'"),
+    (lambda: MeanRequest((1, 2.0), 3, rounds=2), "2.0"),
+    (lambda: TallyRequest(("1", 0), 2, (5, 5), 0.5), "'1'"),
+    (lambda: TallyRequest(tuple(range(TALLY_BATCH - 1)) + (None,), 2, (5,) * TALLY_BATCH, 0.5), "None"),
+], ids=["mean-str", "mean-float", "tally-str", "tally-none"])
+def test_an_arm_that_is_not_an_integer_is_named(build, arm):
+    with pytest.raises(TypeError, match=f"^arm {re.escape(arm)}: .* cannot be interpreted as an integer$"):
+        build()
+
+
+def test_int_seed_words_come_from_a_bounded_cache_bit_for_bit():
+    means, ladder = [0.1, 0.2, 0.3], Instance.from_means((1.0, 0.5))
+    for again in (False, True):  # each seed asked twice, with ladder runs (other seed words) between
+        for seed in (0, 1, 2**32, 2**64 + 5, 2**200):
+            hits = _seed_words.cache_info().hits
+            assert SamplingOracle(means, seed).rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+            assert _seed_words.cache_info().hits == hits + 1 or not again  # asked again: from the cache
+            parallel_simulation(ladder, 0.1, seed=seed)
+    assert _seed_words(2**200) is _seed_words(2**200)
+    for seed in (np.int64(5), np.uint32(2**32 - 1)):  # other seeds take default_rng's own path
+        assert SamplingOracle(means, seed).rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+    assert SamplingOracle(means, None).rng.bit_generator.state != SamplingOracle(means, None).rng.bit_generator.state
+    misses = _seed_words.cache_info().misses
+    with pytest.raises(ValueError, match="non-negative"):  # numpy's own refusal
+        SamplingOracle(means, -1)
+    assert _seed_words.cache_info().misses == misses
+    for seed in range(10**6, 10**6 + 300):
+        SamplingOracle(means, seed)
+    assert _seed_words.cache_info().currsize == _seed_words.cache_info().maxsize == 256

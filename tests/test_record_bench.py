@@ -81,3 +81,48 @@ def test_a_broken_tier1_field_is_refused(change):
     record_bench.validate(record)
     with pytest.raises(ValueError, match="BENCH record"):
         record_bench.validate(broken(record, change))
+
+
+def with_series(record):
+    """``record``, numbered at least ``INPROCESS_SINCE`` and timing tier-1, with an in-process
+    series against a revision (a made-up one where the record has none)."""
+    record = timed(dict(record, pr=max(record["pr"], record_bench.INPROCESS_SINCE)))
+    if "inprocess" not in record or record["inprocess"]["algos"]["known"].get("ratio") is None:
+        runs = [0.005 + i * 1e-4 for i in range(record_bench.INPROCESS_PAIRS)]
+        this, against = record_bench.summary(runs), record_bench.summary([2 * t for t in runs])
+        record["inprocess"] = {
+            "instances": [label for label, _ in record_bench.INPROCESS_INSTANCES],
+            "seeds": record_bench.INPROCESS_SEEDS, "repeat": record_bench.INPROCESS_REPEAT,
+            "pairs": record_bench.INPROCESS_PAIRS,
+            "algos": {algo: {"this": this, "against": against, "ratio": this["median"] / against["median"],
+                             "pairs_won": record_bench.INPROCESS_PAIRS} for algo in record_bench.INPROCESS_ALGOS},
+        }
+        record["against"] = record.get("against") or "0" * 40
+    return record
+
+
+def series_entry(record):
+    return record["inprocess"]["algos"]["parallel"]
+
+
+INPROCESS_BREAKS = {
+    "no in-process series": lambda r: r.pop("inprocess"),
+    "an algorithm missing": lambda r: r["inprocess"]["algos"].pop("baseline"),
+    "fewer pairs": lambda r: r["inprocess"].update(pairs=r["inprocess"]["pairs"] - 1),
+    "fewer repeats": lambda r: r["inprocess"].update(repeat=1),
+    "another instance set": lambda r: r["inprocess"]["instances"].pop(),
+    "a time missing": lambda r: series_entry(r)["this"]["runs"].pop(),
+    "a time not positive": lambda r: series_entry(r)["against"]["runs"].__setitem__(0, 0.0),
+    "a ratio not of the medians": lambda r: series_entry(r).update(ratio=series_entry(r)["ratio"] * 1.01),
+    "no ratio": lambda r: series_entry(r).pop("ratio"),
+    "more pairs won than run": lambda r: series_entry(r).update(pairs_won=record_bench.INPROCESS_PAIRS + 1),
+    "no other side": lambda r: series_entry(r).pop("against"),
+}
+
+
+@pytest.mark.parametrize("change", INPROCESS_BREAKS.values(), ids=INPROCESS_BREAKS.keys())
+def test_a_broken_in_process_series_is_refused(change):
+    record = with_series(json.loads(RECORDS[-1].read_text()))
+    record_bench.validate(record)
+    with pytest.raises(ValueError, match="BENCH record"):
+        record_bench.validate(broken(record, change))

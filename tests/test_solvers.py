@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -449,6 +449,50 @@ def test_golden_replay_of_solver_outcomes_and_round_events():
                     record("baseline", inst, seed, budget, lambda o, tr: solve(
                         baseline_successive_elimination_plan, o, inst, 0.01, budget=budget))
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def _recorded(plan, requests, listening):
+    """``plan`` as a factory for ``solve`` that records every request it yields, and passes
+    ``emit`` on only when ``listening``."""
+    def factory(oracle, instance, delta, *args, emit=None):
+        run = plan(oracle, instance, delta, *args, **({"emit": emit} if listening else {}))
+        reply = None
+        while True:
+            try:
+                request = run.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            requests.append(request)
+            reply = yield request
+
+    return factory
+
+
+def test_a_listener_changes_no_request_and_no_outcome():
+    """Round fields are built only for a listener: with and without ``emit``, each solver
+    yields the same requests, in order, and ends with the same outcome and stream."""
+    compared = 0
+    for inst in GOLDEN_INSTANCES:
+        H = profile(inst).H
+        plans = {"known": (known_complexity_plan, H), "guess": (complexity_guessing_plan,),
+                 "ee1": (entropy_elimination_plan, 1), "ee2": (entropy_elimination_plan, 2)}
+        for seed in range(2):
+            for budget in GOLDEN_BUDGETS:
+                for name, (plan, *args) in plans.items():
+                    runs = []
+                    for listening in (True, False):
+                        oracle, requests, events = gauss(inst, seed), [], []
+                        outcome = solve(_recorded(plan, requests, listening), oracle, inst, 0.01, *args,
+                                        budget=budget, trace=events.append)
+                        assert listening or not events
+                        if outcome.status == BUDGET_EXCEEDED:  # counted from the events, which
+                            outcome = replace(outcome, rounds_executed=None)  # only a listener gets
+                        runs.append((requests, outcome, oracle.rng.bit_generator.state,
+                                     dict(oracle.draws_by_phase)))
+                    heard, deaf = runs
+                    assert heard == deaf, (name, inst.label, seed, budget)
+                    compared += len(heard[0])
+    assert compared > 500  # 840 requests: a run that yields nothing compares nothing
 
 
 # --- the per-phase draw ledger -------------------------------------------------

@@ -16,7 +16,14 @@ sides: each metric then also records the other tree's runs and the pairs this tr
 (ties count for neither side).  One traced run (``--trace 1``) of this tree per workload
 and seed gives the per-layer counts, and one run of this tree's tier-1 tests (``pytest -q``
 over ``tests/``, with ``src`` on the path) its wall time, under ``tier1``; the record is
-refused if a tier-1 test fails.  The record holds the git revision (``+dirty`` when
+refused if a tier-1 test fails.  The in-process series, under ``inprocess``, resolves steps
+smaller than the benchmark's pairs can: each algorithm of ``INPROCESS_ALGOS`` runs its fixed
+set (``run_one_trial`` on the three ``INPROCESS_INSTANCES`` at seeds ``0 ..
+INPROCESS_SEEDS - 1``), timed as the least of ``INPROCESS_REPEAT`` passes, in a fresh
+interpreter that imports ``bestarm`` from one tree's ``src``; ``INPROCESS_PAIRS`` pairs
+alternate the trees as above, and each algorithm records its seconds per set and, against
+``REV``, the ratio of the medians (this tree's over ``REV``'s: below 1 is faster) and the
+pairs won.  The record holds the git revision (``+dirty`` when
 the tree has uncommitted changes to tracked files) and ``os.cpu_count()``.  A record made
 before its own commit names that commit's parent plus ``+dirty``: the tree it measured is
 the commit that added the file (``git log -1 --format=%H -- BENCH_<N>.json``).
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -41,6 +49,26 @@ SEEDS = (0, 1_000_003)  # the default seed and the seed kept out of tuning
 PAIRS = 5  # per seed: the ten pairs over both seeds that a claimed gain needs
 SCHEMA = 1
 TIER1_SINCE = 31  # the number of the first record that times tier-1
+INPROCESS_SINCE = 32  # the number of the first record with the in-process series
+INPROCESS_ALGOS = ("known", "guess", "parallel", "baseline")
+INPROCESS_INSTANCES = (  # three of the desk instances, as in tests/test_parallel.py
+    ("pair-g0.125", (1.0, 0.875)),
+    ("disc-7", (1.0, 0.5, 0.5, 0.5, 0.75, 0.75, 0.875)),
+    ("flat-8", (1.0,) + (0.75,) * 7),
+)
+INPROCESS_SEEDS, INPROCESS_REPEAT, INPROCESS_PAIRS = 8, 9, 10
+# Run as ``python -c`` with one tree's ``src`` on the path: the tree's ``bestarm`` file, then
+# the least of INPROCESS_REPEAT passes over each algorithm's set, in seconds.
+INPROCESS_TIMER = """
+import json, sys, timeit
+import bestarm
+algos, instances, seeds, repeat = json.loads(sys.argv[1])
+cases = [(bestarm.Instance.from_means(means, label), seed) for label, means in instances for seed in range(seeds)]
+def one_pass(algo):
+    for instance, seed in cases:
+        bestarm.run_one_trial(algo, instance, 0.01, seed)
+print(json.dumps([bestarm.__file__, {a: min(timeit.repeat(lambda: one_pass(a), number=1, repeat=repeat)) for a in algos}]))
+"""
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
@@ -72,6 +100,38 @@ def tier1() -> dict:
     if proc.returncode != 0:
         sys.exit(f"tier-1 failed ({lines[-1] if lines else proc.returncode}): no record is written")
     return {"wall_s": wall, "summary": lines[-1]}
+
+
+def inprocess_pass(tree: Path) -> dict:
+    """Seconds per set of each algorithm of ``INPROCESS_ALGOS``, timed in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    spec = json.dumps([INPROCESS_ALGOS, INPROCESS_INSTANCES, INPROCESS_SEEDS, INPROCESS_REPEAT])
+    proc = subprocess.run([sys.executable, "-c", INPROCESS_TIMER, spec], cwd=tree, env=env,
+                          capture_output=True, text=True, timeout=1800, check=True)
+    source, seconds = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not Path(source).resolve().is_relative_to((tree / "src").resolve()):
+        sys.exit(f"the in-process series imported bestarm from {source}, not from {tree / 'src'}")
+    return seconds
+
+
+def inprocess(trees: dict) -> dict:
+    """``INPROCESS_PAIRS`` alternated in-process passes of every tree, summarised per algorithm."""
+    results = {side: [] for side in trees}
+    for i in range(INPROCESS_PAIRS):
+        for side in (list(trees) if i % 2 else list(trees)[::-1]):
+            results[side].append(inprocess_pass(trees[side]))
+    series = {"instances": [label for label, _ in INPROCESS_INSTANCES], "seeds": INPROCESS_SEEDS,
+              "repeat": INPROCESS_REPEAT, "pairs": INPROCESS_PAIRS, "algos": {}}
+    for algo in INPROCESS_ALGOS:
+        values = {side: [r[algo] for r in results[side]] for side in trees}
+        entry = {side: summary(values[side]) for side in trees}
+        if "against" in trees:
+            entry["ratio"] = entry["this"]["median"] / entry["against"]["median"]
+            entry["pairs_won"] = won(values["this"], values["against"], "lower")
+        series["algos"][algo] = entry
+        print(f"in-process {algo}: " + ", ".join(f"{side} {entry[side]['median'] * 1e3:.1f} ms"
+                                                   for side in trees), file=sys.stderr)
+    return series
 
 
 def summary(values: list[float]) -> dict:
@@ -132,6 +192,31 @@ def validate(record: dict) -> None:
              and " failed" not in tests["summary"] and " error" not in tests["summary"],
              "tier1.summary must be pytest's summary of a passing run")
     sides = ("this", "against") if record.get("against") else ("this",)
+    need("inprocess" in record or record["pr"] < INPROCESS_SINCE,
+         f"a record numbered {INPROCESS_SINCE} or later must hold the in-process series")
+    if "inprocess" in record:
+        series = record["inprocess"]
+        need(isinstance(series, dict) and series.get("pairs") == INPROCESS_PAIRS
+             and series.get("repeat") == INPROCESS_REPEAT and series.get("seeds") == INPROCESS_SEEDS
+             and series.get("instances") == [label for label, _ in INPROCESS_INSTANCES],
+             "inprocess must hold the fixed set, repeat and pairs")
+        need(isinstance(series.get("algos"), dict) and tuple(series["algos"]) == INPROCESS_ALGOS,
+             f"inprocess.algos must be {INPROCESS_ALGOS}")
+        for algo, entry in series["algos"].items():
+            for side in sides:
+                stats = entry.get(side, {})
+                need(len(stats.get("runs", ())) == INPROCESS_PAIRS and all(
+                    type(t) is float and t > 0 for t in stats["runs"]), f"inprocess {algo} {side}: one time per pair")
+                need(stats.get("q1", 1) <= stats.get("median", 0) <= stats.get("q3", -1),
+                     f"inprocess {algo} {side}: q1 <= median <= q3")
+            need(("ratio" in entry) == ("pairs_won" in entry) == (len(sides) == 2),
+                 f"inprocess {algo}: a ratio and pairs won exactly when against a revision")
+            if len(sides) == 2:
+                need(type(entry["ratio"]) is float
+                     and math.isclose(entry["ratio"], entry["this"]["median"] / entry["against"]["median"]),
+                     f"inprocess {algo}: ratio must be this median over against median")
+                need(type(entry["pairs_won"]) is int and 0 <= entry["pairs_won"] <= INPROCESS_PAIRS,
+                     f"inprocess {algo}: pairs_won")
     workloads = {w["name"] for w in BENCHMARK["workloads"]}
     need(isinstance(record.get("workloads"), dict) and set(record["workloads"]) == workloads,
          f"workloads must be {sorted(workloads)}")
@@ -184,6 +269,7 @@ def main(argv=None) -> int:
             shutil.copytree(ROOT / "perfbench", other / "perfbench",
                             ignore=shutil.ignore_patterns("__pycache__"))
             trees["against"] = other
+        record["inprocess"] = inprocess(trees)
         for workload in (w["name"] for w in BENCHMARK["workloads"]):
             record["workloads"][workload] = {
                 str(seed): record_seed(trees, workload, seed, seconds, metrics) for seed in SEEDS
