@@ -25,8 +25,8 @@ from which the next preview takes its first normals.  Any other use of the gener
 first rewinds it: back to its state before the first normal drawn ahead, then past the
 normals served since, in one draw of that count (``standard_normal`` fills an array in
 stream order).  What is drawn ahead is at most one block, ``rounds * len(arms)`` floats
-(for the baseline, ``BASELINE_BLOCK * len(arms)``: 512 rounds over its survivors), one
-per oracle.
+(for the baseline, ``max(BASELINE_BLOCK * len(arms), 2 * BASELINE_CELLS)``: 512 rounds
+over 8 or more survivors, at most 4,096 normals over fewer), one per oracle.
 
 An oracle's generator is ``np.random.default_rng(seed)``, bit for bit.  For a non-negative
 int seed it is built from the seed's words, which a per-process cache keeps for the last

@@ -291,12 +291,15 @@ def complexity_guessing_plan(oracle, instance, delta, emit=None):
 # --- baseline ----------------------------------------------------------------
 
 
-#: Most rounds the baseline previews, and asks for, in one request: a held block is at
-#: most ``BASELINE_BLOCK * len(arms)`` floats (4 MB on 1,000 arms).
+#: Most rounds the baseline previews, and asks for, in one request over 8 or more
+#: survivors; over fewer, a block may take twice its first block's rounds, which is more.
+#: A held block is at most ``max(BASELINE_BLOCK * len(arms), 2 * BASELINE_CELLS)`` floats
+#: (4 MB on 1,000 arms, 32 KB on fewer than 8).
 BASELINE_BLOCK = 512
 #: Normals the first block, and the first after a drop, draws, so that the fixed cost of a
 #: preview is spread over enough of them: that block takes ``BASELINE_CELLS //
-#: len(survivors)`` rounds, at least one and at most ``BASELINE_BLOCK``.
+#: len(survivors)`` rounds (at least one), and the next doubles, up to
+#: ``max(BASELINE_BLOCK, 2 * (BASELINE_CELLS // len(survivors)))`` rounds.
 BASELINE_CELLS = 2048
 
 
@@ -351,13 +354,14 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     One request, ``MeanRequest(survivors, 1, rounds=...)``, asks for every round up to that
     one.  It takes the rewards previewed, so the drop rule takes its sums from the preview's
     row for that round and ignores the reply.  The oracle holds the previewed normals, at
-    most ``BASELINE_BLOCK * len(arms)`` floats, and the request sums them instead of drawing
-    them again; when an arm drops early, the rows past the drop stay with the oracle as a
-    tail, and the next preview takes its first normals from them, so each normal is drawn
-    once.
-    The first block, and the first after a drop, takes ``BASELINE_CELLS // len(survivors)``
-    rounds (at least one, at most ``BASELINE_BLOCK``), and the block doubles, up to
-    ``BASELINE_BLOCK`` rounds, while no arm drops.  The oracle serves the rounds in order
+    most ``max(BASELINE_BLOCK * len(arms), 2 * BASELINE_CELLS)`` floats, and the request
+    sums them instead of drawing them again; when an arm drops early, the rows past the drop
+    stay with the oracle as a tail, and the next preview takes its first normals from them,
+    so each normal is drawn once.
+    The first block, and the first after a drop, takes ``floor = BASELINE_CELLS //
+    len(survivors)`` rounds (at least one), and the block doubles, up to ``max(BASELINE_BLOCK,
+    2 * floor)`` rounds, while no arm drops: a block over fewer than 8 survivors starts at
+    about ``BASELINE_CELLS`` normals and doubles once.  The oracle serves the rounds in order
     and charges each survivor once with its draws of the block, so the draws, budget stops
     and stream are those of one request per round, wherever the blocks end.
     """
@@ -367,7 +371,8 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     sums = [0.0] * n  # aligned with ``arms``
     r, block = 0, 0
     while len(arms) > 1:
-        block = min(max(2 * block, BASELINE_CELLS // len(arms), 1), BASELINE_BLOCK)
+        floor = BASELINE_CELLS // len(arms)
+        block = min(max(2 * block, floor, 1), max(BASELINE_BLOCK, 2 * floor))
         # Row i of ``ahead`` is the running sums after round r + 1 + i.
         ahead = oracle.preview(arms, block)
         ahead[0] += sums

@@ -126,3 +126,40 @@ def test_a_broken_in_process_series_is_refused(change):
     record_bench.validate(record)
     with pytest.raises(ValueError, match="BENCH record"):
         record_bench.validate(broken(record, change))
+
+
+def with_bench(record):
+    """``record``, numbered at least ``BENCH_SINCE`` and holding the in-process series, with a
+    timed bench call against a revision (made up where the record has none)."""
+    record = with_series(dict(record, pr=max(record["pr"], record_bench.BENCH_SINCE)))
+    if "bench" not in record or record["bench"].get("ratio") is None:
+        runs = [0.6 + i * 1e-3 for i in range(record_bench.INPROCESS_PAIRS)]
+        this, against = record_bench.summary(runs), record_bench.summary([2 * t for t in runs])
+        record["bench"] = {
+            "args": list(record_bench.BENCH_ARGS),
+            "instances": [label for label, _ in record_bench.INPROCESS_INSTANCES],
+            "pairs": record_bench.INPROCESS_PAIRS, "this": this, "against": against,
+            "ratio": this["median"] / against["median"], "pairs_won": record_bench.INPROCESS_PAIRS,
+        }
+    return record
+
+
+BENCH_BREAKS = {
+    "no bench call": lambda r: r.pop("bench"),
+    "another call": lambda r: r["bench"].update(args=r["bench"]["args"][:-2]),
+    "another instance set": lambda r: r["bench"]["instances"].pop(),
+    "fewer pairs": lambda r: r["bench"].update(pairs=r["bench"]["pairs"] - 1),
+    "a time missing": lambda r: r["bench"]["this"]["runs"].pop(),
+    "a time not a float": lambda r: r["bench"]["against"]["runs"].__setitem__(0, 1),
+    "quartiles out of order": lambda r: r["bench"]["this"].update(q3=0.0),
+    "a ratio not of the medians": lambda r: r["bench"].update(ratio=r["bench"]["ratio"] * 1.01),
+    "no pairs won": lambda r: r["bench"].pop("pairs_won"),
+}
+
+
+@pytest.mark.parametrize("change", BENCH_BREAKS.values(), ids=BENCH_BREAKS.keys())
+def test_a_broken_bench_call_is_refused(change):
+    record = with_bench(json.loads(RECORDS[-1].read_text()))
+    record_bench.validate(record)
+    with pytest.raises(ValueError, match="BENCH record"):
+        record_bench.validate(broken(record, change))

@@ -26,6 +26,7 @@ from bestarm import (
     baseline_successive_elimination_plan,
     known_complexity_plan,
     make_discrete_instance,
+    parallel_simulation,
     profile,
     run_plan,
     solve,
@@ -146,6 +147,18 @@ def test_baseline_keeps_an_arm_exactly_at_the_bound():
         assert outcome.per_arm_samples == (2, 2) + (1,) * len(extra)
 
 
+def first_block(survivors):
+    """The rounds of the first block over ``survivors`` arms, and of the first after a drop."""
+    return max(1, solvers.BASELINE_CELLS // survivors)
+
+
+def block_cap(survivors):
+    """The most rounds a block over ``survivors`` arms takes: ``BASELINE_BLOCK``, or twice the
+    first block where that is more (fewer than 8 survivors), so that such a block starts at
+    ``BASELINE_CELLS`` normals and doubles once."""
+    return max(BASELINE_BLOCK, 2 * (solvers.BASELINE_CELLS // survivors))
+
+
 # Two arms at delta = 1e-299: the radius overflows from round 14,991 on.
 EDGE_N, EDGE_DELTA, EDGE_OVERFLOW = 2, 1e-299, 14_991
 # Near the bound: exactly at it, an ulp or a rounding margin either side, or well off.
@@ -184,11 +197,11 @@ def previewed_blocks(draw):
     return np.array(rows), r, n, delta
 
 
-def _edge_block(r, rows, drops):
-    """A block after round r at the overflow edge, with no spread but at ``drops``."""
-    ahead = np.zeros((rows, 2))
+def _edge_block(r, rows, drops, n=EDGE_N, delta=EDGE_DELTA):
+    """A block after round r, by default at the overflow edge, with no spread but at ``drops``."""
+    ahead = np.zeros((rows, n))
     ahead[drops, 1] = 1.0e5
-    return ahead, r, EDGE_N, EDGE_DELTA
+    return ahead, r, n, delta
 
 
 def _bound_block():
@@ -206,6 +219,13 @@ def _bound_block():
 @example(_edge_block(EDGE_OVERFLOW - 1, 8, [0, 3]))  # the first row is already infinite
 @example((np.zeros((4, 2)), 0, 2, 5e-324))  # a run's first row is already infinite
 @example(_bound_block())  # a spread of exactly twice the radius does not drop
+# The largest blocks the schedule asks for, over 2 and 3 survivors: across the overflow, and
+# at a run's start, dropping late in the block or not at all.
+@example(_edge_block(EDGE_OVERFLOW - block_cap(2) // 2, block_cap(2), [block_cap(2) - 1]))
+@example(_edge_block(first_infinite_round(3, EDGE_DELTA) - block_cap(3) // 2, block_cap(3), [block_cap(3) - 1],
+                     n=3))
+@example(_edge_block(0, block_cap(2), [block_cap(2) - 2], delta=0.01))
+@example(_edge_block(0, block_cap(3), [], n=3, delta=0.01))
 def test_block_end_matches_the_full_scan(case):
     ahead, r, n, delta = case
     assert _block_end(ahead, r, n, delta) == reference_block_end(ahead, r, n, delta)
@@ -219,6 +239,9 @@ def test_block_end_examples_end_where_they_should():
     assert _block_end(*_edge_block(EDGE_OVERFLOW - 1, 8, [0, 3])) == 1
     assert _block_end(*_bound_block()) == 4
     assert _block_end(np.zeros((4, 2)), 0, 2, 5e-324) == 1
+    assert _block_end(*_edge_block(EDGE_OVERFLOW - 1024, block_cap(2), [block_cap(2) - 1])) == 1024
+    assert _block_end(*_edge_block(0, block_cap(2), [block_cap(2) - 2], delta=0.01)) == block_cap(2) - 1
+    assert _block_end(*_edge_block(0, block_cap(3), [], n=3, delta=0.01)) == block_cap(3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,6 +256,11 @@ def test_block_end_examples_end_where_they_should():
 @example(n=2, delta=EDGE_DELTA, block=BASELINE_BLOCK, near=True, back=0, anywhere=0)
 @example(n=2, delta=math.nextafter(1.0, 0.0), block=BASELINE_BLOCK, near=True, back=0, anywhere=0)
 @example(n=10**4, delta=1e-300, block=1, near=False, back=0, anywhere=0)
+# The largest blocks over 2 and 3 survivors, ending at the last finite row, and at a run's start.
+@example(n=2, delta=EDGE_DELTA, block=block_cap(2), near=True, back=block_cap(2) - 1, anywhere=0)
+@example(n=3, delta=EDGE_DELTA, block=block_cap(3), near=True, back=block_cap(3) - 1, anywhere=0)
+@example(n=2, delta=0.01, block=block_cap(2), near=False, back=0, anywhere=0)
+@example(n=3, delta=0.01, block=block_cap(3), near=False, back=0, anywhere=0)
 def test_the_radius_floor_is_at_most_every_finite_rows_radius(n, delta, block, near, back, anywhere):
     """``_block_end`` confirms only the rows that drop at their floor, so no floor may exceed
     its row's radius: numpy's ``log`` may differ from ``math.log`` by an ulp, and the
@@ -276,14 +304,10 @@ def recorded(requests):
     return plan
 
 
-def first_block(survivors):
-    """The rounds of the first block over ``survivors`` arms, and of the first after a drop."""
-    return min(BASELINE_BLOCK, max(1, solvers.BASELINE_CELLS // survivors))
-
-
+WIDE_100 = make_discrete_instance({1: 33, 2: 33, 3: 33}, 1.0, label="wide-100")
 # On 100 arms a block starts at 20 rounds; with ``BASELINE_CELLS`` at 1, at one round.
 BLOCK_FLOORS = [pytest.param(instance, None, id=instance.label) for instance in DESK_INSTANCES] + [
-    pytest.param(make_discrete_instance({1: 33, 2: 33, 3: 33}, 1.0, label="wide-100"), None, id="wide-100"),
+    pytest.param(WIDE_100, None, id="wide-100"),
     pytest.param(DESK_INSTANCES[6], 1, id=f"{DESK_INSTANCES[6].label}-one-round-floor"),
 ]
 
@@ -308,6 +332,7 @@ def test_baseline_blocks_match_reference_on_the_desk(instance, cells, monkeypatc
             for before, request in zip([None] + requests, requests):
                 if before is None or request.arms != before.arms:  # the first block, or the first after a drop
                     assert request.rounds <= first_block(len(request.arms))
+                assert request.rounds <= block_cap(len(request.arms))
             if outcome.status == "budget_exceeded":
                 stops += 1
                 inside += requests[-1].rounds > 1
@@ -317,12 +342,12 @@ def test_baseline_blocks_match_reference_on_the_desk(instance, cells, monkeypatc
 @pytest.mark.parametrize("instance", DESK_INSTANCES, ids=lambda inst: inst.label)
 def test_baseline_asks_for_few_requests_of_bounded_length(instance):
     """The first block, and the first after a drop, preview ``first_block`` rounds; each
-    next block doubles, up to ``BASELINE_BLOCK``, while no arm drops, and only the block
-    of a drop asks for fewer rounds than it previewed.  So each stretch of rounds between
-    two drops takes at most ceil(log2(cap / floor)) + 1 blocks plus one per
-    ``BASELINE_BLOCK`` rounds, and a run has at most n - 1 such stretches."""
+    next block doubles, up to ``block_cap``, while no arm drops, and only the block of a
+    drop asks for fewer rounds than it previewed.  So a stretch of R rounds between two
+    drops, over s survivors, takes at most d + 1 blocks, d = ceil(log2(cap / floor)), plus
+    one per cap of rounds past them: once it has more, its block d + 1 and every later one
+    but the last take the cap whole, and all of them fit in R."""
     n = instance.n_arms
-    doublings = math.ceil(math.log2(BASELINE_BLOCK / first_block(n)))  # the floor only rises as arms drop
     for seed in range(5):
         requests, previews = [], []
         oracle = SamplingOracle.for_instance(instance, seed)
@@ -335,8 +360,17 @@ def test_baseline_asks_for_few_requests_of_bounded_length(instance):
         oracle.preview = recorded_preview
         outcome = solve(recorded(requests), oracle, instance, 0.01)
         rounds = outcome.rounds_executed
-        assert len(requests) <= (n - 1) * (doublings + 1) + rounds / BASELINE_BLOCK
         assert len(requests) == len(previews) < rounds == sum(request.rounds for request in requests)
+        stretches = {}  # survivors -> [blocks, rounds]; each set of survivors is one stretch
+        for request in requests:
+            stretch = stretches.setdefault(request.arms, [0, 0])
+            stretch[0] += 1
+            stretch[1] += request.rounds
+        assert len(stretches) < n
+        for arms, (blocks, stretch_rounds) in stretches.items():
+            s = len(arms)
+            doublings = math.ceil(math.log2(block_cap(s) / first_block(s)))
+            assert blocks <= doublings + 1 + stretch_rounds / block_cap(s)
         survivors = ()
         for i, (request, previewed) in enumerate(zip(requests, previews)):
             # whole rounds over the distinct survivors, in a fixed order
@@ -350,10 +384,30 @@ def test_baseline_asks_for_few_requests_of_bounded_length(instance):
                     assert sorted(request.arms) == list(range(n))
                 survivors, block = request.arms, first_block(len(request.arms))
             else:
-                block = min(2 * block, BASELINE_BLOCK)
+                block = min(2 * block, block_cap(len(survivors)))
             assert previewed == block
             drops = i + 1 == len(requests) or requests[i + 1].arms != survivors
             assert request.rounds == previewed or drops and request.rounds < previewed
+
+
+def test_a_preview_asks_for_at_most_the_largest_block(monkeypatch):
+    """What the oracle draws ahead for the baseline is bounded by its survivors: at most
+    ``BASELINE_BLOCK`` rounds over them, or ``2 * BASELINE_CELLS`` normals (32 KB) where
+    that is more, on the desk, on 100 arms and on the ladder."""
+    asked = []
+    preview = SamplingOracle.preview
+
+    def recorded_preview(self, arms, rounds):
+        asked.append((len(arms), rounds * len(arms)))
+        return preview(self, arms, rounds)
+
+    monkeypatch.setattr(SamplingOracle, "preview", recorded_preview)
+    for instance in DESK_INSTANCES + [WIDE_100]:
+        solve(baseline_successive_elimination_plan, SamplingOracle.for_instance(instance, 0), instance, 0.01)
+    ladder = len(asked)
+    parallel_simulation(DESK_INSTANCES[5], 0.01, baseline_successive_elimination_plan, seed=0)
+    assert len(asked) > ladder
+    assert all(normals <= max(BASELINE_BLOCK * arms, 2 * solvers.BASELINE_CELLS) for arms, normals in asked)
 
 
 def test_baseline_draws_each_normal_once():

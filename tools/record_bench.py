@@ -23,7 +23,10 @@ INPROCESS_SEEDS - 1``), timed as the least of ``INPROCESS_REPEAT`` passes, in a 
 interpreter that imports ``bestarm`` from one tree's ``src``; ``INPROCESS_PAIRS`` pairs
 alternate the trees as above, and each algorithm records its seconds per set and, against
 ``REV``, the ratio of the medians (this tree's over ``REV``'s: below 1 is faster) and the
-pairs won.  The record holds the git revision (``+dirty`` when
+pairs won.  Under ``bench``, one fixed ``bestarm bench`` call (``BENCH_ARGS`` over the
+three ``INPROCESS_INSTANCES`` as instance files) is timed the same way: its wall seconds in
+a fresh interpreter per call, import included, over ``INPROCESS_PAIRS`` alternated pairs.
+The record holds the git revision (``+dirty`` when
 the tree has uncommitted changes to tracked files) and ``os.cpu_count()``.  A record made
 before its own commit names that commit's parent plus ``+dirty``: the tree it measured is
 the commit that added the file (``git log -1 --format=%H -- BENCH_<N>.json``).
@@ -57,6 +60,16 @@ INPROCESS_INSTANCES = (  # three of the desk instances, as in tests/test_paralle
     ("flat-8", (1.0,) + (0.75,) * 7),
 )
 INPROCESS_SEEDS, INPROCESS_REPEAT, INPROCESS_PAIRS = 8, 9, 10
+BENCH_SINCE = 33  # the number of the first record that times a ``bestarm bench`` call
+BENCH_ARGS = ("bench", "--algo", "baseline", "--trials", "100", "--seed", "0")
+# Run as ``python -c`` with one tree's ``src`` on the path: the CLI, then the file it came from.
+BENCH_RUNNER = """
+import sys
+import bestarm.cli
+code = bestarm.cli.main(sys.argv[1:])
+print(bestarm.cli.__file__, file=sys.stderr)
+sys.exit(code)
+"""
 # Run as ``python -c`` with one tree's ``src`` on the path: the tree's ``bestarm`` file, then
 # the least of INPROCESS_REPEAT passes over each algorithm's set, in seconds.
 INPROCESS_TIMER = """
@@ -102,6 +115,32 @@ def tier1() -> dict:
     return {"wall_s": wall, "summary": lines[-1]}
 
 
+def imported_from_tree(source: str, tree: Path) -> None:
+    """Stop when a timed interpreter imported ``bestarm`` from elsewhere than ``tree``'s ``src``."""
+    if not Path(source).resolve().is_relative_to((tree / "src").resolve()):
+        sys.exit(f"a timed interpreter imported bestarm from {source}, not from {tree / 'src'}")
+
+
+def alternated(trees: dict, pairs: int, measure) -> dict:
+    """``pairs`` rounds of ``measure(side)`` for every tree, the first of each round switching
+    sides, as a list of results per side."""
+    results = {side: [] for side in trees}
+    for i in range(pairs):
+        for side in (list(trees) if i % 2 else list(trees)[::-1]):
+            results[side].append(measure(side))
+    return results
+
+
+def compared(values: dict) -> dict:
+    """Each side's :func:`summary` of ``values`` (seconds), and against a revision the ratio of
+    the medians (this tree's over ``REV``'s) and the pairs this tree won."""
+    entry = {side: summary(runs) for side, runs in values.items()}
+    if "against" in values:
+        entry["ratio"] = entry["this"]["median"] / entry["against"]["median"]
+        entry["pairs_won"] = won(values["this"], values["against"], "lower")
+    return entry
+
+
 def inprocess_pass(tree: Path) -> dict:
     """Seconds per set of each algorithm of ``INPROCESS_ALGOS``, timed in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -109,29 +148,47 @@ def inprocess_pass(tree: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", INPROCESS_TIMER, spec], cwd=tree, env=env,
                           capture_output=True, text=True, timeout=1800, check=True)
     source, seconds = json.loads(proc.stdout.strip().splitlines()[-1])
-    if not Path(source).resolve().is_relative_to((tree / "src").resolve()):
-        sys.exit(f"the in-process series imported bestarm from {source}, not from {tree / 'src'}")
+    imported_from_tree(source, tree)
     return seconds
 
 
 def inprocess(trees: dict) -> dict:
     """``INPROCESS_PAIRS`` alternated in-process passes of every tree, summarised per algorithm."""
-    results = {side: [] for side in trees}
-    for i in range(INPROCESS_PAIRS):
-        for side in (list(trees) if i % 2 else list(trees)[::-1]):
-            results[side].append(inprocess_pass(trees[side]))
+    results = alternated(trees, INPROCESS_PAIRS, lambda side: inprocess_pass(trees[side]))
     series = {"instances": [label for label, _ in INPROCESS_INSTANCES], "seeds": INPROCESS_SEEDS,
               "repeat": INPROCESS_REPEAT, "pairs": INPROCESS_PAIRS, "algos": {}}
     for algo in INPROCESS_ALGOS:
-        values = {side: [r[algo] for r in results[side]] for side in trees}
-        entry = {side: summary(values[side]) for side in trees}
-        if "against" in trees:
-            entry["ratio"] = entry["this"]["median"] / entry["against"]["median"]
-            entry["pairs_won"] = won(values["this"], values["against"], "lower")
+        entry = compared({side: [r[algo] for r in results[side]] for side in trees})
         series["algos"][algo] = entry
         print(f"in-process {algo}: " + ", ".join(f"{side} {entry[side]['median'] * 1e3:.1f} ms"
                                                    for side in trees), file=sys.stderr)
     return series
+
+
+def bench_call(tree: Path, instances: Path, out: Path) -> float:
+    """Wall seconds of one ``bestarm bench`` call, ``BENCH_ARGS`` over ``instances``, in a fresh
+    interpreter that imports ``bestarm`` from ``tree``'s ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    args = [sys.executable, "-c", BENCH_RUNNER, *BENCH_ARGS, "--instances", str(instances), "--out", str(out)]
+    start = time.perf_counter()
+    proc = subprocess.run(args, cwd=tree, env=env, capture_output=True, text=True, timeout=1800, check=True)
+    wall = time.perf_counter() - start
+    imported_from_tree(proc.stderr.strip().splitlines()[-1], tree)
+    return wall
+
+
+def bench(trees: dict, tmp: Path) -> dict:
+    """``INPROCESS_PAIRS`` alternated ``bestarm bench`` calls of every tree over the
+    ``INPROCESS_INSTANCES``, written as instance files under ``tmp``."""
+    instances = tmp / "bench_instances"
+    instances.mkdir()
+    for label, means in INPROCESS_INSTANCES:
+        (instances / f"{label}.txt").write_text("".join(f"{m!r}\n" for m in means))
+    results = alternated(trees, INPROCESS_PAIRS, lambda side: bench_call(trees[side], instances, tmp / "bench.csv"))
+    entry = compared(results)
+    print("bench call: " + ", ".join(f"{side} {entry[side]['median']:.3f} s" for side in trees), file=sys.stderr)
+    return {"args": list(BENCH_ARGS), "instances": [label for label, _ in INPROCESS_INSTANCES],
+            "pairs": INPROCESS_PAIRS, **entry}
 
 
 def summary(values: list[float]) -> dict:
@@ -148,12 +205,13 @@ def won(ours: list[float], theirs: list[float], better: str) -> int:
 
 def record_seed(trees: dict, workload: str, seed: int, seconds: int, metrics: dict) -> dict:
     """``PAIRS`` alternated untraced runs of every tree, then one traced run of this tree."""
-    results = {side: [] for side in trees}
-    for i in range(PAIRS):
-        for side in (list(trees) if i % 2 else list(trees)[::-1]):
-            results[side].append(run(trees[side], workload, seed, seconds, trace=0))
-            print(f"{workload} seed {seed} pair {i + 1}/{PAIRS} {side}: "
-                  f"{results[side][-1]['metrics']['runs_per_s']['value']:.1f} runs/s", file=sys.stderr)
+    def measure(side):
+        result = run(trees[side], workload, seed, seconds, trace=0)
+        print(f"{workload} seed {seed} {side}: {result['metrics']['runs_per_s']['value']:.1f} runs/s",
+              file=sys.stderr)
+        return result
+
+    results = alternated(trees, PAIRS, measure)
     end_to_end = {}
     for name, better in metrics.items():
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in trees}
@@ -192,6 +250,25 @@ def validate(record: dict) -> None:
              and " failed" not in tests["summary"] and " error" not in tests["summary"],
              "tier1.summary must be pytest's summary of a passing run")
     sides = ("this", "against") if record.get("against") else ("this",)
+
+    def need_timed(entry: dict, where: str) -> None:
+        """One positive time per pair for every side, quartiles in order, and against a
+        revision the ratio of the medians and the pairs won."""
+        for side in sides:
+            stats = entry.get(side, {})
+            need(len(stats.get("runs", ())) == INPROCESS_PAIRS and all(
+                type(t) is float and t > 0 for t in stats["runs"]), f"{where} {side}: one time per pair")
+            need(stats.get("q1", 1) <= stats.get("median", 0) <= stats.get("q3", -1),
+                 f"{where} {side}: q1 <= median <= q3")
+        need(("ratio" in entry) == ("pairs_won" in entry) == (len(sides) == 2),
+             f"{where}: a ratio and pairs won exactly when against a revision")
+        if len(sides) == 2:
+            need(type(entry["ratio"]) is float
+                 and math.isclose(entry["ratio"], entry["this"]["median"] / entry["against"]["median"]),
+                 f"{where}: ratio must be this median over against median")
+            need(type(entry["pairs_won"]) is int and 0 <= entry["pairs_won"] <= INPROCESS_PAIRS,
+                 f"{where}: pairs_won")
+
     need("inprocess" in record or record["pr"] < INPROCESS_SINCE,
          f"a record numbered {INPROCESS_SINCE} or later must hold the in-process series")
     if "inprocess" in record:
@@ -203,20 +280,15 @@ def validate(record: dict) -> None:
         need(isinstance(series.get("algos"), dict) and tuple(series["algos"]) == INPROCESS_ALGOS,
              f"inprocess.algos must be {INPROCESS_ALGOS}")
         for algo, entry in series["algos"].items():
-            for side in sides:
-                stats = entry.get(side, {})
-                need(len(stats.get("runs", ())) == INPROCESS_PAIRS and all(
-                    type(t) is float and t > 0 for t in stats["runs"]), f"inprocess {algo} {side}: one time per pair")
-                need(stats.get("q1", 1) <= stats.get("median", 0) <= stats.get("q3", -1),
-                     f"inprocess {algo} {side}: q1 <= median <= q3")
-            need(("ratio" in entry) == ("pairs_won" in entry) == (len(sides) == 2),
-                 f"inprocess {algo}: a ratio and pairs won exactly when against a revision")
-            if len(sides) == 2:
-                need(type(entry["ratio"]) is float
-                     and math.isclose(entry["ratio"], entry["this"]["median"] / entry["against"]["median"]),
-                     f"inprocess {algo}: ratio must be this median over against median")
-                need(type(entry["pairs_won"]) is int and 0 <= entry["pairs_won"] <= INPROCESS_PAIRS,
-                     f"inprocess {algo}: pairs_won")
+            need_timed(entry, f"inprocess {algo}")
+    need("bench" in record or record["pr"] < BENCH_SINCE,
+         f"a record numbered {BENCH_SINCE} or later must time the bench call")
+    if "bench" in record:
+        call = record["bench"]
+        need(isinstance(call, dict) and call.get("args") == list(BENCH_ARGS) and call.get("pairs") == INPROCESS_PAIRS
+             and call.get("instances") == [label for label, _ in INPROCESS_INSTANCES],
+             "bench must hold the fixed call, instances and pairs")
+        need_timed(call, "bench")
     workloads = {w["name"] for w in BENCHMARK["workloads"]}
     need(isinstance(record.get("workloads"), dict) and set(record["workloads"]) == workloads,
          f"workloads must be {sorted(workloads)}")
@@ -270,6 +342,7 @@ def main(argv=None) -> int:
                             ignore=shutil.ignore_patterns("__pycache__"))
             trees["against"] = other
         record["inprocess"] = inprocess(trees)
+        record["bench"] = bench(trees, Path(tmp))
         for workload in (w["name"] for w in BENCHMARK["workloads"]):
             record["workloads"][workload] = {
                 str(seed): record_seed(trees, workload, seed, seconds, metrics) for seed in SEEDS
