@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import count
 
 import numpy as np
@@ -315,17 +315,42 @@ def _radius_floor(rs: np.ndarray, n: int, delta: float) -> np.ndarray:
     """A floor under ``se_radius`` at each of the finite rounds ``rs``, in one array pass:
     the same floats but for numpy's ``log``, which may differ from ``math.log`` by an ulp
     (as ``rs`` may differ from ``float(r)`` past 2**53 rounds), less a margin of 1e-9 of the
-    radius, which covers such ulps many times over."""
+    radius, which covers such ulps many times over.  It is infinite where ``se_radius`` is,
+    with numpy's overflow warning."""
     return np.sqrt(2.0 * np.log(4.0 * n * rs * rs / delta) / rs) * (1.0 - 1e-9)
+
+
+#: Rounds per chunk of :func:`_floor_chunk`: 32 KiB of floats.
+FLOOR_CHUNK = 4096
+
+
+@lru_cache(maxsize=32)  # at most 1 MiB; every trial of a bench shares n and delta
+def _floor_chunk(n: int, delta: float, chunk: int) -> np.ndarray:
+    """The :func:`_radius_floor` of rounds ``chunk * FLOOR_CHUNK + 1`` to ``(chunk + 1) *
+    FLOOR_CHUNK``, read-only, kept for the last 32 chunks of the process: a floor depends only
+    on its round, ``n`` and ``delta``, so the blocks of every run over them share it.  The
+    rounds past the float range of the radius get an infinite floor, without a warning."""
+    rs = np.arange(chunk * FLOOR_CHUNK + 1, (chunk + 1) * FLOOR_CHUNK + 1, dtype=float)
+    with np.errstate(over="ignore"):  # every operand is positive: no NaN to silence
+        floor = _radius_floor(rs, n, delta)
+    floor.flags.writeable = False
+    return floor
+
+
+def _radius_floors(r: int, rows: int, n: int, delta: float) -> np.ndarray:
+    """The floors of rounds ``r + 1`` to ``r + rows``, from the chunks that hold them."""
+    first, start = divmod(r, FLOOR_CHUNK)
+    chunks = [_floor_chunk(n, delta, c) for c in range(first, (r + rows - 1) // FLOOR_CHUNK + 1)]
+    return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks))[start:start + rows]
 
 
 def _block_end(ahead, r: int, n: int, delta: float) -> int:
     """Rounds of the block ``ahead`` (running sums, row i after round r + 1 + i) up to its
     first row at which an arm drops or whose radius is infinite, else all of them.  Each
-    finite row gets its :func:`_radius_floor`; ``x + radius`` and ``y - radius`` are
-    monotone, so a row that drops at its radius drops at its floor: only rows that drop at
-    their floor get ``se_radius``, in order, and the first of them that drops at it is the
-    block's first drop."""
+    finite row gets its floor from :func:`_radius_floors`; ``x + radius`` and ``y - radius``
+    are monotone, as is rounding, so a row that drops at its radius drops at its floor: only
+    rows that drop at their floor get ``se_radius``, in order, and the first of them that
+    drops at it is the block's first drop."""
     block = finite = len(ahead)
     if se_radius(r + block, n, delta) == math.inf:  # bisect for the first infinite row
         finite = bisect_left(range(r + 1, r + block), True, key=lambda q: se_radius(q, n, delta) == math.inf)
@@ -333,7 +358,7 @@ def _block_end(ahead, r: int, n: int, delta: float) -> int:
             return 1
     rs = np.arange(r + 1, r + finite + 1, dtype=float)
     lo, hi = (reduce(f, ahead[:finite].T) / rs for f in (np.minimum, np.maximum))  # beats min(axis=1)
-    floor = _radius_floor(rs, n, delta)
+    floor = _radius_floors(r, finite, n, delta)
     for i in (lo + floor < hi - floor).nonzero()[0].tolist():
         if lo[i] + (radius := se_radius(r + 1 + i, n, delta)) < hi[i] - radius:
             return i + 1

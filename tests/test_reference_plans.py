@@ -33,7 +33,8 @@ from bestarm import (
 )
 from bestarm import solvers
 from bestarm.primitives import MeanRequest, _check_members, _count, med_elim_plan
-from bestarm.solvers import BASELINE_BLOCK, SolveResult, _block_end, _radius_floor, se_radius
+from bestarm.solvers import (BASELINE_BLOCK, FLOOR_CHUNK, SolveResult, _block_end, _floor_chunk, _radius_floor,
+                             _radius_floors, se_radius)
 from doubles import DeterministicOracle
 from test_acceptance import DESK_INSTANCES
 
@@ -226,6 +227,7 @@ def _bound_block():
                      n=3))
 @example(_edge_block(0, block_cap(2), [block_cap(2) - 2], delta=0.01))
 @example(_edge_block(0, block_cap(3), [], n=3, delta=0.01))
+@example(_edge_block(FLOOR_CHUNK - 5, 32, [20], delta=0.01))  # its floors come from two chunks
 def test_block_end_matches_the_full_scan(case):
     ahead, r, n, delta = case
     assert _block_end(ahead, r, n, delta) == reference_block_end(ahead, r, n, delta)
@@ -242,6 +244,7 @@ def test_block_end_examples_end_where_they_should():
     assert _block_end(*_edge_block(EDGE_OVERFLOW - 1024, block_cap(2), [block_cap(2) - 1])) == 1024
     assert _block_end(*_edge_block(0, block_cap(2), [block_cap(2) - 2], delta=0.01)) == block_cap(2) - 1
     assert _block_end(*_edge_block(0, block_cap(3), [], n=3, delta=0.01)) == block_cap(3)
+    assert _block_end(*_edge_block(FLOOR_CHUNK - 5, 32, [20], delta=0.01)) == 21
 
 
 @settings(max_examples=300, deadline=None)
@@ -264,7 +267,8 @@ def test_block_end_examples_end_where_they_should():
 def test_the_radius_floor_is_at_most_every_finite_rows_radius(n, delta, block, near, back, anywhere):
     """``_block_end`` confirms only the rows that drop at their floor, so no floor may exceed
     its row's radius: numpy's ``log`` may differ from ``math.log`` by an ulp, and the
-    floor's margin must cover that on every finite row, up to the first infinite one."""
+    floor's margin must cover that on every finite row, up to the first infinite one, over
+    the block's own rounds and in the cached chunks that ``_block_end`` takes them from."""
     overflow = first_infinite_round(n, delta)
     r = max(0, overflow - 2 - back) if near else anywhere  # near: ``back`` rows short of the last finite one
     rows = range(r + 1, min(r + block, overflow - 1) + 1)  # the finite rows of the block
@@ -273,6 +277,8 @@ def test_the_radius_floor_is_at_most_every_finite_rows_radius(n, delta, block, n
     rs = np.arange(r + 1, r + len(rows) + 1, dtype=float)  # as ``_block_end`` builds them
     floors = _radius_floor(rs, n, delta).tolist()
     assert all(floor <= se_radius(q, n, delta) for q, floor in zip(rows, floors))
+    cached = _radius_floors(r, len(rows), n, delta).tolist()  # as ``_block_end`` takes them
+    assert all(floor <= se_radius(q, n, delta) for q, floor in zip(rows, cached))
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4])
@@ -430,3 +436,43 @@ def test_baseline_draws_each_normal_once():
             oracle._normal, oracle.preview = counted, recorded_preview
             outcome = solve(baseline_successive_elimination_plan, oracle, instance, 0.01)
             assert outcome.total_samples <= drawn[0] <= outcome.total_samples + max(blocks), (instance.label, seed)
+
+
+def _desk_grid():
+    """Each desk instance's baseline run at seeds 0 to 3: its outcome and its generator's state."""
+    runs = []
+    for instance in DESK_INSTANCES:
+        for seed in range(4):
+            oracle = SamplingOracle.for_instance(instance, seed)
+            runs.append((solve(baseline_successive_elimination_plan, oracle, instance, 0.01), state(oracle)))
+    return runs
+
+
+def test_the_floor_cache_leaves_the_desk_grid_as_it_is(monkeypatch):
+    """A block takes the same floors from a cold cache as from a warm one."""
+    warm = _desk_grid()
+    assert _desk_grid() == warm
+    block_end, blocks = solvers._block_end, []
+
+    def cold(*args):
+        _floor_chunk.cache_clear()
+        blocks.append(args[1])
+        return block_end(*args)
+
+    monkeypatch.setattr(solvers, "_block_end", cold)
+    assert _desk_grid() == warm
+    assert len(blocks) > len(warm)  # every run asked for blocks, each from a cold cache
+
+
+def test_the_floor_cache_holds_at_most_1_mib():
+    """The cache keeps the last 32 chunks of 4,096 read-only floats, 32 KiB each, whatever
+    the runs ask of it."""
+    _desk_grid()
+    for delta in (0.1, 0.01, 1e-3):  # more chunks than it keeps
+        for r in range(0, 20 * FLOOR_CHUNK, FLOOR_CHUNK):
+            _radius_floors(r, 1, 7, delta)
+    info = _floor_chunk.cache_info()
+    assert info.maxsize == info.currsize == 32 and info.misses > 32
+    chunk = _floor_chunk(7, 1e-3, 0)
+    assert chunk.dtype == np.float64 and chunk.shape == (FLOOR_CHUNK,) and not chunk.flags.writeable
+    assert info.maxsize * chunk.nbytes == 2**20
