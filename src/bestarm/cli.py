@@ -121,15 +121,8 @@ def cmd_bench(args) -> int:
     _check_out(args.out)
     reports = []
     for instance in instances:
-        report = run_trials(
-            args.algo,
-            instance,
-            args.delta,
-            args.trials,
-            args.seed,
-            budget=args.budget,
-            workers=args.workers,
-        )
+        report = run_trials(args.algo, instance, args.delta, args.trials, args.seed,
+                            budget=args.budget, workers=args.workers)
         reports.append(report)
         print(
             f"{report.algo} {report.instance}: error={report.empirical_error:g} "
@@ -157,6 +150,10 @@ def cmd_signxi(args) -> int:
 
 def cmd_gen(args) -> int:
     instances = generate_instances(args.kind, _parse_params(args.params), seed=args.seed)
+    labels = [instance.label for instance in instances]
+    for i, label in enumerate(labels):  # refused before any file is written: one would overwrite another
+        if label in labels[:i]:
+            raise ValueError(f"two instances have the label {label!r}, so both would be written to {label}.txt")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for instance in instances:

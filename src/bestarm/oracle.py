@@ -21,15 +21,13 @@ the draws go to the request's ``phase`` (``med``, ``anchor``, ``frac``, ``elim``
 on its own is its one-arm request, so every draw has a phase and
 ``total == sum(draws_by_phase.values())``.
 
-:meth:`SamplingOracle.preview` draws a block of rounds ahead and holds it: a mean request
-over the same arms, for at most the rounds previewed, takes those normals instead of
-drawing them again, and the rows past it stay drawn ahead as a flat tail, in stream order,
-from which the next preview takes its first normals.  Any other use of the generator
-first rewinds it: back to its state before the first normal drawn ahead, then past the
+The stream rule of the look-ahead: :meth:`SamplingOracle.preview` draws a block of rounds
+ahead, and the normals drawn ahead are simply the stream's next normals.  Any mean request
+takes them first, in stream order, and draws only the rest; the next preview, too, takes
+its first normals from them.  A tally or a read of ``rng`` first gives them back: the
+generator goes back to its state before the first normal drawn ahead, then past the
 normals served since, in one draw of that count (``standard_normal`` fills an array in
-stream order).  What is drawn ahead is at most one block, ``rounds * len(arms)`` floats
-(for the baseline, ``max(BASELINE_BLOCK * len(arms), 2 * BASELINE_CELLS)``: 512 rounds
-over 8 or more survivors, at most 4,096 normals over fewer), one per oracle.
+stream order, so every value is that of one scalar call per arm and round).
 
 An oracle's generator is ``np.random.default_rng(seed)``, bit for bit.  For a non-negative
 int seed it is built from the seed's words, which a per-process cache keeps for the last
@@ -242,8 +240,8 @@ class SamplingOracle:
     value and charges the ledger.  A Gaussian is ``mu + scale * z`` with ``z`` from a
     bound ``rng.standard_normal``, as ``rng.normal(mu, scale)`` computes it, bit for bit;
     a tally's counts come from a bound ``rng.binomial``.  :meth:`preview` shows the
-    rewards of rounds not yet drawn, and holds their normals for the request that asks
-    for them; whoever reads ``rng`` sees the stream where the requests served left it.
+    rewards of rounds not yet drawn, by the stream rule of the module docstring; whoever
+    reads ``rng`` sees the stream where the requests served left it.
     """
 
     def __init__(self, means, seed=0):
@@ -253,9 +251,9 @@ class SamplingOracle:
         self._rng = np.random.default_rng(_seed_words(seed) if type(seed) is int and seed >= 0 else seed)
         self._normal, self._binomial = self._rng.standard_normal, self._rng.binomial
         # Normals drawn ahead of the stream, in stream order: the generator is past them, and
-        # ``_saved`` less ``_served`` normals is where it was before them (both None when
-        # nothing is drawn ahead).  ``_held`` is the ``(arms, rounds)`` the last preview showed.
-        self._saved = self._served = self._tail = self._held = None
+        # ``_saved`` less ``_served`` normals is where it was before them (all None when
+        # nothing is drawn ahead).
+        self._saved = self._served = self._tail = None
         self._queued = []  # normals or tallies drawn ahead for the next sampler calls, last first
         self._scale = 1.0  # the ``scale`` of the request whose normals are queued
         self._counts = [0] * len(self._means)  # the draw ledger, per arm
@@ -281,7 +279,7 @@ class SamplingOracle:
         self._rng.bit_generator.state = self._saved
         if self._served:
             self._normal(self._served)
-        self._saved = self._served = self._tail = self._held = None
+        self._saved = self._served = self._tail = None
 
     @property
     def n_arms(self) -> int:
@@ -315,24 +313,20 @@ class SamplingOracle:
     def queue_normals(self, request: MeanRequest) -> None:
         """The gate of a mean request: queues the ``z`` of its arms (one scalar call for one
         arm in one round), or each arm's sum over its rounds, by numpy's sum over the arm's
-        contiguous column (:func:`_column_sums`), at the request's ``scale``.  A request over
-        the arms of the last preview, for at most the rounds it showed, sums the normals
-        drawn ahead, and the rest stay ahead as the tail; any other request rewinds first."""
+        contiguous column (:func:`_column_sums`), at the request's ``scale``.  The normals
+        drawn ahead come first, and only the rest are drawn."""
         arms, rounds = request.arms, request.rounds
         if not self.arms.issuperset(arms):  # tested inline: a call per request shows on small requests
             self.check_arms(arms)
         if self._saved is not None:
-            if self._held is not None and self._held[0] == arms and rounds <= self._held[1]:
-                n, tail = rounds * len(arms), self._tail
-                self._queued = _column_sums(tail[:n].reshape(rounds, len(arms)))
-                self._scale, self._held = request.scale, None
-                if n == len(tail):  # the generator is where these normals leave the stream
-                    self._saved = self._served = self._tail = None
-                else:
-                    self._served, self._tail = self._served + n, tail[n:]
-                return
-            self._rewind()
-        if rounds != 1:
+            z, n = self._tail, rounds * len(arms)
+            if n < len(z):
+                z, self._tail, self._served = z[:n], z[n:], self._served + n
+            else:  # the generator is where these normals leave the stream
+                z = z if n == len(z) else np.concatenate((z, self._normal(n - len(z))))
+                self._saved = self._served = self._tail = None
+            self._queued = _column_sums(z.reshape(rounds, -1)) if rounds != 1 else z[::-1].tolist()
+        elif rounds != 1:
             self._queued = _column_sums(self._normal((rounds, len(arms))))
         elif len(arms) == 1:
             self._queued = [self._normal()]
@@ -345,22 +339,17 @@ class SamplingOracle:
 
         A ``(rounds, len(arms))`` array, row r being what ``MeanRequest(arms, 1)``
         would return at its r-th fulfilment.  Nothing is charged and, to any reader of
-        ``rng``, the stream does not move.  The block's normals come first from the tail
-        drawn ahead already, and only the rest are drawn; the oracle holds them, with the
-        generator's state before the first normal drawn ahead, until its next use of the
-        generator.  A mean request over the same ``arms`` (as a tuple) for at most
-        ``rounds`` rounds is served from them, leaving the rows past it as the tail for the
-        next preview; anything else (another request, a tally, a read of ``rng``) first
-        rewinds the generator (:meth:`_rewind`).  An arm out of range, negative included,
+        ``rng``, the stream does not move.  The block's normals come first from those drawn
+        ahead already, and only the rest are drawn; they stay drawn ahead, for the requests
+        that follow (see the module docstring).  An arm out of range, negative included,
         raises ``IndexError`` before anything is drawn.
         """
         self.check_arms(arms)
-        arms, need = tuple(arms), rounds * len(arms)
+        need = rounds * len(arms)
         if self._saved is None:
             self._saved, self._served, self._tail = self._rng.bit_generator.state, 0, self._normal(need)
         elif len(self._tail) < need:
             self._tail = np.concatenate((self._tail, self._normal(need - len(self._tail))))
-        self._held = (arms, rounds)
         return np.array([self._means[arm] for arm in arms]) + self._tail[:need].reshape(rounds, len(arms))
 
     def queue_tallies(self, request: TallyRequest) -> None:

@@ -16,12 +16,8 @@ baseline yields one request per block of rounds: it reads the block's
 rewards ahead with ``oracle.preview``, which charges nothing and, to any
 reader of ``oracle.rng``, leaves the stream where it was, and asks for the
 rounds up to the first at which an arm drops, as one ``MeanRequest`` over
-its survivors with ``rounds`` set.  The oracle holds the previewed normals
-(at most ``max(BASELINE_BLOCK * len(arms), 2 * BASELINE_CELLS)`` floats: 512
-rounds over 8 or more survivors, at most 4,096 normals over fewer) and
-serves that request from them, keeping the rows past it for
-the next preview; any other request, or a read of ``oracle.rng``, first
-rewinds the generator to where the requests served left it.
+its survivors with ``rounds`` set, which takes the previewed normals (the
+stream rule is stated in :mod:`bestarm.oracle`).
 Budget stops stay per arm and round: :meth:`PlanRun.advance`, the one
 serving step of every plan driver, serves a request that would cross the
 sample cap only up to its last arm that fits, in serving order, and only

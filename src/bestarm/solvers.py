@@ -30,7 +30,6 @@ any delta in (0, 1) so cheaper exploratory runs are possible.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import count
@@ -293,8 +292,8 @@ def complexity_guessing_plan(oracle, instance, delta, emit=None):
 
 #: Most rounds the baseline previews, and asks for, in one request over 8 or more
 #: survivors; over fewer, a block may take twice its first block's rounds, which is more.
-#: A held block is at most ``max(BASELINE_BLOCK * len(arms), 2 * BASELINE_CELLS)`` floats
-#: (4 MB on 1,000 arms, 32 KB on fewer than 8).
+#: What the oracle draws ahead is at most one block, ``max(BASELINE_BLOCK * len(arms), 2 *
+#: BASELINE_CELLS)`` floats (4 MB on 1,000 arms, 32 KB on fewer than 8).
 BASELINE_BLOCK = 512
 #: Normals the first block, and the first after a drop, draws, so that the fixed cost of a
 #: preview is spread over enough of them: that block takes ``BASELINE_CELLS //
@@ -304,65 +303,41 @@ BASELINE_CELLS = 2048
 
 
 def se_radius(r: int, n_arms: int, delta: float) -> float:
-    """Confidence radius of the baseline after r draws per surviving arm.
-
-    For n_arms >= 2 and delta < 1 it strictly decreases in r while finite (ln(4 n r^2 / delta)
-    >= ln 8 > 2); it is infinite where 4 n r^2 / delta overflows, which is a suffix of r."""
+    """Confidence radius of the baseline after r draws per surviving arm; infinite where
+    4 n r^2 / delta overflows."""
     return math.sqrt(2.0 * math.log(4.0 * n_arms * r * r / delta) / r)
 
 
-def _radius_floor(rs: np.ndarray, n: int, delta: float) -> np.ndarray:
-    """A floor under ``se_radius`` at each of the finite rounds ``rs``, in one array pass:
-    the same floats but for numpy's ``log``, which may differ from ``math.log`` by an ulp
-    (as ``rs`` may differ from ``float(r)`` past 2**53 rounds), less a margin of 1e-9 of the
-    radius, which covers such ulps many times over.  It is infinite where ``se_radius`` is,
-    with numpy's overflow warning."""
-    return np.sqrt(2.0 * np.log(4.0 * n * rs * rs / delta) / rs) * (1.0 - 1e-9)
-
-
-#: Rounds per chunk of :func:`_floor_chunk`: 32 KiB of floats.
-FLOOR_CHUNK = 4096
+#: Rounds per chunk of :func:`_radius_chunk`: 32 KiB of floats.
+RADIUS_CHUNK = 4096
 
 
 @lru_cache(maxsize=32)  # at most 1 MiB; every trial of a bench shares n and delta
-def _floor_chunk(n: int, delta: float, chunk: int) -> np.ndarray:
-    """The :func:`_radius_floor` of rounds ``chunk * FLOOR_CHUNK + 1`` to ``(chunk + 1) *
-    FLOOR_CHUNK``, read-only, kept for the last 32 chunks of the process: a floor depends only
-    on its round, ``n`` and ``delta``, so the blocks of every run over them share it.  The
-    rounds past the float range of the radius get an infinite floor, without a warning."""
-    rs = np.arange(chunk * FLOOR_CHUNK + 1, (chunk + 1) * FLOOR_CHUNK + 1, dtype=float)
-    with np.errstate(over="ignore"):  # every operand is positive: no NaN to silence
-        floor = _radius_floor(rs, n, delta)
-    floor.flags.writeable = False
-    return floor
-
-
-def _radius_floors(r: int, rows: int, n: int, delta: float) -> np.ndarray:
-    """The floors of rounds ``r + 1`` to ``r + rows``, from the chunks that hold them."""
-    first, start = divmod(r, FLOOR_CHUNK)
-    chunks = [_floor_chunk(n, delta, c) for c in range(first, (r + rows - 1) // FLOOR_CHUNK + 1)]
-    return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks))[start:start + rows]
+def _radius_chunk(n: int, delta: float, chunk: int) -> np.ndarray:
+    """``se_radius`` of rounds ``chunk * RADIUS_CHUNK + 1`` to ``(chunk + 1) * RADIUS_CHUNK``,
+    bit for bit, read-only, kept for the last 32 chunks of the process.  It makes the same
+    float operations on the same floats in array passes: each round is ``float(r)``, which
+    ``np.arange`` is not past 2**53, and the log is ``math.log``, which numpy's may miss by
+    an ulp."""
+    rs = np.array(range(chunk * RADIUS_CHUNK + 1, (chunk + 1) * RADIUS_CHUNK + 1), dtype=float)
+    with np.errstate(over="ignore"):  # infinite where se_radius is; every operand is positive
+        logs = np.fromiter(map(math.log, 4.0 * n * rs * rs / delta), float, RADIUS_CHUNK)
+    radius = np.sqrt(2.0 * logs / rs)
+    radius.flags.writeable = False
+    return radius
 
 
 def _block_end(ahead, r: int, n: int, delta: float) -> int:
     """Rounds of the block ``ahead`` (running sums, row i after round r + 1 + i) up to its
-    first row at which an arm drops or whose radius is infinite, else all of them.  Each
-    finite row gets its floor from :func:`_radius_floors`; ``x + radius`` and ``y - radius``
-    are monotone, as is rounding, so a row that drops at its radius drops at its floor: only
-    rows that drop at their floor get ``se_radius``, in order, and the first of them that
-    drops at it is the block's first drop."""
-    block = finite = len(ahead)
-    if se_radius(r + block, n, delta) == math.inf:  # bisect for the first infinite row
-        finite = bisect_left(range(r + 1, r + block), True, key=lambda q: se_radius(q, n, delta) == math.inf)
-        if not finite:
-            return 1
-    rs = np.arange(r + 1, r + finite + 1, dtype=float)
-    lo, hi = (reduce(f, ahead[:finite].T) / rs for f in (np.minimum, np.maximum))  # beats min(axis=1)
-    floor = _radius_floors(r, finite, n, delta)
-    for i in (lo + floor < hi - floor).nonzero()[0].tolist():
-        if lo[i] + (radius := se_radius(r + 1 + i, n, delta)) < hi[i] - radius:
-            return i + 1
-    return min(finite + 1, block)
+    first row at which an arm drops or whose radius is infinite, else all of them."""
+    block, (first, start) = len(ahead), divmod(r, RADIUS_CHUNK)
+    chunks = [_radius_chunk(n, delta, c) for c in range(first, (r + block - 1) // RADIUS_CHUNK + 1)]
+    radius = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks))[start:start + block]
+    rs = np.arange(r + 1, r + block + 1, dtype=float)
+    lo, hi = (reduce(f, ahead.T) / rs for f in (np.minimum, np.maximum))  # beats min(axis=1)
+    ends = (lo + radius < hi - radius) | (radius == math.inf)
+    i = int(ends.argmax())
+    return i + 1 if ends[i] else block
 
 
 def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
@@ -375,14 +350,12 @@ def baseline_successive_elimination_plan(oracle, instance, delta, emit=None):
     Rounds are raced in blocks: ``oracle.preview`` shows the rewards of the next ``block``
     rounds without charging them, and their running sums (a sequential ``np.cumsum``, the
     same floats as adding round by round) give the block's first round at which an arm
-    drops, with ``se_radius`` computed only for rounds that could drop (:func:`_block_end`).
+    drops, from radii cached per process (:func:`_block_end`).
     One request, ``MeanRequest(survivors, 1, rounds=...)``, asks for every round up to that
     one.  It takes the rewards previewed, so the drop rule takes its sums from the preview's
-    row for that round and ignores the reply.  The oracle holds the previewed normals, at
-    most ``max(BASELINE_BLOCK * len(arms), 2 * BASELINE_CELLS)`` floats, and the request
-    sums them instead of drawing them again; when an arm drops early, the rows past the drop
-    stay with the oracle as a tail, and the next preview takes its first normals from them,
-    so each normal is drawn once.
+    row for that round and ignores the reply.  The previewed normals are the stream's next
+    normals (see :mod:`bestarm.oracle`): the request takes them, and the rows past a drop
+    are the next preview's first normals, so each normal is drawn once.
     The first block, and the first after a drop, takes ``floor = BASELINE_CELLS //
     len(survivors)`` rounds (at least one), and the block doubles, up to ``max(BASELINE_BLOCK,
     2 * floor)`` rounds, while no arm drops: a block over fewer than 8 survivors starts at

@@ -387,6 +387,14 @@ def test_gen_gap_list_is_a_gaps_list(tmp_path):
     assert files == ["two-arm-g0.25.txt", "two-arm-g0.5.txt"]
 
 
+def test_gen_refuses_two_instances_with_one_label(tmp_path, capsys):
+    """Both gaps format as ``g0.5``: writing both files would leave one, holding the second."""
+    gen_dir = tmp_path / "gen"
+    assert main(["gen", "--kind", "two-arm", "--params", "gaps=0.5,0.5000000001", "--out", str(gen_dir)]) == 1
+    assert "error: two instances have the label 'two-arm-g0.5'" in capsys.readouterr().err
+    assert not gen_dir.exists()
+
+
 def test_gen_equal_h_pair(tmp_path):
     gen_dir = tmp_path / "eqh"
     assert main([

@@ -354,12 +354,12 @@ def test_preview_refuses_an_arm_out_of_range_and_moves_nothing(kind, arms):
     assert (oracle.rng.bit_generator.state, oracle.snapshot(), dict(oracle.draws_by_phase)) == before
 
 
-# The oracle holds a preview's normals for a mean request over the same arms, for at most
-# the rounds it showed, keeps the rows past that request as a tail for the next preview,
-# and rewinds the generator before any other use of it.  Two oracles run side by side:
-# ours previews before every step, the twin never does, and after every step the replies,
-# ledger, phases and queue must be the twin's, and so must the stream wherever ours is read
-# (which gives its tail back).  The request the preview serves draws nothing more.
+# The normals a preview draws ahead are the stream's next normals: any mean request takes
+# them first and draws only the rest, and a tally or a read of ``rng`` gives them back.
+# Two oracles run side by side: ours previews before every step, the twin never does, and
+# after every step the replies, ledger, phases and queue must be the twin's, and so must
+# the stream wherever ours is read.  Every request, a budget stop's head included, draws
+# only the normals past the tail.
 TWIN_MEANS = (0.3, -1.5, 0.0, 2.25, 0.7)
 _twin_arms = st.lists(st.integers(0, len(TWIN_MEANS) - 1), min_size=1, max_size=6).map(tuple)
 
@@ -396,16 +396,17 @@ def test_a_preview_leaves_nothing_that_a_twin_without_it_would_see(kind, seed, s
             both(lambda oracle: oracle.rng.random())
         request = MeanRequest(arms + arms[:1] if ask == "other arms" else arms, draws, rounds=rounds,
                               phase="baseline")
+        need, ahead = rounds * len(request.arms), 0 if ours._tail is None else len(ours._tail)
         del drawn[:]
         if ask == "budget stop":  # the cap falls anywhere short of the request's cost
             budget = ours.total + cut % request.cost
+            need = cut % request.cost // draws  # the head it serves, one normal per arm
             for oracle in (ours, twin):
                 with pytest.raises(BudgetExceededError):
                     run_one_request(request, oracle, budget)
         else:
             both(request.fulfill)
-        if between is None and ask in ("match", "fewer rounds"):
-            assert drawn == []  # served from the preview's normals
+        assert sum(int(np.prod(size)) for size in drawn) == max(0, need - ahead)  # only past the tail
         assert (ours.snapshot(), dict(ours.draws_by_phase)) == (twin.snapshot(), dict(twin.draws_by_phase))
         assert ours._queued == twin._queued == []
         if read:

@@ -7,9 +7,9 @@ sort positions with ``reverse=True``, and race the baseline in blocks of
 rounds previewed ahead, one request up to the first drop, with its sums in
 a list aligned with the active arms; they must give the same outcome, the
 same per-arm draws and leave the same generator state, tied means and
-budget stops inside a block included.  The block's end, found with radii only
-for the rows that could drop, must be the row that scanning every row's
-radius finds.
+budget stops inside a block included.  The block's end, found from radii
+cached per process, must be the row that scanning every row's radius finds,
+and the cached radii must be ``se_radius``, bit for bit.
 """
 
 import math
@@ -33,8 +33,7 @@ from bestarm import (
 )
 from bestarm import solvers
 from bestarm.primitives import MeanRequest, _check_members, _count, med_elim_plan
-from bestarm.solvers import (BASELINE_BLOCK, FLOOR_CHUNK, SolveResult, _block_end, _floor_chunk, _radius_floor,
-                             _radius_floors, se_radius)
+from bestarm.solvers import BASELINE_BLOCK, RADIUS_CHUNK, SolveResult, _block_end, _radius_chunk, se_radius
 from doubles import DeterministicOracle
 from test_acceptance import DESK_INSTANCES
 
@@ -227,7 +226,7 @@ def _bound_block():
                      n=3))
 @example(_edge_block(0, block_cap(2), [block_cap(2) - 2], delta=0.01))
 @example(_edge_block(0, block_cap(3), [], n=3, delta=0.01))
-@example(_edge_block(FLOOR_CHUNK - 5, 32, [20], delta=0.01))  # its floors come from two chunks
+@example(_edge_block(RADIUS_CHUNK - 5, 32, [20], delta=0.01))  # its radii come from two chunks
 def test_block_end_matches_the_full_scan(case):
     ahead, r, n, delta = case
     assert _block_end(ahead, r, n, delta) == reference_block_end(ahead, r, n, delta)
@@ -244,7 +243,7 @@ def test_block_end_examples_end_where_they_should():
     assert _block_end(*_edge_block(EDGE_OVERFLOW - 1024, block_cap(2), [block_cap(2) - 1])) == 1024
     assert _block_end(*_edge_block(0, block_cap(2), [block_cap(2) - 2], delta=0.01)) == block_cap(2) - 1
     assert _block_end(*_edge_block(0, block_cap(3), [], n=3, delta=0.01)) == block_cap(3)
-    assert _block_end(*_edge_block(FLOOR_CHUNK - 5, 32, [20], delta=0.01)) == 21
+    assert _block_end(*_edge_block(RADIUS_CHUNK - 5, 32, [20], delta=0.01)) == 21
 
 
 @settings(max_examples=300, deadline=None)
@@ -264,28 +263,27 @@ def test_block_end_examples_end_where_they_should():
 @example(n=3, delta=EDGE_DELTA, block=block_cap(3), near=True, back=block_cap(3) - 1, anywhere=0)
 @example(n=2, delta=0.01, block=block_cap(2), near=False, back=0, anywhere=0)
 @example(n=3, delta=0.01, block=block_cap(3), near=False, back=0, anywhere=0)
-def test_the_radius_floor_is_at_most_every_finite_rows_radius(n, delta, block, near, back, anywhere):
-    """``_block_end`` confirms only the rows that drop at their floor, so no floor may exceed
-    its row's radius: numpy's ``log`` may differ from ``math.log`` by an ulp, and the
-    floor's margin must cover that on every finite row, up to the first infinite one, over
-    the block's own rounds and in the cached chunks that ``_block_end`` takes them from."""
+@example(n=7, delta=0.01, block=32, near=False, back=0, anywhere=RADIUS_CHUNK - 5)  # across two chunks
+# Round 328,372 at n = 2 and delta = 0.01: numpy's ``log`` misses ``math.log`` there by an ulp
+# on an AVX-512 host, and so would the radius built from it.
+@example(n=2, delta=0.01, block=32, near=False, back=0, anywhere=328_372 - 10)
+def test_cached_radii_equal_se_radius_bit_for_bit(n, delta, block, near, back, anywhere):
+    """``_block_end`` takes every row's radius from the cached chunks, so each must be the
+    row's ``se_radius``, bit for bit, infinite rows included: over the block's own rounds,
+    near the first infinite one or anywhere, from one chunk or two."""
     overflow = first_infinite_round(n, delta)
     r = max(0, overflow - 2 - back) if near else anywhere  # near: ``back`` rows short of the last finite one
-    rows = range(r + 1, min(r + block, overflow - 1) + 1)  # the finite rows of the block
-    if not rows:
-        return
-    rs = np.arange(r + 1, r + len(rows) + 1, dtype=float)  # as ``_block_end`` builds them
-    floors = _radius_floor(rs, n, delta).tolist()
-    assert all(floor <= se_radius(q, n, delta) for q, floor in zip(rows, floors))
-    cached = _radius_floors(r, len(rows), n, delta).tolist()  # as ``_block_end`` takes them
-    assert all(floor <= se_radius(q, n, delta) for q, floor in zip(rows, cached))
+    first, start = divmod(r, RADIUS_CHUNK)  # as ``_block_end`` takes them
+    chunks = [_radius_chunk(n, delta, c) for c in range(first, (r + block - 1) // RADIUS_CHUNK + 1)]
+    cached = np.concatenate(chunks)[start:start + block].tolist()
+    assert [x.hex() for x in cached] == [se_radius(q, n, delta).hex() for q in range(r + 1, r + block + 1)]
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4])
 def test_baseline_matches_reference_where_the_radius_overflows_inside_a_block(seed):
     """Arm 1 leaves the race a few dozen rounds before the radius overflows, inside a
-    block that reaches past that round.  Taking the block's infinite last radius as
-    the floor would find no row that could drop, run past the drop and refuse the run."""
+    block that reaches past that round.  Taking the block's infinite last radius for
+    every row would find no row that could drop, run past the drop and refuse the run."""
     instance = Instance.from_means((1.0, 0.385), label="overflow edge")
     ours, ref = (SamplingOracle.for_instance(instance, seed) for _ in range(2))
     outcome = solve(baseline_successive_elimination_plan, ours, instance, EDGE_DELTA)
@@ -448,14 +446,14 @@ def _desk_grid():
     return runs
 
 
-def test_the_floor_cache_leaves_the_desk_grid_as_it_is(monkeypatch):
-    """A block takes the same floors from a cold cache as from a warm one."""
+def test_the_radius_cache_leaves_the_desk_grid_as_it_is(monkeypatch):
+    """A block takes the same radii from a cold cache as from a warm one."""
     warm = _desk_grid()
     assert _desk_grid() == warm
     block_end, blocks = solvers._block_end, []
 
     def cold(*args):
-        _floor_chunk.cache_clear()
+        _radius_chunk.cache_clear()
         blocks.append(args[1])
         return block_end(*args)
 
@@ -464,15 +462,15 @@ def test_the_floor_cache_leaves_the_desk_grid_as_it_is(monkeypatch):
     assert len(blocks) > len(warm)  # every run asked for blocks, each from a cold cache
 
 
-def test_the_floor_cache_holds_at_most_1_mib():
+def test_the_radius_cache_holds_at_most_1_mib():
     """The cache keeps the last 32 chunks of 4,096 read-only floats, 32 KiB each, whatever
     the runs ask of it."""
     _desk_grid()
     for delta in (0.1, 0.01, 1e-3):  # more chunks than it keeps
-        for r in range(0, 20 * FLOOR_CHUNK, FLOOR_CHUNK):
-            _radius_floors(r, 1, 7, delta)
-    info = _floor_chunk.cache_info()
+        for chunk in range(20):
+            _radius_chunk(7, delta, chunk)
+    info = _radius_chunk.cache_info()
     assert info.maxsize == info.currsize == 32 and info.misses > 32
-    chunk = _floor_chunk(7, 1e-3, 0)
-    assert chunk.dtype == np.float64 and chunk.shape == (FLOOR_CHUNK,) and not chunk.flags.writeable
+    chunk = _radius_chunk(7, 1e-3, 0)
+    assert chunk.dtype == np.float64 and chunk.shape == (RADIUS_CHUNK,) and not chunk.flags.writeable
     assert info.maxsize * chunk.nbytes == 2**20

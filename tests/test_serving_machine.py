@@ -11,15 +11,15 @@ last arm that fits.  After every step the oracle's ledger, phases, generator sta
 queue must equal the model's, so a refused step moves nothing.
 
 The machine also previews blocks of rounds and reads ``oracle.rng``.  The model keeps
-the oracle's tail, the normals drawn ahead of the stream, and the arms and rounds of the
-last preview: after a preview, ``rng`` shows the stream where it was; a preview takes its
-first normals from the tail and draws only the rest; a mean request over the last
-preview's arms, for at most its rounds, takes the tail's first normals and leaves the rest
-as the tail; every other step that uses the generator (a request, a tally, a direct
-call, a read of ``rng``) first gives the tail back: the generator goes back to where the
-tail began, and skips the normals served from it since, in one draw.  The model counts
-the normals the oracle draws, skips included, so a tail that is drawn again, or a skip
-left out, shows even where the stream ends up the same.
+the oracle's tail, the normals drawn ahead of the stream, which are the stream's next
+normals: after a preview, ``rng`` shows the stream where it was; a preview takes its
+first normals from the tail and draws only the rest; any mean request (a direct call, or
+the head a budget stop serves, included) takes the tail's first normals, draws only the
+rest and leaves what it does not take as the tail; a tally, a direct tally and a read of
+``rng`` first give the tail back: the generator goes back to where the tail began, and
+skips the normals served from it since, in one draw.  The model counts the normals the
+oracle draws, skips included, so a tail that is drawn again, or a skip left out, shows
+even where the stream ends up the same.
 """
 
 import copy
@@ -143,12 +143,12 @@ class ServingMachine(RuleBasedStateMachine):
         # show, taking one scalar call per arm and round (the variance-0 double takes no
         # reward from it); the tail, the normals drawn ahead of that stream (None: nothing
         # drawn ahead), with the count served from it since it began; the (arms, rounds)
-        # of the last preview, None once a request or a rewind drops it; and the normals
-        # the oracle should have drawn, against those a wrapper of its generator call counts.
+        # of the last preview, while its tail lasts; and the normals the oracle should have
+        # drawn, against those a wrapper of its generator call counts.
         self.ledger, self.phases = [0] * N_ARMS, {}
         self.twin = np.random.default_rng(seed)
         self.random = self.kind is SamplingOracle
-        self.tail = self.served = self.held = None
+        self.tail = self.served = self.previewed = None
         self.normals = self.drawn = 0
         normal = self.oracle._normal
 
@@ -166,42 +166,41 @@ class ServingMachine(RuleBasedStateMachine):
         self.oracle.queue_normals = queued
 
     def _rewind(self):
-        """Every use of the generator but a preview or a request the tail serves: the
-        oracle skips the normals served from the tail since it began, and drops it."""
+        """A tally or a read of ``rng``: the oracle skips the normals served from the tail
+        since it began, and drops it."""
         if self.tail is not None:
             self.normals += self.served
-        self.tail = self.served = self.held = None
+        self.tail = self.served = self.previewed = None
 
     def _past(self, n: int):
         """The twin's stream, copied, moved past its next ``n`` normals; the normals."""
         peek = copy.deepcopy(self.twin)
         return peek, [peek.standard_normal() if self.random else 0.0 for _ in range(n)]
 
-    def _draw(self, pairs, phase, tally, cutoff=None, asks=None) -> list:
+    def _draw(self, pairs, phase, tally, cutoff=None) -> list:
         """The model serves ``(arm, draws, probes)`` triples in order: each charges its
-        arm and takes one normal (a mean) or one binomial count (a tally).  ``asks`` is the
-        ``(arms, rounds)`` of the mean request served: over the last preview's arms, for at
-        most its rounds, it takes the tail's first normals, which the stream moves past,
-        and the rest stay as the tail.  Serving anything else gives the tail back first."""
-        take = None  # the tail's normals, when this request asks for them
+        arm and takes one normal (a mean) or one binomial count (a tally).  A mean request
+        takes the tail's first normals, which the stream moves past, and draws only the
+        rest; what it does not take stays as the tail.  A tally gives the tail back first."""
+        take = iter(())  # the tail's normals this request takes
         if pairs and self.tail is not None:
-            held, self.held = self.held, None
-            if not tally and held is not None and asks[0] == held[0] and asks[1] <= held[1]:
-                n = len(pairs)
+            if tally:
+                self._rewind()
+            else:
+                n = min(len(pairs), len(self.tail))
                 self.twin, normals = self._past(n)  # the tail holds the stream's next normals
                 assert [z.hex() for z in self.tail[:n]] == [z.hex() for z in normals]
                 take, self.tail, self.served = iter(normals), self.tail[n:], self.served + n
                 if not self.tail:  # the generator is where the tail ends
-                    self.tail = self.served = None
-            else:
-                self._rewind()
+                    self.tail = self.served = self.previewed = None
         values = []
         for arm, draws, probes in pairs:
             self.ledger[arm] += draws * probes
             self.phases[phase] = self.phases.get(phase, 0) + draws * probes
             if not tally:
-                if take is not None:
-                    values.append(next(take))
+                z = next(take, None)
+                if z is not None:
+                    values.append(z)
                 else:  # one normal the oracle draws
                     self.normals += 1
                     values.append(self.twin.standard_normal() if self.random else 0.0)
@@ -216,12 +215,13 @@ class ServingMachine(RuleBasedStateMachine):
         defect = data.draw(_defects[tally, how == "direct"], label="defect")
         self._serve(data, tally, how, _fields(data, tally, defect, one_arm=how == "direct"), defect)
 
-    @precondition(lambda self: self.held is not None)
+    @precondition(lambda self: self.previewed is not None)
     @rule(data=st.data(), how=st.sampled_from(["fulfill", "run_plan"]), fewer=st.booleans())
-    def ask_for_the_held_block(self, data, how, fewer):
+    def ask_for_the_previewed_arms(self, data, how, fewer):
         """A mean request over the last preview's arms, for all of its rounds or for fewer,
-        which leaves the rows past them as the tail; with any draws count."""
-        arms, rounds = self.held
+        which leaves the rows past them as the tail, while that tail lasts; with any draws
+        count."""
+        arms, rounds = self.previewed
         if fewer:
             rounds = data.draw(st.integers(1, rounds), label="rounds")
         self._serve(data, False, how, {"arms": arms, "draws": data.draw(_draws[False]), "rounds": rounds}, None)
@@ -268,10 +268,10 @@ class ServingMachine(RuleBasedStateMachine):
             with pytest.raises(BudgetExceededError):
                 call()
             # the head served is the one-round request over the first ``fit`` arms
-            self._draw(pairs[:fit], phase, tally, cutoff, asks=(tuple(arm for arm, _, _ in pairs[:fit]), 1))
+            self._draw(pairs[:fit], phase, tally, cutoff)
             assert oracle.total <= max(budget, before)  # a cap already passed serves nothing
             return
-        reply, values = call(), self._draw(pairs, phase, tally, cutoff, asks=(arms, rounds))
+        reply, values = call(), self._draw(pairs, phase, tally, cutoff)
         if tally:
             assert reply == sum(values)
         else:  # each arm's mean over its rounds, its normals summed by numpy's sum of its column
@@ -300,7 +300,7 @@ class ServingMachine(RuleBasedStateMachine):
         assert [x.hex() for x in ahead.ravel().tolist()] == [x.hex() for x in rewards]
         self.normals += max(0, need - len(tail))
         self.tail, self.served = normals, self.served or 0
-        self.held = (arms, rounds)
+        self.previewed = (arms, rounds)
 
     @rule()
     def read_rng(self):
